@@ -53,7 +53,6 @@ from .errors import (
 )
 from .factoring import is_probable_prime, squarefree_kernel, squarefree_part
 from .inverse import (
-    FamilyRecovery,
     RecoveredPair,
     RecoveredSolutions,
     classify_labeling,

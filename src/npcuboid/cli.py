@@ -41,14 +41,19 @@ from .inverse import (
     recovery_to_json,
 )
 from .rationals import format_rational, parse_rational, sqrt_exact
-from .search import job_from_json, last_record_key, run_search, write_records
+from .search import drop_torn_tail, job_from_json, last_record_key, run_search, write_records
 
 _FACTOR_BUDGET_ENV = "CUBOID_FACTOR_BUDGET"
 
 
 def _rho_budget() -> int:
     raw = os.environ.get(_FACTOR_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_RHO_BUDGET
+    if not raw:
+        return DEFAULT_RHO_BUDGET
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise _Usage(f"{_FACTOR_BUDGET_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _decimal_str(value: Fraction) -> str:
@@ -244,6 +249,7 @@ def _cmd_search(args) -> tuple[dict | None, int]:
         if not args.out:
             raise _Usage("--resume requires --out")
         if Path(args.out).is_file():
+            drop_torn_tail(args.out)
             skip_through = last_record_key(args.out)
     records = run_search(job, workers=args.workers, skip_through=skip_through)
     if args.out:

@@ -59,8 +59,9 @@ class NotAnNPC(NpcuboidError):
 
 
 class InconsistentKernel(NpcuboidError):
-    """Inversion produced candidates that disagree on the congruent number,
-    or the sign-candidate filter did not behave as expected."""
+    """Inversion read abscissa ratios off the cuboid that fail the curve
+    inequality, or one that is not a curve point for the congruent number
+    recovered from the other."""
 
 
 class InvalidSeed(NpcuboidError):

@@ -1,10 +1,12 @@
 """Recover congruent numbers and solution pairs from a given NPC.
 
-Inverting the pair-to-cuboid construction works on diagonal-sum ratios:
-X/Z and XZ/N^2 are squares of such ratios, so each candidate abscissa ratio
-X/N is a product of two of them with a common sign. Candidates surviving the
-curve inequality (-1 < X/N < 0 or X/N > 1) determine N as the squarefree
-kernel of (X/N)((X/N)^2 - 1), and the abscissae follow by scaling.
+Every family inverts the same way. Its circle or hyperbola parameters are
+diagonal-sum ratios of the cuboid, and they give the two abscissa ratios
+X/N and Z/N of pair I. Both ratios must satisfy the curve inequality
+(-1 < X/N < 0 or X/N > 1). N is the squarefree kernel of
+(X/N)((X/N)^2 - 1), and the abscissae follow by scaling. The other pairs
+are images of pair I under the reflected transformations: II under the
+first, and for the invariant family III and IV under the second.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from .errors import InconsistentKernel, NotASquare, NotAnNPC
 from .factoring import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, squarefree_kernel
 from .rationals import format_rational, sqrt_exact
 
-PAIR_LABELS = ("I", "II", "III", "IV")
-
 
 @dataclass(frozen=True)
 class RecoveredPair:
@@ -30,11 +30,12 @@ class RecoveredPair:
 
 @dataclass(frozen=True)
 class RecoveredSolutions:
-    """All four solution pairs reproducing one NPC, with their squarefree N.
+    """The labelled solution pairs reproducing one NPC, with their squarefree N.
 
-    Pairs I/II and III/IV are images of each other under the first reflected
-    transformation; I/III and II/IV under the second. pc_input flags inputs
-    that are themselves perfect cuboids (accepted, but remarkable).
+    Every family has pairs I and II, images of each other under the first
+    reflected transformation. The invariant family adds III and IV, the
+    images of I and II under the second. pc_input flags inputs that are
+    themselves perfect cuboids (accepted, but remarkable).
     """
 
     N: int
@@ -47,17 +48,6 @@ class RecoveredSolutions:
             if entry.which == which:
                 return entry.pair
         raise KeyError(which)
-
-
-@dataclass(frozen=True)
-class FamilyRecovery:
-    """One recovered pair and its first-reflected image for a non-invariant
-    parametrization family."""
-
-    N: int
-    pair: SolutionPair
-    reflected: SolutionPair
-    family: str
 
 
 def _satisfies_curve_inequality(ratio: Fraction) -> bool:
@@ -82,14 +72,42 @@ def _point_from_ratio(curve: CongruentCurve, ratio: Fraction) -> CurvePoint:
     return curve.point(x, y)
 
 
-def _pair_from_ratios(
-    curve: CongruentCurve, x_ratio: Fraction, z_ratio: Fraction
-) -> SolutionPair:
-    return SolutionPair(_point_from_ratio(curve, x_ratio), _point_from_ratio(curve, z_ratio))
+def _abs_y(point: CurvePoint) -> CurvePoint:
+    return point if point.y >= 0 else point.neg()
 
 
-def _kernel_of_ratio(ratio: Fraction, trial_bound: int, rho_budget: int) -> int:
-    return squarefree_kernel(ratio * (ratio * ratio - 1), trial_bound, rho_budget)
+def _image(pair: SolutionPair, reflect) -> SolutionPair:
+    return SolutionPair(_abs_y(reflect(pair.P)), _abs_y(reflect(pair.Q)))
+
+
+def _recover(
+    cuboid: Cuboid,
+    x_ratio: Fraction,
+    z_ratio: Fraction,
+    family: str,
+    trial_bound: int,
+    rho_budget: int,
+) -> RecoveredSolutions:
+    for ratio in (x_ratio, z_ratio):
+        if not _satisfies_curve_inequality(ratio):
+            raise InconsistentKernel(
+                f"{family} recovery ratio {format_rational(ratio)} fails the curve inequality"
+            )
+    n = squarefree_kernel(x_ratio * (x_ratio * x_ratio - 1), trial_bound, rho_budget)
+    curve = CongruentCurve(n)
+    # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only
+    # when z_ratio has the same kernel n; no second factoring is needed.
+    first = SolutionPair(_point_from_ratio(curve, x_ratio), _point_from_ratio(curve, z_ratio))
+    pairs = {"I": first, "II": _image(first, CurvePoint.reflect_first)}
+    if family == "invariant":
+        pairs["III"] = _image(first, CurvePoint.reflect_second)
+        pairs["IV"] = _image(pairs["II"], CurvePoint.reflect_second)
+    return RecoveredSolutions(
+        N=n,
+        pairs=tuple(RecoveredPair(which, pair) for which, pair in pairs.items()),
+        family=family,
+        pc_input=pc_condition(cuboid),
+    )
 
 
 def recover_invariant(
@@ -99,92 +117,30 @@ def recover_invariant(
 ) -> RecoveredSolutions:
     """Invert the invariant parametrization: N plus the four pairs I-IV.
 
-    Feeding pair I or II back through the invariant construction reproduces
-    the input exactly; pairs III and IV reproduce it with sides a and b
-    interchanged.
+    Pair I has X/N = (d_ac + c)(d_s + d_bc)/a^2 and
+    Z/N = (d_s + d_bc)/(d_ac + c). Feeding pair I or II back through the
+    invariant construction reproduces the input exactly; pairs III and IV
+    reproduce it with sides a and b interchanged.
     """
     _require_npc(cuboid)
-    a, b, c = cuboid.a, cuboid.b, cuboid.c
-    d_bc, d_ac, d_s = cuboid.d_bc, cuboid.d_ac, cuboid.d_s
-
-    survivors = []
-    for ac_sign in (1, -1):
-        for bc_sign in (1, -1):
-            ac_sum = d_ac + ac_sign * c
-            bc_sum = d_s + bc_sign * d_bc
-            for outer in (1, -1):
-                x_ratio = outer * ac_sum * bc_sum / (a * a)
-                z_ratio = outer * bc_sum / ac_sum
-                if _satisfies_curve_inequality(x_ratio) and _satisfies_curve_inequality(z_ratio):
-                    survivors.append((x_ratio, z_ratio))
-    if len(survivors) != 4:
-        raise InconsistentKernel(
-            f"{len(survivors)} of 8 sign candidates passed the curve inequality, expected 4"
-        )
-
-    kernels = {_kernel_of_ratio(xr, trial_bound, rho_budget) for xr, _ in survivors}
-    if len(kernels) != 1:
-        raise InconsistentKernel(f"surviving candidates disagree on N: {sorted(kernels)}")
-    n = kernels.pop()
-    curve = CongruentCurve(n)
-
-    ratio_pairs = {
-        "I": ((d_ac + c) * (d_s + d_bc) / (a * a), (d_s + d_bc) / (d_ac + c)),
-        "II": (-(d_ac - c) * (d_s - d_bc) / (a * a), -(d_s - d_bc) / (d_ac - c)),
-        "III": ((d_s + d_ac) / (d_bc + c), (d_bc + c) * (d_s + d_ac) / (b * b)),
-        "IV": (-(d_s - d_ac) / (d_bc - c), -(d_bc - c) * (d_s - d_ac) / (b * b)),
-    }
-    pairs = []
-    for which in PAIR_LABELS:
-        x_ratio, z_ratio = ratio_pairs[which]
-        for ratio in (x_ratio, z_ratio):
-            if not _satisfies_curve_inequality(ratio):
-                raise InconsistentKernel(
-                    f"pair {which} ratio {format_rational(ratio)} fails the curve inequality"
-                )
-        if _kernel_of_ratio(x_ratio, trial_bound, rho_budget) != n:
-            raise InconsistentKernel(f"pair {which} disagrees on the congruent number")
-        pairs.append(RecoveredPair(which, _pair_from_ratios(curve, x_ratio, z_ratio)))
-
-    return RecoveredSolutions(
-        N=n, pairs=tuple(pairs), family="invariant", pc_input=pc_condition(cuboid)
+    ac_sum = cuboid.d_ac + cuboid.c
+    bc_sum = cuboid.d_s + cuboid.d_bc
+    return _recover(
+        cuboid,
+        ac_sum * bc_sum / (cuboid.a * cuboid.a),
+        bc_sum / ac_sum,
+        "invariant",
+        trial_bound,
+        rho_budget,
     )
-
-
-def _recover_family(
-    cuboid: Cuboid,
-    x_ratio: Fraction,
-    z_ratio: Fraction,
-    family: str,
-    trial_bound: int,
-    rho_budget: int,
-) -> FamilyRecovery:
-    for ratio in (x_ratio, z_ratio):
-        if not _satisfies_curve_inequality(ratio):
-            raise InconsistentKernel(
-                f"{family} recovery ratio {format_rational(ratio)} fails the curve inequality"
-            )
-    n = _kernel_of_ratio(x_ratio, trial_bound, rho_budget)
-    if _kernel_of_ratio(z_ratio, trial_bound, rho_budget) != n:
-        raise InconsistentKernel(f"{family} recovery ratios disagree on the congruent number")
-    curve = CongruentCurve(n)
-    pair = _pair_from_ratios(curve, x_ratio, z_ratio)
-    reflected = SolutionPair(
-        _abs_y(pair.P.reflect_first()), _abs_y(pair.Q.reflect_first())
-    )
-    return FamilyRecovery(N=n, pair=pair, reflected=reflected, family=family)
-
-
-def _abs_y(point: CurvePoint) -> CurvePoint:
-    return point if point.y >= 0 else point.neg()
 
 
 def recover_first(
     cuboid: Cuboid,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> FamilyRecovery:
-    """Invert the first parametrization.
+) -> RecoveredSolutions:
+    """Invert the first parametrization: N plus pairs I and II.
 
     Its circle parameters are diagonal-sum ratios of the cuboid:
     alpha = (d_s + d_bc)/a and beta = (d_s + b)/d_ac, giving
@@ -193,17 +149,15 @@ def recover_first(
     _require_npc(cuboid)
     alpha = (cuboid.d_s + cuboid.d_bc) / cuboid.a
     beta = (cuboid.d_s + cuboid.b) / cuboid.d_ac
-    return _recover_family(
-        cuboid, alpha * beta, alpha / beta, "first", trial_bound, rho_budget
-    )
+    return _recover(cuboid, alpha * beta, alpha / beta, "first", trial_bound, rho_budget)
 
 
 def recover_second(
     cuboid: Cuboid,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> FamilyRecovery:
-    """Invert the second parametrization.
+) -> RecoveredSolutions:
+    """Invert the second parametrization: N plus pairs I and II.
 
     Its hyperbola parameters are alpha = d_bc/(d_s + a) and
     beta = (d_ac + a)/c, giving X/N = beta/alpha and Z/N = beta*alpha.
@@ -211,9 +165,7 @@ def recover_second(
     _require_npc(cuboid)
     alpha = cuboid.d_bc / (cuboid.d_s + cuboid.a)
     beta = (cuboid.d_ac + cuboid.a) / cuboid.c
-    return _recover_family(
-        cuboid, beta / alpha, beta * alpha, "second", trial_bound, rho_budget
-    )
+    return _recover(cuboid, beta / alpha, beta * alpha, "second", trial_bound, rho_budget)
 
 
 def classify_labeling(
@@ -235,30 +187,13 @@ def classify_labeling(
     raise NotAnNPC("no labeling of the given values satisfies the cuboid relations")
 
 
-def recovery_to_json(result: RecoveredSolutions | FamilyRecovery) -> dict:
-    if isinstance(result, RecoveredSolutions):
-        pairs = [
-            {
-                "X": format_rational(entry.pair.P.x),
-                "Z": format_rational(entry.pair.Q.x),
-                "which": entry.which,
-            }
-            for entry in result.pairs
-        ]
-        return {"N": result.N, "pairs": pairs, "family": result.family}
-    return {
-        "N": result.N,
-        "pairs": [
-            {
-                "X": format_rational(result.pair.P.x),
-                "Z": format_rational(result.pair.Q.x),
-                "which": "I",
-            },
-            {
-                "X": format_rational(result.reflected.P.x),
-                "Z": format_rational(result.reflected.Q.x),
-                "which": "II",
-            },
-        ],
-        "family": result.family,
-    }
+def recovery_to_json(result: RecoveredSolutions) -> dict:
+    pairs = [
+        {
+            "X": format_rational(entry.pair.P.x),
+            "Z": format_rational(entry.pair.Q.x),
+            "which": entry.which,
+        }
+        for entry in result.pairs
+    ]
+    return {"N": result.N, "pairs": pairs, "family": result.family}

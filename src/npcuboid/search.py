@@ -11,6 +11,7 @@ completed record.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,11 +143,12 @@ def run_search(
     tasks = _tasks(job)
     if skip_through is not None:
         tasks = [t for t in tasks if (t[0], t[3], t[4], _PARAM_INDEX[t[5]]) > skip_through]
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         for task in tasks:
             yield _run_task(task)
         return
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_task, tasks, chunksize=1)
 
 
@@ -157,6 +159,16 @@ def write_records(records: Iterator[dict], stream: IO[str]) -> int:
         stream.write(json.dumps(record, separators=(",", ":")) + "\n")
         count += 1
     return count
+
+
+def drop_torn_tail(path: str | Path) -> None:
+    """Cut an output file back to its last newline.
+
+    An interrupted run can leave a partial final line; appending after it
+    would glue the next record onto the fragment.
+    """
+    with open(path, "rb+") as stream:
+        stream.truncate(stream.read().rfind(b"\n") + 1)
 
 
 def last_record_key(path: str | Path) -> tuple | None:

@@ -82,13 +82,19 @@ def test_golden_inversion(golden_npc):
 
     first = recover_first(golden_npc)
     assert first.N == 4305
-    assert (first.pair.P.x, first.pair.Q.x) == (Fraction(452025, 64), Fraction(18081, 4))
-    assert (first.reflected.P.x, first.reflected.Q.x) == (Fraction(-2624), Fraction(-4100))
+    assert (first.pair("I").P.x, first.pair("I").Q.x) == (
+        Fraction(452025, 64),
+        Fraction(18081, 4),
+    )
+    assert (first.pair("II").P.x, first.pair("II").Q.x) == (Fraction(-2624), Fraction(-4100))
 
     second = recover_second(golden_npc)
     assert second.N == 1717170
-    assert (second.pair.P.x, second.pair.Q.x) == (Fraction(165191754), Fraction(3016650))
-    assert (second.reflected.P.x, second.reflected.Q.x) == (
+    assert (second.pair("I").P.x, second.pair("I").Q.x) == (
+        Fraction(165191754),
+        Fraction(3016650),
+    )
+    assert (second.pair("II").P.x, second.pair("II").Q.x) == (
         Fraction(-17850),
         Fraction(-977466),
     )

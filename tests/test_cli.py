@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from npcuboid import FactorizationExceeded
-from npcuboid.cli import _rho_budget, main
+from npcuboid.cli import _rho_budget, _Usage, main
 from npcuboid.factoring import DEFAULT_RHO_BUDGET
 
 
@@ -226,6 +228,19 @@ class TestSearchCommand:
         assert run(capsys, "search", str(job), "--out", str(partial), "--resume")[0] == 0
         assert partial.read_text() == full.read_text()
 
+    def test_resume_after_torn_final_line(self, capsys, tmp_path):
+        job = self.write_job(tmp_path)
+        full = tmp_path / "full.jsonl"
+        assert run(capsys, "search", str(job), "--out", str(full))[0] == 0
+        data = full.read_bytes()
+        complete = len(b"".join(data.splitlines(keepends=True)[:3]))
+        # Cut inside the third record, then just before its newline.
+        for cut in (complete - 40, complete - 1):
+            partial = tmp_path / "partial.jsonl"
+            partial.write_bytes(data[:cut])
+            assert run(capsys, "search", str(job), "--out", str(partial), "--resume")[0] == 0
+            assert partial.read_bytes() == data
+
     def test_missing_job_file(self, capsys):
         code, _, err = run(capsys, "search", "missing.json")
         assert code == 2 and "not found" in err
@@ -272,3 +287,10 @@ class TestFactorBudgetEnv:
     def test_override(self, monkeypatch):
         monkeypatch.setenv("CUBOID_FACTOR_BUDGET", "12345")
         assert _rho_budget() == 12345
+
+    def test_non_integer_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUBOID_FACTOR_BUDGET", "abc")
+        with pytest.raises(_Usage):
+            _rho_budget()
+        code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN)
+        assert code == 2 and out == "" and "CUBOID_FACTOR_BUDGET" in err

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import npcuboid.inverse as inverse
 from npcuboid import (
     Cuboid,
     NotAnNPC,
@@ -97,16 +98,61 @@ class TestRecoverInvariant:
             count += 1
         assert count >= 20
 
+    def test_pairs_match_explicit_ratio_formulas(self, seeds):
+        # The paper's closed forms for the abscissa ratios X/N, Z/N of each
+        # pair, independent of the reflections that derive pairs II-IV.
+        for pair in generated_pairs(seeds, max_multiple=5):
+            cuboid = build_npc(pair, "invariant")
+            a, b, c = cuboid.a, cuboid.b, cuboid.c
+            d_bc, d_ac, d_s = cuboid.d_bc, cuboid.d_ac, cuboid.d_s
+            expected = {
+                "I": ((d_ac + c) * (d_s + d_bc) / (a * a), (d_s + d_bc) / (d_ac + c)),
+                "II": (-(d_ac - c) * (d_s - d_bc) / (a * a), -(d_s - d_bc) / (d_ac - c)),
+                "III": ((d_s + d_ac) / (d_bc + c), (d_bc + c) * (d_s + d_ac) / (b * b)),
+                "IV": (-(d_s - d_ac) / (d_bc - c), -(d_bc - c) * (d_s - d_ac) / (b * b)),
+            }
+            result = recover_invariant(cuboid)
+            assert result.N == pair.curve.N
+            assert {
+                entry.which: (entry.pair.P.x / result.N, entry.pair.Q.x / result.N)
+                for entry in result.pairs
+            } == expected
+
+
+@pytest.mark.parametrize(
+    "family, recover",
+    [
+        ("invariant", recover_invariant),
+        ("first", recover_first),
+        ("second", recover_second),
+    ],
+)
+def test_one_kernel_extraction_per_inversion(seeds, monkeypatch, family, recover):
+    calls = []
+    original = inverse.squarefree_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "squarefree_kernel", counting)
+    for pair in generated_pairs(seeds, max_multiple=4):
+        cuboid = build_npc(pair, family)
+        before = len(calls)
+        result = recover(cuboid)
+        assert len(calls) - before == 1
+        assert build_npc(result.pair("I"), family) == cuboid
+
 
 class TestRecoverFamilies:
     def test_first_family_golden(self, golden_npc):
         result = recover_first(golden_npc)
         assert result.N == 4305
-        assert (result.pair.P.x, result.pair.Q.x) == (
+        assert (result.pair("I").P.x, result.pair("I").Q.x) == (
             Fraction(452025, 64),
             Fraction(18081, 4),
         )
-        assert (result.reflected.P.x, result.reflected.Q.x) == (
+        assert (result.pair("II").P.x, result.pair("II").Q.x) == (
             Fraction(-2624),
             Fraction(-4100),
         )
@@ -114,18 +160,18 @@ class TestRecoverFamilies:
     def test_second_family_golden(self, golden_npc):
         result = recover_second(golden_npc)
         assert result.N == 1717170
-        assert (result.pair.P.x, result.pair.Q.x) == (
+        assert (result.pair("I").P.x, result.pair("I").Q.x) == (
             Fraction(165191754),
             Fraction(3016650),
         )
-        assert (result.reflected.P.x, result.reflected.Q.x) == (
+        assert (result.pair("II").P.x, result.pair("II").Q.x) == (
             Fraction(-17850),
             Fraction(-977466),
         )
 
     def test_recovered_points_validate(self, golden_npc):
         for result in (recover_first(golden_npc), recover_second(golden_npc)):
-            for pair in (result.pair, result.reflected):
+            for pair in (result.pair("I"), result.pair("II")):
                 for point in (pair.P, pair.Q):
                     assert point.on_curve()
                     assert point.y >= 0
@@ -133,13 +179,13 @@ class TestRecoverFamilies:
     def test_round_trips_on_golden_cuboids(self, golden_pair):
         first_cuboid = build_npc(golden_pair, "first")
         recovered = recover_first(first_cuboid)
-        assert build_npc(recovered.pair, "first") == first_cuboid
-        assert build_npc(recovered.reflected, "first") == first_cuboid
+        assert build_npc(recovered.pair("I"), "first") == first_cuboid
+        assert build_npc(recovered.pair("II"), "first") == first_cuboid
 
         second_cuboid = build_npc(golden_pair, "second")
         recovered = recover_second(second_cuboid)
-        assert build_npc(recovered.pair, "second") == second_cuboid
-        assert build_npc(recovered.reflected, "second") == second_cuboid
+        assert build_npc(recovered.pair("I"), "second") == second_cuboid
+        assert build_npc(recovered.pair("II"), "second") == second_cuboid
 
     def test_round_trips_on_generated_cuboids(self, seeds):
         for pair in generated_pairs(seeds, max_multiple=4):
@@ -150,7 +196,7 @@ class TestRecoverFamilies:
                 cuboid = build_npc(pair, build_name)
                 result = recover(cuboid)
                 assert result.family == family
-                assert build_npc(result.pair, build_name) == cuboid
+                assert build_npc(result.pair("I"), build_name) == cuboid
 
     def test_junk_rejected(self):
         junk = Cuboid(*(Fraction(v) for v in (3, 4, 5, 1, 1, 1, 1)))

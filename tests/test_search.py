@@ -1,8 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
+import npcuboid.search as search
 from npcuboid import (
     CongruentCurve,
     InvalidSeed,
@@ -50,6 +52,33 @@ class TestDeterminism:
         records = [json.loads(line) for line in render(small_job).splitlines()]
         keys = [task_key(r) for r in records]
         assert keys == sorted(keys)
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("cpus, expected", [(8, [8]), (2, [2]), (None, [])])
+    def test_pool_size_is_capped_at_cpu_count(self, small_job, monkeypatch, cpus, expected):
+        sizes = []
+
+        class SerialPool:
+            """Runs the pool's map in this process and records its size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        serial = render(small_job)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        assert render(small_job, workers=64) == serial
+        assert sizes == expected
 
 
 class TestRecordContents:
