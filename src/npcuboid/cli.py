@@ -50,10 +50,14 @@ def _rho_budget() -> int:
     raw = os.environ.get(_FACTOR_BUDGET_ENV)
     if not raw:
         return DEFAULT_RHO_BUDGET
+    message = f"{_FACTOR_BUDGET_ENV} must be a non-negative integer, got {raw!r}"
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError as exc:
-        raise _Usage(f"{_FACTOR_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+        raise _Usage(message) from exc
+    if budget < 0:
+        raise _Usage(message)
+    return budget
 
 
 def _decimal_str(value: Fraction) -> str:

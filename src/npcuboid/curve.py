@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 from .errors import (
     CurveMismatch,
@@ -228,8 +229,13 @@ class SolutionPair:
         return self.P.x, self.Q.x
 
 
-def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
+def same_parity_pair(
+    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
+) -> SolutionPair:
     """Build the pair (kP, mP) for k, m of equal parity.
+
+    chain optionally holds the caller's multiples P, 2P, ...; a multiple it
+    covers is read from it instead of being computed by mul.
 
     Equal-parity multiples of one point always have a square x-product; a
     failed square check therefore raises SquareCheckFailed (an internal bug),
@@ -241,8 +247,7 @@ def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
         raise DegeneratePair(f"multipliers {k} and {m} have different parity")
     if p.is_trivial:
         raise DegeneratePair("base point must be nontrivial")
-    kp = p.mul(k)
-    mp = p.mul(m)
+    kp, mp = (chain[j - 1] if 0 < j <= len(chain) else p.mul(j) for j in (k, m))
     if kp.is_trivial or mp.is_trivial:
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if kp.x == mp.x:

@@ -176,26 +176,21 @@ def _strip_trial(n: int, lo: int, hi: int, odd_part: int) -> tuple[int, int]:
     return n, odd_part
 
 
-def squarefree_part(
-    n: int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> int:
+def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
     """Squarefree part of a positive integer: the product of the primes
     occurring in n with odd exponent."""
     if n <= 0:
         raise ValueError("squarefree part requires a positive integer")
     budget = _RhoBudget(rho_budget)
-    small_bound = min(_SMALL_TRIAL_BOUND, trial_bound)
-    n, result = _strip_trial(n, 1, small_bound, 1)
-    tried_full = small_bound >= trial_bound
+    n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
+    tried_full = False
     while n > 1:
-        if is_probable_prime(n):
-            return result * n
         root = isqrt(n)
         if root * root == n:
             # Every exponent in n is even regardless of how root factors.
             return result
+        if is_probable_prime(n):
+            return result * n
         # Odd perfect powers preserve exponent parity of the base.
         reduced = False
         for k in range(3, n.bit_length() + 1, 2):
@@ -207,7 +202,7 @@ def squarefree_part(
         if reduced:
             continue
         if not tried_full:
-            n, result = _strip_trial(n, small_bound, trial_bound, result)
+            n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
             tried_full = True
             continue
         p = _find_prime_factor(n, budget)
@@ -220,11 +215,7 @@ def squarefree_part(
     return result
 
 
-def squarefree_kernel(
-    r: Fraction | int,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
-) -> int:
+def squarefree_kernel(r: Fraction | int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
     """The squarefree positive integer s with s*|r| a rational square.
 
     Since r is stored reduced, s is the squarefree part of
@@ -233,6 +224,4 @@ def squarefree_kernel(
     r = Fraction(r)
     if r == 0:
         raise ValueError("zero has no squarefree kernel")
-    return squarefree_part(
-        abs(r.numerator * r.denominator), trial_bound, rho_budget
-    )
+    return squarefree_part(abs(r.numerator * r.denominator), rho_budget)

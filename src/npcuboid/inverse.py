@@ -18,7 +18,7 @@ from itertools import permutations
 from .curve import CongruentCurve, CurvePoint, SolutionPair
 from .cuboids import Cuboid, pc_condition, verify_npc
 from .errors import InconsistentKernel, NotASquare, NotAnNPC
-from .factoring import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND, squarefree_kernel
+from .factoring import DEFAULT_RHO_BUDGET, squarefree_kernel
 from .rationals import format_rational, sqrt_exact
 
 
@@ -85,7 +85,6 @@ def _recover(
     x_ratio: Fraction,
     z_ratio: Fraction,
     family: str,
-    trial_bound: int,
     rho_budget: int,
 ) -> RecoveredSolutions:
     for ratio in (x_ratio, z_ratio):
@@ -93,7 +92,7 @@ def _recover(
             raise InconsistentKernel(
                 f"{family} recovery ratio {format_rational(ratio)} fails the curve inequality"
             )
-    n = squarefree_kernel(x_ratio * (x_ratio * x_ratio - 1), trial_bound, rho_budget)
+    n = squarefree_kernel(x_ratio * (x_ratio * x_ratio - 1), rho_budget)
     curve = CongruentCurve(n)
     # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only
     # when z_ratio has the same kernel n; no second factoring is needed.
@@ -111,9 +110,7 @@ def _recover(
 
 
 def recover_invariant(
-    cuboid: Cuboid,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
+    cuboid: Cuboid, rho_budget: int = DEFAULT_RHO_BUDGET
 ) -> RecoveredSolutions:
     """Invert the invariant parametrization: N plus the four pairs I-IV.
 
@@ -130,15 +127,12 @@ def recover_invariant(
         ac_sum * bc_sum / (cuboid.a * cuboid.a),
         bc_sum / ac_sum,
         "invariant",
-        trial_bound,
         rho_budget,
     )
 
 
 def recover_first(
-    cuboid: Cuboid,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
+    cuboid: Cuboid, rho_budget: int = DEFAULT_RHO_BUDGET
 ) -> RecoveredSolutions:
     """Invert the first parametrization: N plus pairs I and II.
 
@@ -149,13 +143,11 @@ def recover_first(
     _require_npc(cuboid)
     alpha = (cuboid.d_s + cuboid.d_bc) / cuboid.a
     beta = (cuboid.d_s + cuboid.b) / cuboid.d_ac
-    return _recover(cuboid, alpha * beta, alpha / beta, "first", trial_bound, rho_budget)
+    return _recover(cuboid, alpha * beta, alpha / beta, "first", rho_budget)
 
 
 def recover_second(
-    cuboid: Cuboid,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    rho_budget: int = DEFAULT_RHO_BUDGET,
+    cuboid: Cuboid, rho_budget: int = DEFAULT_RHO_BUDGET
 ) -> RecoveredSolutions:
     """Invert the second parametrization: N plus pairs I and II.
 
@@ -165,7 +157,7 @@ def recover_second(
     _require_npc(cuboid)
     alpha = cuboid.d_bc / (cuboid.d_s + cuboid.a)
     beta = (cuboid.d_ac + cuboid.a) / cuboid.c
-    return _recover(cuboid, beta / alpha, beta * alpha, "second", trial_bound, rho_budget)
+    return _recover(cuboid, beta / alpha, beta * alpha, "second", rho_budget)
 
 
 def classify_labeling(

@@ -1,11 +1,14 @@
 """Bounded deterministic sweep over seed curves, multiples and parametrizations.
 
-One task per (curve, k, m, parametrization). Tasks are pure functions of
-primitive inputs, so they can run on any number of worker processes; records
-come back in the enumeration order (N, k, m, parametrization index) and two
-runs of one job are byte-identical regardless of the worker count. Output is
-append-only JSONL, which makes interrupted sweeps resumable from the last
-completed record.
+The unit of work is one seed. Its multiples P, 2P, ..., MP are computed once,
+as a chain of successive additions, and every (k, m, parametrization) record
+of that seed is built from the chain. Seed units are pure functions of the
+job, so they can run on any number of worker processes, but never on more
+processes than there are seeds: a one-seed job runs in one process whatever
+the worker count. Records come back in the enumeration order (N, k, m,
+parametrization index), and two runs of one job are byte-identical regardless
+of the worker count. Output is append-only JSONL, which makes interrupted
+sweeps resumable from the last completed record.
 """
 
 from __future__ import annotations
@@ -14,13 +17,15 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterator
 
 from .cuboids import PARAMETRIZATIONS, build_npc, cuboid_to_json, pc_condition
-from .curve import CongruentCurve, CurvePoint, load_seeds, point_from_json, same_parity_pair
+from .curve import CurvePoint, load_seeds, point_from_json, same_parity_pair
 from .errors import DegeneratePair, InvalidSeed, ZeroSide
-from .rationals import format_rational, max_decimal_digits, parse_rational
+from .rationals import max_decimal_digits
 
 DEFAULT_HEIGHT_LIMIT = 200
 
@@ -84,51 +89,46 @@ def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
 
 
 def _multiple_pairs(job: SearchJob) -> Iterator[tuple[int, int]]:
-    for k in range(1, job.max_multiple + 1):
-        if job.parity == "odd" and k % 2 == 0:
-            continue
-        if job.parity == "even" and k % 2 == 1:
-            continue
-        for m in range(k + 1, job.max_multiple + 1):
-            if job.parity == "odd" and m % 2 == 0:
-                continue
-            if job.parity == "even" and m % 2 == 1:
-                continue
-            yield k, m
-
-
-def _tasks(job: SearchJob) -> list[tuple]:
-    tasks = []
-    for seed in sorted(job.seeds, key=lambda p: p.curve.N):
-        x, y = format_rational(seed.x), format_rational(seed.y)
-        for k, m in _multiple_pairs(job):
-            for param in job.parametrizations:
-                tasks.append((seed.curve.N, x, y, k, m, param, job.height_limit))
-    return tasks
+    remainders = {"odd": (1,), "even": (0,), "both": (0, 1)}[job.parity]
+    multiples = (j for j in range(1, job.max_multiple + 1) if j % 2 in remainders)
+    return combinations(multiples, 2)
 
 
 def task_key(record: dict) -> tuple[int, int, int, int]:
     return record["N"], record["k"], record["m"], _PARAM_INDEX[record["parametrization"]]
 
 
-def _run_task(task: tuple) -> dict:
-    n, x, y, k, m, param, height_limit = task
-    seed = CongruentCurve(n).point(parse_rational(x), parse_rational(y))
-    record = {"N": n, "k": k, "m": m, "parametrization": param}
-    try:
-        pair = same_parity_pair(seed, k, m)
-        cuboid = build_npc(pair, param)
-    except (DegeneratePair, ZeroSide) as exc:
-        record["skipped"] = str(exc)
-        return record
-    digits = max_decimal_digits(int(v) for v in cuboid.rational_entries())
-    record["digits"] = digits
-    if digits > height_limit:
-        record["truncated"] = True
-        return record
-    record["pc"] = pc_condition(cuboid)
-    record["cuboid"] = cuboid_to_json(cuboid)
-    return record
+def _chain(seed: CurvePoint, length: int) -> list[CurvePoint]:
+    """The multiples P, 2P, ..., length*P, by length - 1 successive additions."""
+    multiples = [seed]
+    while len(multiples) < length:
+        multiples.append(multiples[-1].add(seed))
+    return multiples
+
+
+def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) -> list[dict]:
+    """Every record of one seed after skip_through, in task_key order."""
+    multiples = _chain(seed, job.max_multiple)
+    records = []
+    for k, m in _multiple_pairs(job):
+        for param in job.parametrizations:
+            record = {"N": seed.curve.N, "k": k, "m": m, "parametrization": param}
+            if skip_through is not None and task_key(record) <= skip_through:
+                continue
+            records.append(record)
+            try:
+                cuboid = build_npc(same_parity_pair(seed, k, m, multiples), param)
+            except (DegeneratePair, ZeroSide) as exc:
+                record["skipped"] = str(exc)
+                continue
+            digits = max_decimal_digits(int(v) for v in cuboid.rational_entries())
+            record["digits"] = digits
+            if digits > job.height_limit:
+                record["truncated"] = True
+                continue
+            record["pc"] = pc_condition(cuboid)
+            record["cuboid"] = cuboid_to_json(cuboid)
+    return records
 
 
 def run_search(
@@ -136,20 +136,20 @@ def run_search(
 ) -> Iterator[dict]:
     """Yield one record per (seed, k, m, parametrization) in sorted order.
 
-    skip_through drops every task up to and including that (N, k, m,
+    skip_through drops every record up to and including that (N, k, m,
     parametrization-index) key; pass the key of the last completed record to
-    resume an interrupted sweep.
+    resume an interrupted sweep. Each worker process runs whole seeds.
     """
-    tasks = _tasks(job)
+    seeds = sorted(job.seeds, key=lambda p: p.curve.N)
     if skip_through is not None:
-        tasks = [t for t in tasks if (t[0], t[3], t[4], _PARAM_INDEX[t[5]]) > skip_through]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+        seeds = [s for s in seeds if s.curve.N >= skip_through[0]]
+    unit = partial(_seed_records, job, skip_through)
+    workers = min(workers, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
-        for task in tasks:
-            yield _run_task(task)
+        yield from chain.from_iterable(map(unit, seeds))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_task, tasks, chunksize=1)
+        yield from chain.from_iterable(pool.map(unit, seeds))
 
 
 def write_records(records: Iterator[dict], stream: IO[str]) -> int:

@@ -294,3 +294,15 @@ class TestFactorBudgetEnv:
             _rho_budget()
         code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN)
         assert code == 2 and out == "" and "CUBOID_FACTOR_BUDGET" in err
+
+    def test_negative_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUBOID_FACTOR_BUDGET", "-5")
+        with pytest.raises(_Usage):
+            _rho_budget()
+        code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN)
+        assert code == 2 and out == "" and "CUBOID_FACTOR_BUDGET" in err
+
+    def test_zero_means_no_rho_steps(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUBOID_FACTOR_BUDGET", "0")
+        assert _rho_budget() == 0
+        assert run_json(capsys, "invert", *TestInvertCommand.GOLDEN)["N"] == 34

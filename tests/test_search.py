@@ -1,12 +1,14 @@
 import io
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 import npcuboid.search as search
 from npcuboid import (
     CongruentCurve,
+    CurvePoint,
     InvalidSeed,
     cuboid_from_json,
     load_seeds,
@@ -21,6 +23,8 @@ from npcuboid.search import (
     task_key,
     write_records,
 )
+
+from helpers import point_above
 
 
 def render(job, workers=1, skip_through=None):
@@ -54,9 +58,19 @@ class TestDeterminism:
         assert keys == sorted(keys)
 
 
+@pytest.fixture(scope="module")
+def nine_seed_job():
+    """The packaged seeds plus points of triangle curves: more seeds than the 8 CPUs faked below."""
+    seeds = load_seeds()
+    for u, v in ((3, 2), (4, 1), (4, 3), (5, 2), (5, 4)):
+        a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
+        seeds.append(point_above(CongruentCurve(a * b // 2), Fraction(c * c, 4)))
+    return SearchJob(seeds=tuple(seeds), max_multiple=2)
+
+
 class TestWorkerCap:
     @pytest.mark.parametrize("cpus, expected", [(8, [8]), (2, [2]), (None, [])])
-    def test_pool_size_is_capped_at_cpu_count(self, small_job, monkeypatch, cpus, expected):
+    def test_pool_size_is_capped_at_cpu_count(self, nine_seed_job, monkeypatch, cpus, expected):
         sizes = []
 
         class SerialPool:
@@ -74,11 +88,49 @@ class TestWorkerCap:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        serial = render(small_job)
+        serial = render(nine_seed_job)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-        assert render(small_job, workers=64) == serial
+        assert render(nine_seed_job, workers=64) == serial
         assert sizes == expected
+
+    def test_one_seed_job_runs_in_one_process(self, monkeypatch):
+        seeds = tuple(s for s in load_seeds() if s.curve.N == 5)
+        job = SearchJob(seeds=seeds, max_multiple=3, parametrizations=("invariant",))
+
+        def no_pool(max_workers):
+            raise AssertionError("a one-seed job must not start a process pool")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        assert render(job, workers=4) == render(job)
+
+
+class TestSeedChain:
+    def test_chain_entries_match_mul(self, seeds):
+        for seed in seeds:
+            assert search._chain(seed, 17) == [seed.mul(k) for k in range(1, 18)]
+
+    @pytest.mark.parametrize("parity", ["both", "odd", "even"])
+    def test_each_seed_chain_is_built_once(self, seeds, monkeypatch, parity):
+        adds, muls = [], []
+        add, mul = CurvePoint.add, CurvePoint.mul
+
+        def counting_add(self, other):
+            adds.append(self.curve.N)
+            return add(self, other)
+
+        def counting_mul(self, k):
+            muls.append(k)
+            return mul(self, k)
+
+        monkeypatch.setattr(CurvePoint, "add", counting_add)
+        monkeypatch.setattr(CurvePoint, "mul", counting_mul)
+        job = SearchJob(seeds=tuple(seeds), max_multiple=7, parity=parity)
+        records = list(run_search(job))
+        assert records and any("cuboid" in r for r in records)
+        assert muls == []
+        for seed in seeds:
+            assert adds.count(seed.curve.N) <= job.max_multiple - 1
 
 
 class TestRecordContents:
@@ -146,14 +198,17 @@ class TestRecordContents:
 
 
 class TestResume:
-    def test_resume_completes_an_interrupted_run(self, small_job, tmp_path):
+    # small_job has 12 records per seed: cut 12 lands on the seed boundary,
+    # the others inside a seed.
+    @pytest.mark.parametrize("cut", [1, 5, 12, 13, 19, 23])
+    def test_resume_completes_an_interrupted_run(self, small_job, tmp_path, cut):
         full = render(small_job)
         lines = full.splitlines(keepends=True)
         partial_path = tmp_path / "out.jsonl"
-        partial_path.write_text("".join(lines[: len(lines) // 2]))
+        partial_path.write_text("".join(lines[:cut]))
 
         key = last_record_key(partial_path)
-        assert key == task_key(json.loads(lines[len(lines) // 2 - 1]))
+        assert key == task_key(json.loads(lines[cut - 1]))
         with open(partial_path, "a") as stream:
             write_records(run_search(small_job, skip_through=key), stream)
         assert partial_path.read_text() == full
