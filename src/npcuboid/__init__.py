@@ -49,7 +49,6 @@ from .errors import (
     TrivialInput,
     TrivialParameter,
     VerticalSecant,
-    ZeroSide,
 )
 from .factoring import is_probable_prime, squarefree_kernel, squarefree_part
 from .inverse import (
@@ -62,7 +61,6 @@ from .inverse import (
     recovery_to_json,
 )
 from .rationals import (
-    Rational,
     format_rational,
     is_square,
     parse_rational,

@@ -8,9 +8,13 @@ square.
 
 Five parametrizations map one solution pair to an NPC; all are emitted in
 canonical form, scaled so the six rational entries are coprime positive
-integers. The conic helpers and the residual evaluator expose the underlying
-circle/hyperbola parameter algebra, including the birational equivalence
-between the two hyperbola-based parameter families.
+integers. Three ratio formulas serve them, one per parameter family: the
+invariant, first and second cuboids. The first_reflected and
+second_reflected cuboids are the first and second cuboids of the pair's
+image under the second reflected transformation. The conic helpers and the
+residual evaluator expose the underlying circle/hyperbola parameter algebra,
+including the birational equivalence between the two hyperbola-based
+parameter families.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curve import SolutionPair
-from .errors import DegeneratePair, TrivialParameter, ZeroSide
+from .errors import DegeneratePair, TrivialParameter
 from .rationals import (
     format_rational,
     is_square,
@@ -31,7 +35,8 @@ from .rationals import (
 PARAMETRIZATIONS = ("invariant", "first", "first_reflected", "second", "second_reflected")
 FAMILIES = ("first", "second", "third")
 
-# Parameter family feeding each parametrization's variable extraction.
+# Parameter family of each parametrization: its ratio formula, its degeneracy
+# rule and its variable extraction.
 FAMILY_OF_PARAMETRIZATION = {
     "invariant": "third",
     "first": "first",
@@ -125,6 +130,16 @@ class ParametrizationVariables:
     family: str
 
 
+def _check_family_denominator(family: str, n: int, x: Fraction, z: Fraction) -> None:
+    """The one degeneracy rule of each family: X + Z != 0 for the first,
+    XZ != N^2 for the second. Only pairs that bypass the square-product
+    invariant (SolutionPair.trusted) can violate either."""
+    if family == "first" and x + z == 0:
+        raise DegeneratePair("X = -Z vanishes the first-family denominator")
+    if family == "second" and x * z == n * n:
+        raise DegeneratePair("XZ = N^2 vanishes the second-family denominator")
+
+
 def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
     """Extract the family's (alpha, beta) square roots and its gamma condition.
 
@@ -137,9 +152,8 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
     yw = pair.P.y * pair.Q.y
     eta = yw / Fraction(n ** 3)
 
+    _check_family_denominator(family, n, x, z)
     if family == "first":
-        if x + z == 0:
-            raise DegeneratePair("X = -Z vanishes the first-family denominator")
         return ParametrizationVariables(
             alpha=sqrt_exact(x * z) / n,
             beta=sqrt_exact(x / z),
@@ -148,8 +162,6 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
             family=family,
         )
     if family == "second":
-        if x * z == n ** 2:
-            raise DegeneratePair("XZ = N^2 vanishes the second-family denominator")
         return ParametrizationVariables(
             alpha=sqrt_exact(z / x),
             beta=sqrt_exact(x * z) / n,
@@ -251,19 +263,6 @@ def _ratios_first(n, x, z, yw, root):
     )
 
 
-def _ratios_first_reflected(n, x, z, yw, root):
-    s = x * z + n * n
-    u = x * z - n * n
-    return (
-        yw / (s * root),
-        n * (z - x) / u,
-        2 * n * yw / (u * s),
-        n * (x + z) / s,
-        yw / (u * root),
-        Fraction(1),
-    )
-
-
 def _ratios_second(n, x, z, yw, root):
     d = x - z
     u = n * n - x * z
@@ -277,70 +276,49 @@ def _ratios_second(n, x, z, yw, root):
     )
 
 
-def _ratios_second_reflected(n, x, z, yw, root):
-    t = x + z
-    u = x * z - n * n
-    return (
-        Fraction(1),
-        2 * yw / (n * (z * z - x * x)),
-        yw / (n * t * root),
-        yw / (n * (z - x) * root),
-        (x * z + n * n) / (n * t),
-        u / (n * (z - x)),
-    )
-
-
 _RATIO_BUILDERS = {
-    "invariant": _ratios_invariant,
+    "third": _ratios_invariant,
     "first": _ratios_first,
-    "first_reflected": _ratios_first_reflected,
     "second": _ratios_second,
-    "second_reflected": _ratios_second_reflected,
 }
 
-# Denominators that can vanish only on pairs that bypass the square-product
-# invariant; checked before any square root is taken.
-_NEEDS_NONZERO_SUM = ("first", "second_reflected")
-_NEEDS_XZ_NOT_N_SQUARED = ("first_reflected", "second", "second_reflected")
-
-_SIDE_SLOTS = ("a", "b", "c")
 _SLOT_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
-
-
-def _check_denominators(parametrization: str, n: int, x: Fraction, z: Fraction) -> None:
-    if parametrization in _NEEDS_NONZERO_SUM and x + z == 0:
-        raise DegeneratePair(f"X = -Z degenerates the {parametrization} parametrization")
-    if parametrization in _NEEDS_XZ_NOT_N_SQUARED and x * z == n * n:
-        raise DegeneratePair(f"XZ = N^2 degenerates the {parametrization} parametrization")
 
 
 def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     """Construct the canonical integer NPC of one parametrization.
 
-    The signed ratio tuple (a, b, c, d_bc, d_ac, d_s) is taken in absolute
-    value, scaled to coprime positive integers, and d_ab_sq is recomputed as
-    a^2 + b^2 for the scaled values.
+    The reflected parametrizations are the first and second cuboids of the
+    pair's image under the second reflected transformation; the source still
+    records the caller's abscissae. The signed ratio tuple (a, b, c, d_bc,
+    d_ac, d_s) is taken in absolute value, scaled to coprime positive
+    integers, and d_ab_sq is recomputed as a^2 + b^2 for the scaled values.
+    A pair holding a trivial point, a vanishing family denominator or a
+    collapsed entry raises DegeneratePair.
     """
-    if parametrization not in _RATIO_BUILDERS:
+    if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")
+    family = FAMILY_OF_PARAMETRIZATION[parametrization]
+    if pair.P.is_trivial or pair.Q.is_trivial:
+        raise DegeneratePair("solution pair holds a trivial point")
+    source = CuboidSource(
+        N=pair.curve.N, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization
+    )
+    if parametrization.endswith("_reflected"):
+        # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
+        # so each family's rule stays correct on the image pair.
+        pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
     n = pair.curve.N
     x, z = pair.P.x, pair.Q.x
     yw = pair.P.y * pair.Q.y
-    _check_denominators(parametrization, n, x, z)
+    _check_family_denominator(family, n, x, z)
     root = sqrt_exact(x * z)
-    ratios = _RATIO_BUILDERS[parametrization](n, x, z, yw, root)
-    magnitudes = [abs(r) for r in ratios]
+    magnitudes = [abs(r) for r in _RATIO_BUILDERS[family](n, x, z, yw, root)]
     for slot, value in zip(_SLOT_NAMES, magnitudes):
         if value == 0:
-            if slot in _SIDE_SLOTS:
-                raise ZeroSide(f"side {slot} collapsed to zero")
-            raise DegeneratePair(f"diagonal {slot} collapsed to zero")
+            raise DegeneratePair(f"cuboid entry {slot} collapsed to zero")
     a, b, c, d_bc, d_ac, d_s = map(Fraction, primitive_integer_scaling(magnitudes))
-    return Cuboid(
-        a, b, c, d_bc, d_ac, d_s,
-        d_ab_sq=a * a + b * b,
-        source=CuboidSource(N=n, X=x, Z=z, parametrization=parametrization),
-    )
+    return Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b, source=source)
 
 
 def _entry_to_json(value: Fraction):

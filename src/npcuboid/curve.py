@@ -225,9 +225,6 @@ class SolutionPair:
     def swapped(self) -> SolutionPair:
         return SolutionPair.trusted(self.Q, self.P)
 
-    def x_coordinates(self) -> tuple[Fraction, Fraction]:
-        return self.P.x, self.Q.x
-
 
 def same_parity_pair(
     p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()

@@ -38,7 +38,8 @@ class VerticalSecant(NpcuboidError):
 
 class DegeneratePair(NpcuboidError):
     """The requested point pair violates a pairing precondition
-    (parity, triviality, coincident abscissae, vanishing denominator...)."""
+    (parity, triviality, coincident abscissae, vanishing denominator...),
+    or a cuboid built from it has a collapsed (zero) entry."""
 
 
 class SquareCheckFailed(NpcuboidError):
@@ -48,10 +49,6 @@ class SquareCheckFailed(NpcuboidError):
 
 class TrivialParameter(NpcuboidError):
     """A conic parameter hit a value where the parametrization degenerates."""
-
-
-class ZeroSide(NpcuboidError):
-    """A constructed cuboid has a zero side (collapsed box)."""
 
 
 class NotAnNPC(NpcuboidError):

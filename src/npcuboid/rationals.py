@@ -13,8 +13,6 @@ from typing import Iterable, Sequence
 
 from .errors import NotASquare
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a reduced rational.

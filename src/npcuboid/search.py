@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, combinations
 from pathlib import Path
@@ -24,7 +24,7 @@ from typing import IO, Iterator
 
 from .cuboids import PARAMETRIZATIONS, build_npc, cuboid_to_json, pc_condition
 from .curve import CurvePoint, load_seeds, point_from_json, same_parity_pair
-from .errors import DegeneratePair, InvalidSeed, ZeroSide
+from .errors import DegeneratePair, InvalidSeed
 from .rationals import max_decimal_digits
 
 DEFAULT_HEIGHT_LIMIT = 200
@@ -118,7 +118,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             records.append(record)
             try:
                 cuboid = build_npc(same_parity_pair(seed, k, m, multiples), param)
-            except (DegeneratePair, ZeroSide) as exc:
+            except DegeneratePair as exc:
                 record["skipped"] = str(exc)
                 continue
             digits = max_decimal_digits(int(v) for v in cuboid.rational_entries())
@@ -143,7 +143,9 @@ def run_search(
     seeds = sorted(job.seeds, key=lambda p: p.curve.N)
     if skip_through is not None:
         seeds = [s for s in seeds if s.curve.N >= skip_through[0]]
-    unit = partial(_seed_records, job, skip_through)
+    # Units ship the job without its seeds, so what each worker is sent does
+    # not grow with the seed count.
+    unit = partial(_seed_records, replace(job, seeds=()), skip_through)
     workers = min(workers, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
         yield from chain.from_iterable(map(unit, seeds))

@@ -33,6 +33,82 @@ GOLDEN_CUBOIDS = {
 }
 
 
+def _ratios_invariant(n, x, z, yw, root):
+    half = 2 * root
+    return (
+        Fraction(1),
+        yw / (2 * x * z * n),
+        (x - z) / half,
+        (n * n - x * z) / (n * half),
+        (x + z) / half,
+        (n * n + x * z) / (n * half),
+    )
+
+
+def _ratios_first(n, x, z, yw, root):
+    s = x * z + n * n
+    t = x + z
+    return (
+        2 * n * root / s,
+        (x - z) / t,
+        2 * yw / (s * t),
+        (x * z - n * n) / s,
+        2 * root / t,
+        Fraction(1),
+    )
+
+
+def _ratios_first_reflected(n, x, z, yw, root):
+    s = x * z + n * n
+    u = x * z - n * n
+    return (
+        yw / (s * root),
+        n * (z - x) / u,
+        2 * n * yw / (u * s),
+        n * (x + z) / s,
+        yw / (u * root),
+        Fraction(1),
+    )
+
+
+def _ratios_second(n, x, z, yw, root):
+    d = x - z
+    u = n * n - x * z
+    return (
+        Fraction(1),
+        2 * yw / (d * u),
+        2 * n * root / u,
+        2 * root / d,
+        (n * n + x * z) / u,
+        (x + z) / d,
+    )
+
+
+def _ratios_second_reflected(n, x, z, yw, root):
+    t = x + z
+    u = x * z - n * n
+    return (
+        Fraction(1),
+        2 * yw / (n * (z * z - x * x)),
+        yw / (n * t * root),
+        yw / (n * (z - x) * root),
+        (x * z + n * n) / (n * t),
+        u / (n * (z - x)),
+    )
+
+
+# Signed ratios (a, b, c, d_bc, d_ac, d_s) of each parametrization in closed
+# form, written in the pair's own abscissae: an oracle independent of the
+# second reflection through which build_npc derives the reflected cuboids.
+CLOSED_FORM_RATIOS = {
+    "invariant": _ratios_invariant,
+    "first": _ratios_first,
+    "first_reflected": _ratios_first_reflected,
+    "second": _ratios_second,
+    "second_reflected": _ratios_second_reflected,
+}
+
+
 class TestConicPoints:
     def test_circle_half(self):
         assert circle_point(Fraction(1, 2)) == (Fraction(3, 5), Fraction(4, 5))
@@ -228,7 +304,8 @@ class TestBuildNpc:
                 assert verify_npc(cuboid) == []
 
     def test_unnormalized_closed_forms_scale_to_same_cuboid(self, seeds):
-        # The invariant family has closed forms without any normalization:
+        # Each parametrization's closed-form ratios scale to its cuboid. The
+        # invariant family also has closed forms without any normalization:
         # a = 2XZN, b = |YW|, c = |X-Z|sqrt(XZ)N, d_bc = |XZ-N^2|sqrt(XZ),
         # d_ac = |X+Z|sqrt(XZ)N, d_s = (XZ+N^2)sqrt(XZ). Scaling them must
         # reproduce build_npc output exactly.
@@ -254,6 +331,11 @@ class TestBuildNpc:
             # The conditional diagonal square matches its closed form too.
             scale = cuboid.a / closed[0]
             assert cuboid.d_ab_sq == (yw * yw + 4 * n * n * x * x * z * z) * scale ** 2
+            for parametrization, ratios in CLOSED_FORM_RATIOS.items():
+                magnitudes = [abs(r) for r in ratios(n, x, z, yw, root)]
+                assert primitive_integer_scaling(magnitudes) == [
+                    int(v) for v in build_npc(pair, parametrization).rational_entries()
+                ]
 
     def test_degenerate_synthetic_pairs(self, curve5):
         fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(Fraction(25, 2), 1))
@@ -262,6 +344,14 @@ class TestBuildNpc:
         fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(-2, 1))
         with pytest.raises(DegeneratePair):
             build_npc(fake, "first")
+
+    @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
+    def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):
+        # (5, 0) is 2-torsion; the x-product 225 is a square, so only a
+        # trusted pair can hold it. No reflection may fail on it first.
+        pair = SolutionPair.trusted(curve5.point(5, 0), curve5.point(45, 300))
+        with pytest.raises(DegeneratePair):
+            build_npc(pair, parametrization)
 
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):

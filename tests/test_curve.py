@@ -9,6 +9,7 @@ from npcuboid import (
     DegeneratePair,
     InvalidSeed,
     SolutionPair,
+    SquareCheckFailed,
     TrivialInput,
     VerticalSecant,
     is_square,
@@ -229,6 +230,12 @@ class TestSameParityPair:
     def test_trivial_base_point(self, curve5):
         with pytest.raises(DegeneratePair):
             same_parity_pair(curve5.point(0, 0), 1, 3)
+
+    def test_bad_chain_fails_the_square_check(self, curve5, p5):
+        # (45, 300) is on the curve but is not 3P: its x-product with P is -180.
+        chain = (p5, p5.double(), curve5.point(45, 300))
+        with pytest.raises(SquareCheckFailed):
+            same_parity_pair(p5, 1, 3, chain)
 
     def test_square_products_for_all_parity_pairs(self, p5):
         # 1 <= k < m <= 8, same parity: twelve pairs, all square products.

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -68,31 +70,52 @@ def nine_seed_job():
     return SearchJob(seeds=tuple(seeds), max_multiple=2)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process.
+
+    Returns the pool sizes asked for and the pickled size of each mapped unit.
+    """
+    log = {"sizes": [], "unit_bytes": []}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            log["unit_bytes"].append(len(pickle.dumps(fn)))
+            return map(fn, iterable)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
 class TestWorkerCap:
     @pytest.mark.parametrize("cpus, expected", [(8, [8]), (2, [2]), (None, [])])
-    def test_pool_size_is_capped_at_cpu_count(self, nine_seed_job, monkeypatch, cpus, expected):
-        sizes = []
-
-        class SerialPool:
-            """Runs the pool's map in this process and records its size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
+    def test_pool_size_is_capped_at_cpu_count(
+        self, nine_seed_job, serial_pool, monkeypatch, cpus, expected
+    ):
         serial = render(nine_seed_job)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
         assert render(nine_seed_job, workers=64) == serial
-        assert sizes == expected
+        assert serial_pool["sizes"] == expected
+
+    def test_seed_units_do_not_grow_with_the_seed_count(
+        self, nine_seed_job, serial_pool, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        two_seed_job = dataclasses.replace(nine_seed_job, seeds=nine_seed_job.seeds[:2])
+        render(two_seed_job, workers=2)
+        render(nine_seed_job, workers=2)
+        assert serial_pool["sizes"] == [2, 2]
+        two_seeds, nine_seeds = serial_pool["unit_bytes"]
+        assert nine_seeds == two_seeds
 
     def test_one_seed_job_runs_in_one_process(self, monkeypatch):
         seeds = tuple(s for s in load_seeds() if s.curve.N == 5)
