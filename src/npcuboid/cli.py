@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error, 3 resource exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -121,23 +122,22 @@ def _emit(payload: dict, args) -> None:
         print(json.dumps(payload, separators=(",", ":")))
 
 
-def _parse_point(args):
-    curve = CongruentCurve(args.N)
-    return curve.point(parse_rational(args.x), parse_rational(args.y))
+def _curve_point(n: int, x: str, y: str):
+    """The point (x, y) of the curve N; a point off the curve is a domain error."""
+    point = CongruentCurve(n).point(parse_rational(x), parse_rational(y))
+    if not point.on_curve():
+        raise NpcuboidError(f"({x}, {y}) is not on the curve N={n}")
+    return point
 
 
 def _cmd_point(args) -> tuple[dict, int]:
-    point = _parse_point(args)
     if args.sub == "check":
+        point = CongruentCurve(args.N).point(parse_rational(args.x), parse_rational(args.y))
         ok = point.on_curve()
         return {**point_to_json(point), "on_curve": ok}, 0 if ok else 1
-    if not point.on_curve():
-        raise NpcuboidError(f"({args.x}, {args.y}) is not on the curve N={args.N}")
+    point = _curve_point(args.N, args.x, args.y)
     if args.sub == "add":
-        other = point.curve.point(parse_rational(args.x2), parse_rational(args.y2))
-        if not other.on_curve():
-            raise NpcuboidError(f"({args.x2}, {args.y2}) is not on the curve N={args.N}")
-        result = point.add(other)
+        result = point.add(_curve_point(args.N, args.x2, args.y2))
     elif args.sub == "double":
         result = point.double()
     elif args.sub == "mul":
@@ -173,34 +173,49 @@ def _cmd_npc(args) -> tuple[dict, int]:
     return payload, 0 if not violations else 1
 
 
+# Each cuboid flag and the record field it fills.
+_CUBOID_FLAGS = {
+    "a": "a", "b": "b", "c": "c", "dac": "d_ac", "dbc": "d_bc", "ds": "d_s", "dabsq": "d_ab_sq",
+}
+
+
 def _cuboid_from_args(args) -> Cuboid:
+    """The cuboid of the --in file, or of the value flags, read as one record."""
     if getattr(args, "infile", None):
         record = json.loads(Path(args.infile).read_text())
-        return cuboid_from_json(record)
-    required = ("a", "b", "c", "dac", "dbc", "ds")
-    missing = [f"--{name}" for name in required if getattr(args, name) is None]
-    if missing:
-        raise _Usage(f"missing cuboid values: {' '.join(missing)} (or use --in FILE)")
-    a = parse_rational(args.a)
-    b = parse_rational(args.b)
-    return Cuboid(
-        a=a,
-        b=b,
-        c=parse_rational(args.c),
-        d_bc=parse_rational(args.dbc),
-        d_ac=parse_rational(args.dac),
-        d_s=parse_rational(args.ds),
-        d_ab_sq=parse_rational(args.dabsq) if getattr(args, "dabsq", None) else a * a + b * b,
-    )
+    else:
+        missing = [
+            f"--{flag}" for flag in ("a", "b", "c", "dac", "dbc", "ds")
+            if getattr(args, flag) is None
+        ]
+        if missing:
+            hint = " (or use --in FILE)" if hasattr(args, "infile") else ""
+            raise _Usage(f"missing cuboid values: {' '.join(missing)}{hint}")
+        record = {
+            field: getattr(args, flag)
+            for flag, field in _CUBOID_FLAGS.items()
+            if getattr(args, flag) is not None
+        }
+    return _read_record(cuboid_from_json, record, "cuboid record")
+
+
+def _read_record(reader, record, what: str):
+    """reader(record), where a missing field or a record of the wrong shape,
+    such as a JSON list, is a usage error."""
+    try:
+        return reader(record)
+    except KeyError as exc:
+        raise _Usage(f"{what} lacks field {exc}") from exc
+    except TypeError as exc:
+        raise _Usage(f"{what} is malformed: {exc}") from exc
 
 
 def _cmd_invert(args) -> tuple[dict, int]:
+    cuboid = _cuboid_from_args(args)
     if args.classify:
-        sides = [parse_rational(v) for v in (args.a, args.b, args.c)]
-        diagonals = [parse_rational(v) for v in (args.dac, args.dbc)]
-        cuboid = classify_labeling(*sides, *diagonals, parse_rational(args.ds))
-    else:
-        cuboid = _cuboid_from_args(args)
+        cuboid = classify_labeling(
+            cuboid.a, cuboid.b, cuboid.c, cuboid.d_ac, cuboid.d_bc, cuboid.d_s
+        )
     budget = _rho_budget()
     if args.family == "invariant":
         result = recover_invariant(cuboid, rho_budget=budget)
@@ -215,12 +230,8 @@ def _cmd_invert(args) -> tuple[dict, int]:
 
 
 def _cmd_kummer(args) -> tuple[dict, int]:
-    curve = CongruentCurve(args.N)
-    p = curve.point(parse_rational(args.X), parse_rational(args.Y))
-    q = curve.point(parse_rational(args.Z), parse_rational(args.W))
-    for label, point in (("X,Y", p), ("Z,W", q)):
-        if not point.on_curve():
-            raise NpcuboidError(f"({label}) is not on the curve N={args.N}")
+    p = _curve_point(args.N, args.X, args.Y)
+    q = _curve_point(args.N, args.Z, args.W)
     xi, zeta, eta = kummer_map(SolutionPair(p, q))
     holds = eta * eta == xi * zeta * (xi * xi - 1) * (zeta * zeta - 1)
     payload = {
@@ -233,8 +244,8 @@ def _cmd_kummer(args) -> tuple[dict, int]:
 
 
 def _cmd_secant(args) -> tuple[dict, int]:
-    point = _parse_point(args)
-    other = point.curve.point(parse_rational(args.x2), parse_rational(args.y2))
+    point = _curve_point(args.N, args.x, args.y)
+    other = _curve_point(args.N, args.x2, args.y2)
     return {"d": format_rational(secant_y_intercept(point, other))}, 0
 
 
@@ -246,7 +257,7 @@ def _cmd_search(args) -> tuple[dict | None, int]:
         record = json.loads(job_path.read_text())
     except json.JSONDecodeError as exc:
         raise _Usage(f"job file is not valid JSON: {exc}") from exc
-    job = job_from_json(record, seed_path=args.seeds)
+    job = _read_record(lambda r: job_from_json(r, seed_path=args.seeds), record, "job record")
 
     skip_through = None
     if args.resume:
@@ -292,6 +303,7 @@ def _cuboid_arguments(parser):
     parser.add_argument("--dabsq", help="exact square of the a-b diagonal (default a^2+b^2)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="npcuboid", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -356,9 +368,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    # Cuboid entries and abscissae can pass the interpreter's default limit
+    # of 4300 digits on int <-> str conversion, and exact I/O needs them whole.
+    # The limit is lifted for the call only, so in-process callers keep theirs.
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

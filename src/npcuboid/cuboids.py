@@ -8,13 +8,15 @@ square.
 
 Five parametrizations map one solution pair to an NPC; all are emitted in
 canonical form, scaled so the six rational entries are coprime positive
-integers. Three ratio formulas serve them, one per parameter family: the
-invariant, first and second cuboids. The first_reflected and
+integers. Each parameter family builds its cuboid from two rational points
+of one conic, at the circle or hyperbola parameters alpha and beta of the
+pair, together with the family's gamma condition: the first family uses the
+unit circle, the second and third (invariant) families the hyperbola
+x^2 - y^2 = 1 in two parametrizations. The first_reflected and
 second_reflected cuboids are the first and second cuboids of the pair's
-image under the second reflected transformation. The conic helpers and the
-residual evaluator expose the underlying circle/hyperbola parameter algebra,
-including the birational equivalence between the two hyperbola-based
-parameter families.
+image under the second reflected transformation. The residual evaluator and
+the birational map between the two hyperbola-based families expose the rest
+of the parameter algebra.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .rationals import (
 PARAMETRIZATIONS = ("invariant", "first", "first_reflected", "second", "second_reflected")
 FAMILIES = ("first", "second", "third")
 
-# Parameter family of each parametrization: its ratio formula, its degeneracy
-# rule and its variable extraction.
+# Parameter family of each parametrization: its variable extraction, its
+# degeneracy rule and its conic.
 FAMILY_OF_PARAMETRIZATION = {
     "invariant": "third",
     "first": "first",
@@ -46,31 +48,40 @@ FAMILY_OF_PARAMETRIZATION = {
 }
 
 
-def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Positive rational point (|1-t^2|, |2t|)/(1+t^2) on x^2 + y^2 = 1."""
+def _parameter_terms(t: Fraction, conic: str) -> tuple[int, int, int]:
+    """The integers p^2 + q^2, |q^2 - p^2| and 2|p|q of a parameter t = p/q;
+    divided by q^2 they are 1 + t^2, |1 - t^2| and |2t|."""
     t = Fraction(t)
     if t in (0, 1, -1):
-        raise TrivialParameter(f"circle parameter {t} degenerates")
-    den = 1 + t * t
-    return abs(1 - t * t) / den, abs(2 * t) / den
+        raise TrivialParameter(f"{conic} parameter {t} degenerates")
+    p, q = t.numerator, t.denominator
+    return p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q
+
+
+def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
+    """Positive rational point (|1-t^2|, |2t|)/(1+t^2) on x^2 + y^2 = 1."""
+    plus, minus, twice = _parameter_terms(t, "circle")
+    return Fraction(minus, plus), Fraction(twice, plus)
 
 
 def hyperbola_point_a(t: Fraction) -> tuple[Fraction, Fraction]:
     """Positive rational point (|1+t^2|, |2t|)/|1-t^2| on x^2 - y^2 = 1."""
-    t = Fraction(t)
-    if t in (0, 1, -1):
-        raise TrivialParameter(f"hyperbola parameter {t} degenerates")
-    den = abs(1 - t * t)
-    return (1 + t * t) / den, abs(2 * t) / den
+    plus, minus, twice = _parameter_terms(t, "hyperbola")
+    return Fraction(plus, minus), Fraction(twice, minus)
 
 
 def hyperbola_point_b(t: Fraction) -> tuple[Fraction, Fraction]:
     """Positive rational point (|1+t^2|, |1-t^2|)/|2t| on x^2 - y^2 = 1."""
-    t = Fraction(t)
-    if t in (0, 1, -1):
-        raise TrivialParameter(f"hyperbola parameter {t} degenerates")
-    den = abs(2 * t)
-    return (1 + t * t) / den, abs(1 - t * t) / den
+    plus, minus, twice = _parameter_terms(t, "hyperbola")
+    return Fraction(plus, twice), Fraction(minus, twice)
+
+
+# The conic whose points at alpha and beta give each family's cuboid.
+_CONIC_OF_FAMILY = {
+    "first": circle_point,
+    "second": hyperbola_point_a,
+    "third": hyperbola_point_b,
+}
 
 
 def second_parameter_from_third(t: Fraction) -> Fraction:
@@ -130,54 +141,41 @@ class ParametrizationVariables:
     family: str
 
 
-def _check_family_denominator(family: str, n: int, x: Fraction, z: Fraction) -> None:
-    """The one degeneracy rule of each family: X + Z != 0 for the first,
-    XZ != N^2 for the second. Only pairs that bypass the square-product
-    invariant (SolutionPair.trusted) can violate either."""
+def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
+    """Extract the family's (alpha, beta) square roots and its gamma condition.
+
+    Each of alpha and beta is one of sqrt(XZ)/N, sqrt(X/Z) = sqrt(XZ)/|Z| and
+    sqrt(Z/X) = sqrt(XZ)/|X|, so one exact square root serves both; the pair
+    invariant keeps it rational. Only pairs that bypass that invariant
+    (SolutionPair.trusted) can be degenerate; XZ = 0 and a vanishing
+    condition denominator (X = -Z for the first family, XZ = N^2 for the
+    second) raise DegeneratePair.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    n = pair.curve.N
+    x, z = pair.P.x, pair.Q.x
+    yw = pair.P.y * pair.Q.y
     if family == "first" and x + z == 0:
         raise DegeneratePair("X = -Z vanishes the first-family denominator")
     if family == "second" and x * z == n * n:
         raise DegeneratePair("XZ = N^2 vanishes the second-family denominator")
-
-
-def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
-    """Extract the family's (alpha, beta) square roots and its gamma condition.
-
-    The pair invariant keeps every square root rational; vanishing condition
-    denominators (X = -Z for the first family, XZ = N^2 for the second) raise
-    DegeneratePair.
-    """
-    n = pair.curve.N
-    x, z = pair.P.x, pair.Q.x
-    yw = pair.P.y * pair.Q.y
-    eta = yw / Fraction(n ** 3)
-
-    _check_family_denominator(family, n, x, z)
+    root = sqrt_exact(x * z)
+    if root == 0:
+        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
     if family == "first":
-        return ParametrizationVariables(
-            alpha=sqrt_exact(x * z) / n,
-            beta=sqrt_exact(x / z),
-            gamma_condition=yw / ((x * z + n ** 2) * (x + z)),
-            eta=eta,
-            family=family,
-        )
-    if family == "second":
-        return ParametrizationVariables(
-            alpha=sqrt_exact(z / x),
-            beta=sqrt_exact(x * z) / n,
-            gamma_condition=yw / ((x - z) * (n ** 2 - x * z)),
-            eta=eta,
-            family=family,
-        )
-    if family == "third":
-        return ParametrizationVariables(
-            alpha=sqrt_exact(x * z) / n,
-            beta=sqrt_exact(z / x),
-            gamma_condition=yw / (x * z * n),
-            eta=eta,
-            family=family,
-        )
-    raise ValueError(f"unknown family {family!r}")
+        alpha, beta, denominator = root / n, root / abs(z), (x * z + n * n) * (x + z)
+    elif family == "second":
+        alpha, beta, denominator = root / abs(x), root / n, (x - z) * (n * n - x * z)
+    else:
+        alpha, beta, denominator = root / n, root / abs(x), x * z * n
+    return ParametrizationVariables(
+        alpha=alpha,
+        beta=beta,
+        gamma_condition=yw / denominator,
+        eta=yw / Fraction(n ** 3),
+        family=family,
+    )
 
 
 @dataclass(frozen=True)
@@ -238,63 +236,20 @@ def pc_condition(cuboid: Cuboid) -> bool:
     return is_square(cuboid.d_ab_sq)
 
 
-def _ratios_invariant(n, x, z, yw, root):
-    half = 2 * root
-    return (
-        Fraction(1),
-        yw / (2 * x * z * n),
-        (x - z) / half,
-        (n * n - x * z) / (n * half),
-        (x + z) / half,
-        (n * n + x * z) / (n * half),
-    )
-
-
-def _ratios_first(n, x, z, yw, root):
-    s = x * z + n * n
-    t = x + z
-    return (
-        2 * n * root / s,
-        (x - z) / t,
-        2 * yw / (s * t),
-        (x * z - n * n) / s,
-        2 * root / t,
-        Fraction(1),
-    )
-
-
-def _ratios_second(n, x, z, yw, root):
-    d = x - z
-    u = n * n - x * z
-    return (
-        Fraction(1),
-        2 * yw / (d * u),
-        2 * n * root / u,
-        2 * root / d,
-        (n * n + x * z) / u,
-        (x + z) / d,
-    )
-
-
-_RATIO_BUILDERS = {
-    "third": _ratios_invariant,
-    "first": _ratios_first,
-    "second": _ratios_second,
-}
-
-_SLOT_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
-
-
 def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     """Construct the canonical integer NPC of one parametrization.
 
-    The reflected parametrizations are the first and second cuboids of the
-    pair's image under the second reflected transformation; the source still
-    records the caller's abscissae. The signed ratio tuple (a, b, c, d_bc,
-    d_ac, d_s) is taken in absolute value, scaled to coprime positive
-    integers, and d_ab_sq is recomputed as a^2 + b^2 for the scaled values.
-    A pair holding a trivial point, a vanishing family denominator or a
-    collapsed entry raises DegeneratePair.
+    The family's conic gives (ax, ay) at alpha and (bx, by) at beta, and g is
+    the absolute gamma condition (see variables_from_pair). The entries
+    (a, b, c, d_bc, d_ac, d_s) are then (ay, bx, 2g, ax, by, 1) for the first
+    family, (1, 2g, by, ay, bx, ax) for the second and (1, g/2, by, ay, bx,
+    ax) for the third, the invariant cuboid. The reflected parametrizations
+    are the first and second cuboids of the pair's image under the second
+    reflected transformation; the source still records the caller's
+    abscissae. The entries are scaled to coprime positive integers, and
+    d_ab_sq is recomputed as a^2 + b^2 for the scaled values. A pair holding
+    a trivial point, a vanishing family denominator or a degenerate conic
+    parameter raises DegeneratePair.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")
@@ -308,16 +263,20 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
         # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
         # so each family's rule stays correct on the image pair.
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
-    n = pair.curve.N
-    x, z = pair.P.x, pair.Q.x
-    yw = pair.P.y * pair.Q.y
-    _check_family_denominator(family, n, x, z)
-    root = sqrt_exact(x * z)
-    magnitudes = [abs(r) for r in _RATIO_BUILDERS[family](n, x, z, yw, root)]
-    for slot, value in zip(_SLOT_NAMES, magnitudes):
-        if value == 0:
-            raise DegeneratePair(f"cuboid entry {slot} collapsed to zero")
-    a, b, c, d_bc, d_ac, d_s = map(Fraction, primitive_integer_scaling(magnitudes))
+    variables = variables_from_pair(pair, family)
+    conic = _CONIC_OF_FAMILY[family]
+    try:
+        (ax, ay), (bx, by) = conic(variables.alpha), conic(variables.beta)
+    except TrivialParameter as exc:
+        raise DegeneratePair(str(exc)) from exc
+    g = abs(variables.gamma_condition)
+    if family == "first":
+        entries = (ay, bx, 2 * g, ax, by, 1)
+    elif family == "second":
+        entries = (1, 2 * g, by, ay, bx, ax)
+    else:
+        entries = (1, g / 2, by, ay, bx, ax)
+    a, b, c, d_bc, d_ac, d_s = map(Fraction, primitive_integer_scaling(entries))
     return Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b, source=source)
 
 

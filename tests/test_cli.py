@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -17,6 +18,17 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def decimal_text(values):
+    """Decimal text of integers of any length, whatever the interpreter's
+    limit on int-to-str conversion; that limit is left as it was."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestPointCommands:
@@ -58,6 +70,12 @@ class TestPointCommands:
     def test_operations_reject_off_curve_input(self, capsys):
         code, _, err = run(capsys, "point", "double", "--N", "5", "--x", "1", "--y", "1")
         assert code == 1 and "not on the curve" in err
+
+    def test_secant_rejects_off_curve_input(self, capsys):
+        code, out, err = run(
+            capsys, "secant", "--N", "5", "--x", "1", "--y", "1", "--x2", "2", "--y2", "3"
+        )
+        assert code == 1 and out == "" and "not on the curve" in err
 
     def test_secant(self, capsys):
         payload = run_json(
@@ -116,6 +134,17 @@ class TestNpcCommands:
         code, _, err = run(capsys, "npc", "verify", "--a", "672")
         assert code == 2 and "missing cuboid values" in err
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [({"a": 672, "b": 153}, "lacks field 'c'"), ([], "malformed")],
+        ids=["missing-field", "not-an-object"],
+    )
+    def test_malformed_file_is_usage_error(self, capsys, tmp_path, record, message):
+        path = tmp_path / "cuboid.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(capsys, "npc", "verify", "--in", str(path))
+        assert code == 2 and out == "" and message in err
+
 
 class TestInvertCommand:
     GOLDEN = ("--a", "672", "--b", "153", "--c", "104",
@@ -143,6 +172,32 @@ class TestInvertCommand:
         )
         assert payload["N"] == 34
         assert payload["cuboid"]["c"] == 104
+
+    def test_classify_missing_value_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "invert", "--classify", "--a", "672", "--b", "153", "--c", "104",
+            "--dac", "680", "--dbc", "185",
+        )
+        assert code == 2 and out == ""
+        assert "missing cuboid values: --ds" in err and "--in" not in err
+
+    def test_entries_past_the_default_digit_limit(self, capsys):
+        # The first cuboid of (36P, 38P) on N=5 has entries of over 4300
+        # digits, the interpreter's default limit for int <-> str conversion.
+        from npcuboid import CongruentCurve, build_npc, same_parity_pair
+
+        pair = same_parity_pair(CongruentCurve(5).point(-4, 6), 36, 38)
+        a, b, c, d_bc, d_ac, d_s = decimal_text(
+            int(v) for v in build_npc(pair, "first").rational_entries()
+        )
+        assert max(map(len, (a, b, c, d_bc, d_ac, d_s))) > 4300
+        limit = sys.get_int_max_str_digits()
+        payload = run_json(
+            capsys, "invert", "--family", "first", "--a", a, "--b", b, "--c", c,
+            "--dac", d_ac, "--dbc", d_bc, "--ds", d_s,
+        )
+        assert payload["N"] == 5
+        assert sys.get_int_max_str_digits() == limit
 
     def test_malformed_sides(self, capsys):
         code, _, err = run(
@@ -250,6 +305,39 @@ class TestSearchCommand:
         path.write_text("{not json")
         code, _, err = run(capsys, "search", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"seeds": [{"N": 5, "x": "-4", "y": "6"}]}, "lacks field 'max_multiple'"),
+            ({"seeds": [{"N": 5, "x": "-4"}], "max_multiple": 4}, "lacks field 'y'"),
+            ([], "malformed"),
+            ({"seeds": ["5"], "max_multiple": 4}, "malformed"),
+        ],
+        ids=["no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object"],
+    )
+    def test_malformed_job_record_is_usage_error(self, capsys, tmp_path, record, message):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(capsys, "search", str(path))
+        assert code == 2 and out == "" and message in err
+
+    def test_entries_past_the_default_digit_limit(self, capsys, tmp_path):
+        # At max_multiple 50 the packaged N=34 seed gives entries of over 4300
+        # digits, the interpreter's default limit for int <-> str conversion.
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "seeds": [{"N": 34, "x": "-2", "y": "48"}],
+            "max_multiple": 50,
+            "parametrizations": ["invariant"],
+        }))
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "search", str(job))
+        assert code == 0, err
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 1225
+        assert max(r.get("digits", 0) for r in records) > 4300
+        assert sys.get_int_max_str_digits() == limit
 
     def test_resume_requires_out(self, capsys, tmp_path):
         job = self.write_job(tmp_path)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from npcuboid import (
     Cuboid,
@@ -133,6 +135,15 @@ class TestConicPoints:
                 hyperbola_point_a(Fraction(t))
             with pytest.raises(TrivialParameter):
                 hyperbola_point_b(Fraction(t))
+
+    @given(st.fractions())
+    def test_integer_forms_match_textbook_formulas(self, t):
+        assume(t not in (0, 1, -1))
+        assert circle_point(t) == (abs(1 - t * t) / (1 + t * t), abs(2 * t) / (1 + t * t))
+        assert hyperbola_point_a(t) == (
+            (1 + t * t) / abs(1 - t * t), abs(2 * t) / abs(1 - t * t)
+        )
+        assert hyperbola_point_b(t) == ((1 + t * t) / abs(2 * t), abs(1 - t * t) / abs(2 * t))
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(7, 5), Fraction(-9, 2)])
     def test_points_satisfy_their_conics(self, t):
@@ -344,6 +355,11 @@ class TestBuildNpc:
         fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(-2, 1))
         with pytest.raises(DegeneratePair):
             build_npc(fake, "first")
+        # XZ = 0: no ratio of the abscissae exists to take a square root of.
+        fake = SolutionPair.trusted(curve5.point(0, 1), curve5.point(4, 1))
+        for parametrization in ("first", "second"):
+            with pytest.raises(DegeneratePair):
+                build_npc(fake, parametrization)
 
     @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
     def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):
