@@ -148,8 +148,8 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
     sqrt(Z/X) = sqrt(XZ)/|X|, so one exact square root serves both; the pair
     invariant keeps it rational. Only pairs that bypass that invariant
     (SolutionPair.trusted) can be degenerate; XZ = 0 and a vanishing
-    condition denominator (X = -Z for the first family, XZ = N^2 for the
-    second) raise DegeneratePair.
+    condition denominator (X = -Z for the first family, X = Z or XZ = N^2 for
+    the second) raise DegeneratePair.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -158,8 +158,8 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
     yw = pair.P.y * pair.Q.y
     if family == "first" and x + z == 0:
         raise DegeneratePair("X = -Z vanishes the first-family denominator")
-    if family == "second" and x * z == n * n:
-        raise DegeneratePair("XZ = N^2 vanishes the second-family denominator")
+    if family == "second" and (x == z or x * z == n * n):
+        raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
     root = sqrt_exact(x * z)
     if root == 0:
         raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")

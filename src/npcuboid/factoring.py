@@ -1,26 +1,34 @@
 """Squarefree-kernel extraction with a bounded factoring effort.
 
 The kernel of a nonzero rational r is the unique squarefree positive integer
-s such that s*|r| is the square of a rational. It is computed from the
-squarefree part of numerator*denominator by staged trial division, cheap
-perfect-power and primality shortcuts, and a deterministic Brent-cycle rho
-split. When the rho iteration budget runs out the computation fails loudly
-with FactorizationExceeded; a silently wrong kernel would corrupt every
-congruent number recovered downstream.
+s such that s*|r| is the square of a rational. It is the squarefree part of
+numerator*denominator. Trial division strips the primes up to 10**4, then up
+to DEFAULT_TRIAL_BOUND, by gcds with cached products of blocks of primes;
+square, primality and odd-power shortcuts and a deterministic Brent-cycle rho
+split finish the cofactor. When the rho iteration budget runs out the
+computation fails loudly with FactorizationExceeded; a silently wrong kernel
+would corrupt every congruent number recovered downstream.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cache
+from itertools import compress, islice
+from math import gcd, isqrt, prod
+from typing import Iterator
 
 from .errors import FactorizationExceeded
+from .rationals import is_square_int
 
 DEFAULT_TRIAL_BOUND = 1_000_000
 DEFAULT_RHO_BUDGET = 1_000_000
 
-# Cheap first trial stage; most inputs resolve here via the shortcuts.
+# Cheap first trial stage; most inputs resolve here via the square test.
 _SMALL_TRIAL_BOUND = 10_000
+# Trial primes are stripped 512 to a gcd, sieved 2**16 numbers at a time.
+_BLOCK_PRIMES = 512
+_SIEVE_SEGMENT = 1 << 16
 
 # Witnesses proving primality for every n < 3317044064679887385961981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -42,9 +50,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES
-    if n >= _MR_DETERMINISTIC_LIMIT:
-        bases = _MR_BASES + _MR_EXTRA_BASES
+    bases = _MR_BASES if n < _MR_DETERMINISTIC_LIMIT else _MR_BASES + _MR_EXTRA_BASES
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -78,8 +84,6 @@ def _brent_rho(n: int, budget: _RhoBudget) -> int:
     Fully deterministic: the polynomial offset walks 1, 2, 3, ... instead of
     being drawn at random, so repeated runs factor identically.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 1000):
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
@@ -118,62 +122,64 @@ def _find_prime_factor(n: int, budget: _RhoBudget) -> int:
     return n
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 1."""
-    if n < (1 << k):
-        return 1
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+def _primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes in (lo, hi], sieved _SIEVE_SEGMENT numbers at a time by the
+    primes up to sqrt(hi); no full-range sieve is held."""
+    base = list(_primes(1, isqrt(hi))) if hi > 3 else []
+    for start in range(max(lo + 1, 2), hi + 1, _SIEVE_SEGMENT):
+        stop = min(start + _SIEVE_SEGMENT, hi + 1)
+        segment = bytearray([1]) * (stop - start)
+        for p in base:
+            first = max(p * p, -(-start // p) * p)
+            segment[first - start :: p] = bytes(len(range(first, stop, p)))
+        yield from compress(range(start, stop), segment)
+
+
+@cache
+def _prime_blocks(lo: int, hi: int) -> tuple[int, ...]:
+    """Products of _BLOCK_PRIMES consecutive primes in (lo, hi], built on first use."""
+    primes, blocks = _primes(lo, hi), []
+    while block := list(islice(primes, _BLOCK_PRIMES)):
+        blocks.append(prod(block))
+    return tuple(blocks)
+
+
+def _strip(n: int, block: int, odd_part: int) -> tuple[int, int]:
+    """Divide out every prime of the squarefree block, tracking exponent parity.
+
+    Returns (cofactor, odd_part times the block's primes of odd exponent). g
+    is the product of the block's primes dividing n; after round i, g // h is
+    the product of those of exponent exactly i."""
+    g, i = gcd(n, block), 1
+    while g > 1:
+        n //= g
+        h = gcd(n, g)
+        if i & 1:
+            odd_part *= g // h
+        g, i = h, i + 1
+    return n, odd_part
 
 
 def _strip_trial(n: int, lo: int, hi: int, odd_part: int) -> tuple[int, int]:
-    """Divide out all primes in (lo, hi] tracking exponent parity.
-
-    Returns (remaining cofactor, updated product of odd-exponent primes).
-    Candidates run over 2, 3 and 6k+-1; composites never divide what small
-    primes already stripped.
-    """
-    if lo < 2 <= hi:
-        e = 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        if e & 1:
-            odd_part *= 2
-    if lo < 3 <= hi:
-        e = 0
-        while n % 3 == 0:
-            n //= 3
-            e += 1
-        if e & 1:
-            odd_part *= 3
-    d = max(5, lo + 1)
-    rem = d % 6
-    if rem == 5:
-        step = 2
-    elif rem == 1:
-        step = 4
-    elif rem == 0:
-        d += 1
-        step = 4
-    else:  # 2, 3, 4: advance to the next 6k+5
-        d += 5 - rem
-        step = 2
-    while d <= hi and d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e & 1:
-                odd_part *= d
-        d += step
-        step = 6 - step
+    """Divide out all primes in (lo, hi], one gcd per block of primes."""
+    for block in _prime_blocks(lo, hi):
+        n, odd_part = _strip(n, block, odd_part)
     return n, odd_part
+
+
+def _odd_power_root(n: int) -> int:
+    """r if n = r**k for an odd k >= 3 (the least such k), else n. Every prime
+    of n exceeds DEFAULT_TRIAL_BOUND, so n = r**k needs DEFAULT_TRIAL_BOUND**k
+    < n; Newton's iteration from above the k-th root descends to its floor."""
+    k = 3
+    while DEFAULT_TRIAL_BOUND**k < n:
+        r = 1 << (n.bit_length() // k + 1)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == n:
+            return r
+        k += 2
+    return n
 
 
 def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
@@ -181,37 +187,22 @@ def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
     occurring in n with odd exponent."""
     if n <= 0:
         raise ValueError("squarefree part requires a positive integer")
-    budget = _RhoBudget(rho_budget)
     n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
-    tried_full = False
+    if is_square_int(n):
+        # Every exponent in n is even regardless of how its root factors.
+        return result
+    n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
+    budget = _RhoBudget(rho_budget)
     while n > 1:
-        root = isqrt(n)
-        if root * root == n:
-            # Every exponent in n is even regardless of how root factors.
+        if is_square_int(n):
             return result
         if is_probable_prime(n):
             return result * n
         # Odd perfect powers preserve exponent parity of the base.
-        reduced = False
-        for k in range(3, n.bit_length() + 1, 2):
-            r = _iroot(n, k)
-            if r ** k == n:
-                n = r
-                reduced = True
-                break
-        if reduced:
+        if (root := _odd_power_root(n)) != n:
+            n = root
             continue
-        if not tried_full:
-            n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
-            tried_full = True
-            continue
-        p = _find_prime_factor(n, budget)
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e & 1:
-            result *= p
+        n, result = _strip(n, _find_prime_factor(n, budget), result)
     return result
 
 

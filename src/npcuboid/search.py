@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, combinations
@@ -150,7 +150,15 @@ def run_search(
     if workers <= 1:
         yield from chain.from_iterable(map(unit, seeds))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    from concurrent.futures import ProcessPoolExecutor  # only a pool loads multiprocessing
+
+    # Unless forked, workers start at the interpreter's default int <-> str
+    # digit limit, so they are given the caller's.
+    options = {}
+    if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        options = {"initializer": sys.set_int_max_str_digits,
+                   "initargs": (sys.get_int_max_str_digits(),)}
+    with ProcessPoolExecutor(max_workers=workers, **options) as pool:
         yield from chain.from_iterable(pool.map(unit, seeds))
 
 

@@ -360,6 +360,13 @@ class TestBuildNpc:
         for parametrization in ("first", "second"):
             with pytest.raises(DegeneratePair):
                 build_npc(fake, parametrization)
+        # X = Z: the second-family denominator (X - Z)(N^2 - XZ) vanishes, also
+        # after the second reflection maps both points to one image.
+        point = curve5.point(-4, 6)
+        fake = SolutionPair.trusted(point, point)
+        for parametrization in ("second", "second_reflected"):
+            with pytest.raises(DegeneratePair):
+                build_npc(fake, parametrization)
 
     @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
     def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):

@@ -1,11 +1,34 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npcuboid import FactorizationExceeded, is_probable_prime, is_square, squarefree_kernel
-from npcuboid.factoring import _strip_trial, squarefree_part
+from npcuboid import factoring
+from npcuboid.factoring import _prime_blocks, _strip_trial, squarefree_part
+
+# Primes on either side of the trial stages' bounds 10**4 and 10**6.
+_EDGE_PRIMES = (9973, 10007, 999983, 1000003)
+_BIG_SQUARE = (1000000007 * 1000000009) ** 2
+
+
+def _planted(e):
+    """Inputs with every stage's primes at exponent about e, whose cofactor
+    past the trial stages is 1, a prime, a square or an odd prime power."""
+    a, b, c, d = _EDGE_PRIMES
+    return [
+        *(p**e for p in _EDGE_PRIMES),
+        a**e * b ** (e + 1) * c ** (e + 2) * d**e,
+        2**200 * a**e * _BIG_SQUARE,
+        3 * c**e * _BIG_SQUARE,
+        2 ** (200 + e) * b**e * d ** (2 * e),
+    ]
 
 
 class TestSquarefreeKernel:
@@ -97,6 +120,36 @@ class TestSquarefreePart:
             n *= p
         remaining, odd_part = _strip_trial(n * 61 ** 2, lo, 60, 1)
         assert remaining == 61 ** 2 and odd_part == n
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("e", range(1, 8))
+    def test_planted_inputs_match_factorint(self, e):
+        sympy = pytest.importorskip("sympy")
+        for n in _planted(e):
+            odd = prod(p for p, k in sympy.factorint(n).items() if k % 2)
+            assert squarefree_part(n, rho_budget=0) == odd
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10**4), (10**4, 10**6), (4, 60), (10008, 20000)])
+    def test_prime_blocks_are_products_of_consecutive_primes(self, lo, hi):
+        sympy = pytest.importorskip("sympy")
+        primes = list(sympy.primerange(lo + 1, hi + 1))
+        size = factoring._BLOCK_PRIMES
+        blocks = tuple(prod(primes[i : i + size]) for i in range(0, len(primes), size))
+        assert _prime_blocks(lo, hi) == blocks
+
+
+def test_import_builds_no_prime_table():
+    env = {**os.environ, "PYTHONPATH": str(Path(factoring.__file__).parents[1])}
+    probe = (
+        "import npcuboid.cli\n"
+        "from npcuboid.factoring import _prime_blocks\n"
+        "print(_prime_blocks.cache_info().currsize)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "0"
 
 
 class TestPrimality:

@@ -1,9 +1,15 @@
+import concurrent.futures
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -79,7 +85,7 @@ def serial_pool(monkeypatch):
     log = {"sizes": [], "unit_bytes": []}
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             log["sizes"].append(max_workers)
 
         def __enter__(self):
@@ -92,7 +98,7 @@ def serial_pool(monkeypatch):
             log["unit_bytes"].append(len(pickle.dumps(fn)))
             return map(fn, iterable)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return log
 
 
@@ -124,8 +130,46 @@ class TestWorkerCap:
         def no_pool(max_workers):
             raise AssertionError("a one-seed job must not start a process pool")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert render(job, workers=4) == render(job)
+
+    def test_cli_import_loads_no_process_pool(self):
+        # Only a sweep at two or more workers needs multiprocessing; every
+        # other command would pay its import time and memory.
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+        probe = "import sys, npcuboid.cli; print('multiprocessing' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits")
+        or "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the int <-> str digit limit and the forkserver start method",
+    )
+    def test_forkserver_workers_keep_the_callers_digit_limit(self, monkeypatch):
+        # At max_multiple 46 the N = 34 seed has entries past the default
+        # 4300-digit limit. Forkserver workers do not inherit a lifted limit
+        # from the parent's memory; the pool must hand it over.
+        seeds = tuple(s for s in load_seeds() if s.curve.N in (6, 34))
+        job = SearchJob(
+            seeds=seeds, max_multiple=46, parity="even", parametrizations=("invariant",)
+        )
+        forkserver = partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("forkserver"),
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forkserver)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            records = list(run_search(job, workers=2))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(records) == 2 * 253
+        assert max(r["digits"] for r in records) > 4300
 
 
 class TestSeedChain:
