@@ -265,7 +265,10 @@ def _cmd_search(args) -> tuple[dict | None, int]:
             raise _Usage("--resume requires --out")
         if Path(args.out).is_file():
             drop_torn_tail(args.out)
-            skip_through = last_record_key(args.out)
+            try:
+                skip_through = last_record_key(args.out)
+            except ValueError as exc:
+                raise _Usage(f"cannot resume: {exc}") from exc
     records = run_search(job, workers=args.workers, skip_through=skip_through)
     if args.out:
         mode = "a" if args.resume else "w"

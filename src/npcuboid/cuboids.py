@@ -12,17 +12,24 @@ integers. Each parameter family builds its cuboid from two rational points
 of one conic, at the circle or hyperbola parameters alpha and beta of the
 pair, together with the family's gamma condition: the first family uses the
 unit circle, the second and third (invariant) families the hyperbola
-x^2 - y^2 = 1 in two parametrizations. The first_reflected and
-second_reflected cuboids are the first and second cuboids of the pair's
-image under the second reflected transformation. The residual evaluator and
-the birational map between the two hyperbola-based families expose the rest
-of the parameter algebra.
+x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
+the parameters and the gamma condition are read off the numerators and
+denominators of the pair as reduced integer fractions, each conic point is
+an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
+and 2|p|q of its parameter p/q, and the six entries are those integers over
+the least common denominator of the two points and the gamma condition,
+divided by their one gcd. The first_reflected and second_reflected
+cuboids are the first and second cuboids of the pair's image under the
+second reflected transformation. The residual evaluator and the birational
+map between the two hyperbola-based families expose the rest of the
+parameter algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .curve import SolutionPair
 from .errors import DegeneratePair, TrivialParameter
@@ -48,40 +55,47 @@ FAMILY_OF_PARAMETRIZATION = {
 }
 
 
-def _parameter_terms(t: Fraction, conic: str) -> tuple[int, int, int]:
-    """The integers p^2 + q^2, |q^2 - p^2| and 2|p|q of a parameter t = p/q;
-    divided by q^2 they are 1 + t^2, |1 - t^2| and |2t|."""
-    t = Fraction(t)
-    if t in (0, 1, -1):
-        raise TrivialParameter(f"{conic} parameter {t} degenerates")
-    p, q = t.numerator, t.denominator
+def _parameter_terms(p: int, q: int, conic: str) -> tuple[int, int, int]:
+    """The integers p^2 + q^2, |q^2 - p^2| and 2|p|q of a parameter t = p/q in
+    lowest terms (q > 0); divided by q^2 they are 1 + t^2, |1 - t^2| and |2t|."""
+    if p == 0 or abs(p) == q:
+        raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
     return p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q
+
+
+# Each family's conic, and its point at t = p/q as the integer triple
+# (x, y, denominator) of the terms (p^2 + q^2, |q^2 - p^2|, 2|p|q).
+_CONIC_OF_FAMILY = {
+    "first": ("circle", lambda plus, minus, twice: (minus, twice, plus)),
+    "second": ("hyperbola", lambda plus, minus, twice: (plus, twice, minus)),
+    "third": ("hyperbola", lambda plus, minus, twice: (plus, minus, twice)),
+}
+
+
+def _conic_point(family: str, p: int, q: int) -> tuple[int, int, int]:
+    conic, point = _CONIC_OF_FAMILY[family]
+    return point(*_parameter_terms(p, q, conic))
+
+
+def _rational_point(family: str, t: Fraction) -> tuple[Fraction, Fraction]:
+    t = Fraction(t)
+    x, y, denominator = _conic_point(family, t.numerator, t.denominator)
+    return Fraction(x, denominator), Fraction(y, denominator)
 
 
 def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
     """Positive rational point (|1-t^2|, |2t|)/(1+t^2) on x^2 + y^2 = 1."""
-    plus, minus, twice = _parameter_terms(t, "circle")
-    return Fraction(minus, plus), Fraction(twice, plus)
+    return _rational_point("first", t)
 
 
 def hyperbola_point_a(t: Fraction) -> tuple[Fraction, Fraction]:
     """Positive rational point (|1+t^2|, |2t|)/|1-t^2| on x^2 - y^2 = 1."""
-    plus, minus, twice = _parameter_terms(t, "hyperbola")
-    return Fraction(plus, minus), Fraction(twice, minus)
+    return _rational_point("second", t)
 
 
 def hyperbola_point_b(t: Fraction) -> tuple[Fraction, Fraction]:
     """Positive rational point (|1+t^2|, |1-t^2|)/|2t| on x^2 - y^2 = 1."""
-    plus, minus, twice = _parameter_terms(t, "hyperbola")
-    return Fraction(plus, twice), Fraction(minus, twice)
-
-
-# The conic whose points at alpha and beta give each family's cuboid.
-_CONIC_OF_FAMILY = {
-    "first": circle_point,
-    "second": hyperbola_point_a,
-    "third": hyperbola_point_b,
-}
+    return _rational_point("third", t)
 
 
 def second_parameter_from_third(t: Fraction) -> Fraction:
@@ -141,39 +155,74 @@ class ParametrizationVariables:
     family: str
 
 
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    """p/q as (numerator, positive denominator) in lowest terms."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def _family_parameters(pair: SolutionPair, family: str) -> tuple[tuple[int, int], ...]:
+    """The family's alpha, beta and gamma condition as integer fractions in
+    lowest terms, read off the numerators and denominators of X, Z, YW and N.
+
+    alpha and beta are positive; the gamma condition keeps its sign. Each is
+    reduced by one gcd. See variables_from_pair for the algebra and the
+    degenerate cases.
+    """
+    n = pair.curve.N
+    x, z = pair.P.x, pair.Q.x
+    xn, xd, zn, zd = x.numerator, x.denominator, z.numerator, z.denominator
+    # XZ = xz_num / xz_den and YW = yw_num / yw_den, both unreduced.
+    xz_num, xz_den = xn * zn, xd * zd
+    yw_num = pair.P.y.numerator * pair.Q.y.numerator
+    yw_den = pair.P.y.denominator * pair.Q.y.denominator
+    if family == "first":
+        total = xn * zd + zn * xd  # (X + Z) xz_den
+        if total == 0:
+            raise DegeneratePair("X = -Z vanishes the first-family denominator")
+    elif family == "second":
+        difference = xn * zd - zn * xd  # (X - Z) xz_den
+        gap = n * n * xz_den - xz_num  # (N^2 - XZ) xz_den
+        if difference == 0 or gap == 0:
+            raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
+    root = sqrt_exact(x * z)
+    if root == 0:
+        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
+    rn, rd = root.numerator, root.denominator
+    common = gcd(rn, n)  # rn is coprime to rd, so only N can share its factors
+    over_n = rn // common, rd * (n // common)  # sqrt(XZ)/N
+    if family == "first":
+        over_z = _lowest_terms(rn * zd, rd * abs(zn))  # sqrt(XZ)/|Z|
+        gamma = yw_num * xz_den * xz_den, yw_den * (xz_num + n * n * xz_den) * total
+        return over_n, over_z, _lowest_terms(*gamma)
+    over_x = _lowest_terms(rn * xd, rd * abs(xn))  # sqrt(XZ)/|X|
+    if family == "second":
+        gamma = yw_num * xz_den * xz_den, yw_den * difference * gap
+        return over_x, over_n, _lowest_terms(*gamma)
+    return over_n, over_x, _lowest_terms(yw_num * xz_den, yw_den * xz_num * n)
+
+
 def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
     """Extract the family's (alpha, beta) square roots and its gamma condition.
 
     Each of alpha and beta is one of sqrt(XZ)/N, sqrt(X/Z) = sqrt(XZ)/|Z| and
     sqrt(Z/X) = sqrt(XZ)/|X|, so one exact square root serves both; the pair
-    invariant keeps it rational. Only pairs that bypass that invariant
-    (SolutionPair.trusted) can be degenerate; XZ = 0 and a vanishing
-    condition denominator (X = -Z for the first family, X = Z or XZ = N^2 for
-    the second) raise DegeneratePair.
+    invariant keeps it rational. The gamma condition is YW over
+    (XZ + N^2)(X + Z), (X - Z)(N^2 - XZ) or XZN. Only pairs that bypass that
+    invariant (SolutionPair.trusted) can be degenerate; XZ = 0 and a
+    vanishing condition denominator (X = -Z for the first family, X = Z or
+    XZ = N^2 for the second) raise DegeneratePair.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    n = pair.curve.N
-    x, z = pair.P.x, pair.Q.x
-    yw = pair.P.y * pair.Q.y
-    if family == "first" and x + z == 0:
-        raise DegeneratePair("X = -Z vanishes the first-family denominator")
-    if family == "second" and (x == z or x * z == n * n):
-        raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
-    root = sqrt_exact(x * z)
-    if root == 0:
-        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
-    if family == "first":
-        alpha, beta, denominator = root / n, root / abs(z), (x * z + n * n) * (x + z)
-    elif family == "second":
-        alpha, beta, denominator = root / abs(x), root / n, (x - z) * (n * n - x * z)
-    else:
-        alpha, beta, denominator = root / n, root / abs(x), x * z * n
+    alpha, beta, gamma = _family_parameters(pair, family)
     return ParametrizationVariables(
-        alpha=alpha,
-        beta=beta,
-        gamma_condition=yw / denominator,
-        eta=yw / Fraction(n ** 3),
+        alpha=Fraction(*alpha),
+        beta=Fraction(*beta),
+        gamma_condition=Fraction(*gamma),
+        eta=pair.P.y * pair.Q.y / Fraction(pair.curve.N ** 3),
         family=family,
     )
 
@@ -243,17 +292,16 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     the absolute gamma condition (see variables_from_pair). The entries
     (a, b, c, d_bc, d_ac, d_s) are then (ay, bx, 2g, ax, by, 1) for the first
     family, (1, 2g, by, ay, bx, ax) for the second and (1, g/2, by, ay, bx,
-    ax) for the third, the invariant cuboid. The reflected parametrizations
-    are the first and second cuboids of the pair's image under the second
-    reflected transformation; the source still records the caller's
-    abscissae. The entries are scaled to coprime positive integers, and
-    d_ab_sq is recomputed as a^2 + b^2 for the scaled values. A pair holding
-    a trivial point, a vanishing family denominator or a degenerate conic
-    parameter raises DegeneratePair.
+    ax) for the third, the invariant cuboid. They are formed in integers over
+    the least common denominator of the conic points and g, and divided by
+    their gcd to coprime positive integers; d_ab_sq is a^2 + b^2 of those. The reflected
+    parametrizations are the first and second cuboids of the pair's image
+    under the second reflected transformation; the source still records the
+    caller's abscissae. A pair holding a trivial point, a vanishing family
+    denominator or a degenerate conic parameter raises DegeneratePair.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")
-    family = FAMILY_OF_PARAMETRIZATION[parametrization]
     if pair.P.is_trivial or pair.Q.is_trivial:
         raise DegeneratePair("solution pair holds a trivial point")
     source = CuboidSource(
@@ -263,21 +311,34 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
         # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
         # so each family's rule stays correct on the image pair.
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
-    variables = variables_from_pair(pair, family)
-    conic = _CONIC_OF_FAMILY[family]
+    return _build_npc(pair, source)
+
+
+def _build_npc(pair: SolutionPair, source: CuboidSource) -> Cuboid:
+    """The cuboid of source's parametrization, built from pair: the source
+    pair itself, or for a reflected parametrization its image under the
+    second reflection. The pair's points must be nontrivial."""
+    family = FAMILY_OF_PARAMETRIZATION[source.parametrization]
+    alpha, beta, (gn, gd) = _family_parameters(pair, family)
     try:
-        (ax, ay), (bx, by) = conic(variables.alpha), conic(variables.beta)
+        ax, ay, a_den = _conic_point(family, *alpha)
+        bx, by, b_den = _conic_point(family, *beta)
     except TrivialParameter as exc:
         raise DegeneratePair(str(exc)) from exc
-    g = abs(variables.gamma_condition)
+    # Every entry times the least common denominator of the two conic points
+    # and g; the denominators share most of their factors.
+    one = lcm(a_den, b_den, gd)
+    g = abs(gn) * (one // gd)
+    ax, ay = ax * (one // a_den), ay * (one // a_den)
+    bx, by = bx * (one // b_den), by * (one // b_den)
     if family == "first":
-        entries = (ay, bx, 2 * g, ax, by, 1)
+        entries = (ay, bx, 2 * g, ax, by, one)
     elif family == "second":
-        entries = (1, 2 * g, by, ay, bx, ax)
+        entries = (one, 2 * g, by, ay, bx, ax)
     else:
-        entries = (1, g / 2, by, ay, bx, ax)
-    a, b, c, d_bc, d_ac, d_s = map(Fraction, primitive_integer_scaling(entries))
-    return Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b, source=source)
+        entries = (2 * one, g, 2 * by, 2 * ay, 2 * bx, 2 * ax)
+    a, b, c, d_bc, d_ac, d_s = primitive_integer_scaling(entries)
+    return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
 
 
 def _entry_to_json(value: Fraction):

@@ -40,8 +40,9 @@ def is_square(r: Fraction | int) -> bool:
     Equivalently: r >= 0 and both the numerator and the denominator of the
     reduced form are perfect squares.
     """
-    r = Fraction(r)
-    return r >= 0 and is_square_int(r.numerator) and is_square_int(r.denominator)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    return is_square_int(r.numerator) and is_square_int(r.denominator)
 
 
 def sqrt_exact(r: Fraction | int) -> Fraction:
@@ -49,8 +50,9 @@ def sqrt_exact(r: Fraction | int) -> Fraction:
 
     Raises NotASquare when no exact root exists.
     """
-    r = Fraction(r)
-    if r < 0:
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
+    if r.numerator < 0:
         raise NotASquare(f"{r} is negative")
     num_root = isqrt(r.numerator)
     den_root = isqrt(r.denominator)
@@ -63,19 +65,23 @@ def primitive_integer_scaling(values: Sequence[Fraction | int]) -> list[int]:
     """Scale non-negative rationals to proportional integers with gcd 1.
 
     All pairwise ratios are preserved exactly; the output is invariant under
-    pre-multiplying the input by any positive rational.
+    pre-multiplying the input by any positive rational. Integer input is
+    divided by its gcd as it is.
     """
-    fracs = [Fraction(v) for v in values]
-    if any(v < 0 for v in fracs):
+    values = [v if isinstance(v, int) else Fraction(v) for v in values]
+    if any(v < 0 for v in values):
         raise ValueError("primitive scaling requires non-negative values")
-    if all(v == 0 for v in fracs):
+    if not any(values):
         raise ValueError("primitive scaling requires at least one positive value")
-    common = lcm(*(v.denominator for v in fracs))
-    ints = [v.numerator * (common // v.denominator) for v in fracs]
+    common = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
     g = gcd(*ints)
     return [n // g for n in ints]
 
 
 def max_decimal_digits(values: Iterable[int]) -> int:
-    """Length of the longest entry written in base 10 (sign ignored)."""
-    return max(len(str(abs(v))) for v in values)
+    """Length of the longest entry written in base 10 (sign ignored).
+
+    Only the entry of largest magnitude is converted to a string.
+    """
+    return len(str(max(abs(v) for v in values)))

@@ -2,13 +2,15 @@
 
 The unit of work is one seed. Its multiples P, 2P, ..., MP are computed once,
 as a chain of successive additions, and every (k, m, parametrization) record
-of that seed is built from the chain. Seed units are pure functions of the
-job, so they can run on any number of worker processes, but never on more
-processes than there are seeds: a one-seed job runs in one process whatever
-the worker count. Records come back in the enumeration order (N, k, m,
-parametrization index), and two runs of one job are byte-identical regardless
-of the worker count. Output is append-only JSONL, which makes interrupted
-sweeps resumable from the last completed record.
+of that seed is built from the chain; the reflected parametrizations read
+their image pairs off the chain's second reflection, also computed once.
+Seed units are pure functions of the job, so they can run on any number of
+worker processes, but never on more processes than there are seeds: a
+one-seed job runs in one process whatever the worker count. Records come
+back in the enumeration order (N, k, m, parametrization index), and two runs
+of one job are byte-identical regardless of the worker count. Output is
+append-only JSONL, which makes interrupted sweeps resumable from the last
+completed record.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterator
 
-from .cuboids import PARAMETRIZATIONS, build_npc, cuboid_to_json, pc_condition
-from .curve import CurvePoint, load_seeds, point_from_json, same_parity_pair
+from .cuboids import (
+    PARAMETRIZATIONS,
+    CuboidSource,
+    _build_npc,
+    build_npc,
+    cuboid_to_json,
+    pc_condition,
+)
+from .curve import CurvePoint, SolutionPair, load_seeds, point_from_json, same_parity_pair
 from .errors import DegeneratePair, InvalidSeed
 from .rationals import max_decimal_digits
 
@@ -108,16 +117,36 @@ def _chain(seed: CurvePoint, length: int) -> list[CurvePoint]:
 
 def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) -> list[dict]:
     """Every record of one seed after skip_through, in task_key order."""
+    n = seed.curve.N
     multiples = _chain(seed, job.max_multiple)
+    images = None
+    if any(param.endswith("_reflected") for param in job.parametrizations):
+        images = [p.reflect_second() for p in multiples]
     records = []
     for k, m in _multiple_pairs(job):
-        for param in job.parametrizations:
-            record = {"N": seed.curve.N, "k": k, "m": m, "parametrization": param}
-            if skip_through is not None and task_key(record) <= skip_through:
-                continue
-            records.append(record)
+        pending = [
+            {"N": n, "k": k, "m": m, "parametrization": param} for param in job.parametrizations
+        ]
+        if skip_through is not None:
+            pending = [record for record in pending if task_key(record) > skip_through]
+        if not pending:
+            continue
+        records += pending
+        try:
+            pair = same_parity_pair(seed, k, m, multiples)
+        except DegeneratePair as exc:
+            for record in pending:
+                record["skipped"] = str(exc)
+            continue
+        for record in pending:
+            param = record["parametrization"]
             try:
-                cuboid = build_npc(same_parity_pair(seed, k, m, multiples), param)
+                if param.endswith("_reflected"):
+                    image = SolutionPair.trusted(images[k - 1], images[m - 1])
+                    source = CuboidSource(n, pair.P.x, pair.Q.x, param)
+                    cuboid = _build_npc(image, source)
+                else:
+                    cuboid = build_npc(pair, param)
             except DegeneratePair as exc:
                 record["skipped"] = str(exc)
                 continue
@@ -171,25 +200,52 @@ def write_records(records: Iterator[dict], stream: IO[str]) -> int:
     return count
 
 
+# Bytes read at a time when scanning an output file back from its end.
+_TAIL_BLOCK = 1 << 16
+
+
+def _last_newline(stream: IO[bytes], end: int) -> int:
+    """Offset of the last newline before offset end, or -1 if there is none,
+    read backwards in blocks."""
+    while end > 0:
+        start = max(end - _TAIL_BLOCK, 0)
+        stream.seek(start)
+        found = stream.read(end - start).rfind(b"\n")
+        if found >= 0:
+            return start + found
+        end = start
+    return -1
+
+
 def drop_torn_tail(path: str | Path) -> None:
     """Cut an output file back to its last newline.
 
     An interrupted run can leave a partial final line; appending after it
-    would glue the next record onto the fragment.
+    would glue the next record onto the fragment. Only the tail is read.
     """
     with open(path, "rb+") as stream:
-        stream.truncate(stream.read().rfind(b"\n") + 1)
+        stream.truncate(_last_newline(stream, stream.seek(0, os.SEEK_END)) + 1)
 
 
 def last_record_key(path: str | Path) -> tuple | None:
-    """Key of the last complete record in an existing JSONL output file."""
-    last = None
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            last = task_key(json.loads(line))
-        except (json.JSONDecodeError, KeyError):
-            continue  # torn final line from an interrupted run
-    return last
+    """Key of the last complete record in an existing JSONL output file.
+
+    An unterminated final fragment is a torn line from an interrupted run
+    and is ignored; with no complete line there is no key. The last complete
+    line must be a sweep record, else ValueError. Only that line is read,
+    so memory does not grow with the file.
+    """
+    with open(path, "rb") as stream:
+        end = _last_newline(stream, stream.seek(0, os.SEEK_END))
+        if end < 0:
+            return None
+        start = _last_newline(stream, end) + 1
+        stream.seek(start)
+        line = stream.read(end - start)
+    try:
+        key = task_key(json.loads(line))
+        if not all(type(value) is int for value in key):
+            raise TypeError("N, k and m must be integers")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"the last line of {path} is not a sweep record: {exc!r}") from exc
+    return key

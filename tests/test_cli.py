@@ -296,6 +296,25 @@ class TestSearchCommand:
             assert run(capsys, "search", str(job), "--out", str(partial), "--resume")[0] == 0
             assert partial.read_bytes() == data
 
+    @pytest.mark.parametrize(
+        "last_line",
+        ["[1]", '{"N":5,"k":1,"m":3,"parametrization":"fourth"}'],
+    )
+    def test_resume_after_a_line_that_is_not_a_record_is_usage_error(
+        self, capsys, tmp_path, last_line
+    ):
+        # A list crashed the resume; an unknown parametrization was skipped,
+        # so the sweep restarted and appended after the foreign line.
+        job = self.write_job(tmp_path)
+        full = tmp_path / "full.jsonl"
+        assert run(capsys, "search", str(job), "--out", str(full))[0] == 0
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(full.read_text().splitlines(keepends=True)[0] + last_line + "\n")
+        before = partial.read_bytes()
+        code, _, err = run(capsys, "search", str(job), "--out", str(partial), "--resume")
+        assert code == 2 and "not a sweep record" in err
+        assert partial.read_bytes() == before
+
     def test_missing_job_file(self, capsys):
         code, _, err = run(capsys, "search", "missing.json")
         assert code == 2 and "not found" in err

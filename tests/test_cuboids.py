@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from npcuboid import (
+    FAMILY_OF_PARAMETRIZATION,
+    PARAMETRIZATIONS,
     Cuboid,
+    CuboidSource,
     DegeneratePair,
+    NpcuboidError,
     SolutionPair,
     TrivialParameter,
     build_npc,
@@ -15,9 +19,13 @@ from npcuboid import (
     cuboid_to_json,
     hyperbola_point_a,
     hyperbola_point_b,
+    load_seeds,
     pc_condition,
     pc_equation_residual,
+    primitive_integer_scaling,
+    same_parity_pair,
     second_parameter_from_third,
+    sqrt_exact,
     variables_from_pair,
     verify_npc,
 )
@@ -109,6 +117,76 @@ CLOSED_FORM_RATIOS = {
     "second": _ratios_second,
     "second_reflected": _ratios_second_reflected,
 }
+
+
+def _reference_variables(pair, family):
+    """alpha, beta and the gamma condition in Fraction arithmetic."""
+    n = pair.curve.N
+    x, z = pair.P.x, pair.Q.x
+    yw = pair.P.y * pair.Q.y
+    if family == "first" and x + z == 0:
+        raise DegeneratePair("X = -Z vanishes the first-family denominator")
+    if family == "second" and (x == z or x * z == n * n):
+        raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
+    root = sqrt_exact(x * z)
+    if root == 0:
+        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
+    if family == "first":
+        return root / n, root / abs(z), yw / ((x * z + n * n) * (x + z))
+    if family == "second":
+        return root / abs(x), root / n, yw / ((x - z) * (n * n - x * z))
+    return root / n, root / abs(x), yw / (x * z * n)
+
+
+_REFERENCE_CONICS = {
+    "first": circle_point,
+    "second": hyperbola_point_a,
+    "third": hyperbola_point_b,
+}
+
+
+def reference_build_npc(pair, parametrization):
+    """The Fraction construction that build_npc replaced: conic points of
+    alpha and beta as rationals, scaled to integers at the end. An oracle
+    for the integer construction, exceptions and their messages included."""
+    if parametrization not in FAMILY_OF_PARAMETRIZATION:
+        raise ValueError(f"unknown parametrization {parametrization!r}")
+    family = FAMILY_OF_PARAMETRIZATION[parametrization]
+    if pair.P.is_trivial or pair.Q.is_trivial:
+        raise DegeneratePair("solution pair holds a trivial point")
+    source = CuboidSource(
+        N=pair.curve.N, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization
+    )
+    if parametrization.endswith("_reflected"):
+        pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
+    alpha, beta, gamma_condition = _reference_variables(pair, family)
+    conic = _REFERENCE_CONICS[family]
+    try:
+        (ax, ay), (bx, by) = conic(alpha), conic(beta)
+    except TrivialParameter as exc:
+        raise DegeneratePair(str(exc)) from exc
+    g = abs(gamma_condition)
+    if family == "first":
+        entries = (ay, bx, 2 * g, ax, by, 1)
+    elif family == "second":
+        entries = (1, 2 * g, by, ay, bx, ax)
+    else:
+        entries = (1, g / 2, by, ay, bx, ax)
+    a, b, c, d_bc, d_ac, d_s = map(Fraction, primitive_integer_scaling(entries))
+    return Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b, source=source)
+
+
+def build_outcome(build, pair, parametrization):
+    """Entries and source of the built cuboid, or the error's type and message."""
+    try:
+        cuboid = build(pair, parametrization)
+    except (NpcuboidError, ValueError) as exc:
+        return type(exc), str(exc)
+    return cuboid.rational_entries() + (cuboid.d_ab_sq,), cuboid.source
+
+
+PACKAGED_SEEDS = load_seeds()
+SAME_PARITY_MULTIPLES = [(k, m) for k in range(1, 10) for m in range(k + 2, 10, 2)]
 
 
 class TestConicPoints:
@@ -379,6 +457,48 @@ class TestBuildNpc:
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):
             build_npc(golden_pair, "sixth")
+
+
+class TestFractionReference:
+    @given(
+        st.sampled_from(PACKAGED_SEEDS),
+        st.sampled_from(SAME_PARITY_MULTIPLES),
+        st.sampled_from(PARAMETRIZATIONS),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_build_matches_fraction_reference(self, seed, multiples, parametrization):
+        pair = same_parity_pair(seed, *multiples)
+        built = build_npc(pair, parametrization)
+        expected = reference_build_npc(pair, parametrization)
+        assert built.rational_entries() == expected.rational_entries()
+        assert built.d_ab_sq == expected.d_ab_sq
+        assert built.source == expected.source
+        assert all(isinstance(v, Fraction) for v in built.rational_entries())
+
+    @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
+    @pytest.mark.parametrize(
+        "x, z",
+        [
+            (2, Fraction(25, 2)),  # XZ = N^2
+            (2, -2),  # X = -Z
+            (0, 4),  # XZ = 0
+            (-4, -4),  # X = Z
+            (1, 25),  # XZ = N^2 again: alpha = 1 on the first conic
+            (4, Fraction(25, 4)),  # XZ = N^2, reflected: X' + Z' = 0
+            (2, 3),  # XZ not a square
+            (5, 45),  # a 2-torsion abscissa
+        ],
+    )
+    def test_degenerate_pairs_fail_as_the_reference_does(self, curve5, x, z, parametrization):
+        p = curve5.point(x, 0 if x == 5 else 1)
+        fake = SolutionPair.trusted(p, curve5.point(z, 1))
+        expected = build_outcome(reference_build_npc, fake, parametrization)
+        assert build_outcome(build_npc, fake, parametrization) == expected
+
+    def test_degenerate_parameter_message_is_in_lowest_terms(self, curve5):
+        fake = SolutionPair.trusted(curve5.point(1, 1), curve5.point(25, 1))
+        with pytest.raises(DegeneratePair, match=r"^circle parameter 1 degenerates$"):
+            build_npc(fake, "first")
 
 
 class TestReflectionBehaviour:

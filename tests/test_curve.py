@@ -134,6 +134,25 @@ class TestMul:
         assert p5 + (-p5) == p5.curve.infinity()
 
 
+class TestAgainstSympy:
+    @staticmethod
+    def as_fractions(point):
+        return tuple(Fraction(int(v.numerator), int(v.denominator)) for v in (point.x, point.y))
+
+    def test_multiples_match_sympy_elliptic_curve(self, seeds):
+        # An independent group law: sympy's chord-and-tangent arithmetic on
+        # y^2 = x^3 - N^2 x over the rationals.
+        elliptic = pytest.importorskip("sympy.ntheory.elliptic_curve")
+        for seed in seeds:
+            n = seed.curve.N
+            base = elliptic.EllipticCurve(-n * n, 0)(seed.x, seed.y)
+            added, expected = seed, base
+            for k in range(1, 13):
+                assert (added.x, added.y) == self.as_fractions(expected)
+                assert seed.mul(k) == added
+                added, expected = added.add(seed), expected + base
+
+
 class TestSecantIntercept:
     def test_three_point_product_identity(self, p5):
         doubled = p5.double()

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import hashlib
 import io
 import json
 import multiprocessing
@@ -7,8 +8,10 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from npcuboid import (
 )
 from npcuboid.search import (
     SearchJob,
+    drop_torn_tail,
     job_from_json,
     last_record_key,
     run_search,
@@ -200,6 +204,28 @@ class TestSeedChain:
             assert adds.count(seed.curve.N) <= job.max_multiple - 1
 
 
+    @pytest.mark.parametrize(
+        "parametrizations, reflections",
+        [(("invariant", "first_reflected", "second_reflected"), 7), (("first", "second"), 0)],
+    )
+    def test_each_chain_element_is_reflected_once(
+        self, seeds, monkeypatch, parametrizations, reflections
+    ):
+        calls = []
+        reflect_second = CurvePoint.reflect_second
+
+        def counting_reflect_second(self):
+            calls.append(self.curve.N)
+            return reflect_second(self)
+
+        monkeypatch.setattr(CurvePoint, "reflect_second", counting_reflect_second)
+        job = SearchJob(seeds=tuple(seeds), max_multiple=7, parametrizations=parametrizations)
+        records = list(run_search(job))
+        assert sum("cuboid" in r for r in records) >= 8 * len(seeds)
+        for seed in seeds:
+            assert calls.count(seed.curve.N) == reflections
+
+
 class TestRecordContents:
     def test_emitted_cuboids_verify_and_are_not_perfect(self, small_job):
         records = [json.loads(line) for line in render(small_job).splitlines()]
@@ -285,6 +311,91 @@ class TestResume:
         path = tmp_path / "out.jsonl"
         path.write_text("".join(full[:3]) + '{"N":5,"k":2,"m"')
         assert last_record_key(path) == task_key(json.loads(full[2]))
+
+    def test_tail_reads_are_bounded_by_the_last_line(self, small_job, tmp_path):
+        # Over 10 MB of records: resuming reads back from the end of the
+        # file, so memory does not grow with the output.
+        lines = render(small_job).splitlines(keepends=True)
+        block = "".join(lines).encode()
+        path = tmp_path / "big.jsonl"
+        with open(path, "wb") as stream:
+            for _ in range(10 * 2**20 // len(block) + 1):
+                stream.write(block)
+            stream.write(b'{"N":5,"k":2,"m"')
+        assert path.stat().st_size >= 10 * 2**20
+        tracemalloc.start()
+        try:
+            key = last_record_key(path)
+            drop_torn_tail(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == task_key(json.loads(lines[-1]))
+        assert peak < 2**20
+        assert path.stat().st_size % len(block) == 0
+
+    def test_file_without_a_complete_line_has_no_key(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        path.write_text('{"N":5,"k"')
+        assert last_record_key(path) is None
+        drop_torn_tail(path)
+        assert path.read_bytes() == b""
+        assert last_record_key(path) is None
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '{"N":5,"k":1,"m":3,"parametrization":"fourth"}',
+            '{"N":"5","k":1,"m":3,"parametrization":"first"}',
+            "not json",
+            "",
+        ],
+    )
+    def test_last_line_that_is_not_a_record_is_rejected(self, small_job, tmp_path, line):
+        path = tmp_path / "out.jsonl"
+        path.write_text(render(small_job) + line + "\n")
+        with pytest.raises(ValueError, match="not a sweep record"):
+            last_record_key(path)
+
+
+def triangle_seeds(count):
+    """Points above c^2/4 on the curves N = ab/2 of the first count primitive
+    Pythagorean triangles (a, b, c), by increasing u in (u^2 - v^2, 2uv)."""
+    seeds, seen, u = [], set(), 2
+    while len(seeds) < count:
+        for v in range(1, u):
+            a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
+            if (u - v) % 2 and gcd(u, v) == 1 and a * b // 2 not in seen and len(seeds) < count:
+                seen.add(a * b // 2)
+                seeds.append(point_above(CongruentCurve(a * b // 2), Fraction(c * c, 4)))
+        u += 1
+    return tuple(seeds)
+
+
+class TestStreamPins:
+    """SHA-256 of whole record streams, pinned when cuboids were still built
+    with Fraction arithmetic: any change to the construction, the record
+    schema or the enumeration order shows here."""
+
+    def test_packaged_seeds_every_parametrization(self):
+        job = SearchJob(seeds=tuple(load_seeds()), max_multiple=9)
+        text = render(job)
+        assert len(text.splitlines()) == 4 * 36 * 5
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "693ff3163c78b7baeba6887fe220e0dc83728d6d71910f8b590b1ed3c48006f9"
+        )
+
+    def test_triangle_curves_with_skip_and_truncated_records(self):
+        job = SearchJob(seeds=triangle_seeds(20), max_multiple=5)
+        text = render(job)
+        records = [json.loads(line) for line in text.splitlines()]
+        assert len(records) == 20 * 10 * 5
+        assert any("skipped" in r for r in records)
+        assert any(r.get("truncated") for r in records)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "208562cc3e8c3d52e30bc02b58c55a01e30d5ef445e0e3596f38d049ab9ebae0"
+        )
 
 
 class TestJobConstruction:
