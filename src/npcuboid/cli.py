@@ -374,8 +374,6 @@ def main(argv=None) -> int:
     # Cuboid entries and abscissae can pass the interpreter's default limit
     # of 4300 digits on int <-> str conversion, and exact I/O needs them whole.
     # The limit is lifted for the call only, so in-process callers keep theirs.
-    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
-        return _run(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

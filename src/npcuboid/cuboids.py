@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import SolutionPair
+from .curve import SolutionPair, kummer_map
 from .errors import DegeneratePair, TrivialParameter
 from .rationals import (
     format_rational,
@@ -55,14 +55,6 @@ FAMILY_OF_PARAMETRIZATION = {
 }
 
 
-def _parameter_terms(p: int, q: int, conic: str) -> tuple[int, int, int]:
-    """The integers p^2 + q^2, |q^2 - p^2| and 2|p|q of a parameter t = p/q in
-    lowest terms (q > 0); divided by q^2 they are 1 + t^2, |1 - t^2| and |2t|."""
-    if p == 0 or abs(p) == q:
-        raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
-    return p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q
-
-
 # Each family's conic, and its point at t = p/q as the integer triple
 # (x, y, denominator) of the terms (p^2 + q^2, |q^2 - p^2|, 2|p|q).
 _CONIC_OF_FAMILY = {
@@ -73,8 +65,12 @@ _CONIC_OF_FAMILY = {
 
 
 def _conic_point(family: str, p: int, q: int) -> tuple[int, int, int]:
+    """The family's conic point at t = p/q in lowest terms (q > 0). Its terms
+    p^2 + q^2, |q^2 - p^2| and 2|p|q are 1 + t^2, |1 - t^2| and |2t| times q^2."""
     conic, point = _CONIC_OF_FAMILY[family]
-    return point(*_parameter_terms(p, q, conic))
+    if p == 0 or abs(p) == q:
+        raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
+    return point(p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q)
 
 
 def _rational_point(family: str, t: Fraction) -> tuple[Fraction, Fraction]:
@@ -108,6 +104,16 @@ def second_parameter_from_third(t: Fraction) -> Fraction:
     return (1 - t) / (1 + t)
 
 
+# Each family's existence-equation term T(t); the residual is
+# T(alpha)^2 + T(gamma)^2 - T(beta)^2 for the first family and
+# T(gamma)^2 + T(beta)^2 - T(alpha)^2 for the second and third.
+_PC_TERM_OF_FAMILY = {
+    "first": lambda t: 2 * t / (1 + t * t),
+    "second": lambda t: 2 * t / (1 - t * t),
+    "third": lambda t: (1 - t * t) / (2 * t),
+}
+
+
 def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fraction) -> Fraction:
     """Left minus right side of the perfect-cuboid existence equation of the
     given parameter family; exactly zero iff the triple solves it.
@@ -117,26 +123,17 @@ def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fr
     family "third":  ((1-g^2)/2g)^2 + ((1-b^2)/2b)^2 - ((1-a^2)/2a)^2
     """
     alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-
-    if family == "first":
-        def term(t):
-            return (2 * t / (1 + t * t)) ** 2
-        return term(alpha) + term(gamma) - term(beta)
-    if family == "second":
-        for t in (alpha, beta, gamma):
-            if t * t == 1:
-                raise TrivialParameter(f"parameter {t} vanishes a denominator")
-        def term(t):
-            return (2 * t / (1 - t * t)) ** 2
-        return term(gamma) + term(beta) - term(alpha)
-    if family == "third":
-        for t in (alpha, beta, gamma):
-            if t == 0:
-                raise TrivialParameter("parameter 0 vanishes a denominator")
-        def term(t):
-            return ((1 - t * t) / (2 * t)) ** 2
-        return term(gamma) + term(beta) - term(alpha)
-    raise ValueError(f"unknown family {family!r}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    term = _PC_TERM_OF_FAMILY[family]
+    squares = []
+    for t in (alpha, beta, gamma):
+        try:
+            squares.append(term(t) ** 2)
+        except ZeroDivisionError:
+            raise TrivialParameter(f"parameter {t} vanishes a denominator") from None
+    a, b, g = squares
+    return a + g - b if family == "first" else g + b - a
 
 
 @dataclass(frozen=True)
@@ -222,7 +219,7 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
         alpha=Fraction(*alpha),
         beta=Fraction(*beta),
         gamma_condition=Fraction(*gamma),
-        eta=pair.P.y * pair.Q.y / Fraction(pair.curve.N ** 3),
+        eta=kummer_map(pair)[2],
         family=family,
     )
 

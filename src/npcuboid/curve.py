@@ -127,22 +127,24 @@ class CurvePoint:
             k >>= 1
         return result
 
+    def _secant_image(self, e: int, pole: str) -> CurvePoint:
+        """Third intersection -(P + (e, 0)) of the secant through P and the
+        2-torsion point (e, 0), since x(P + (e, 0)) = e + f'(e)/(x - e) for
+        f(x) = x^3 - N^2 x."""
+        if self.is_infinity or self.x == e:
+            raise TrivialInput(pole)
+        n2 = self.curve.N ** 2
+        denom = self.x - e
+        x = (e * self.x + (2 * e * e - n2)) / denom
+        return CurvePoint(self.curve, x, (3 * e * e - n2) * self.y / denom ** 2)
+
     def reflect_first(self) -> CurvePoint:
         """Secant image through (0, 0): (x, y) -> (-N^2/x, -N^2 y/x^2)."""
-        if self.is_infinity or self.x == 0:
-            raise TrivialInput("first reflection is undefined at x = 0")
-        n2 = Fraction(self.curve.N ** 2)
-        return CurvePoint(self.curve, -n2 / self.x, -n2 * self.y / self.x ** 2)
+        return self._secant_image(0, "first reflection is undefined at x = 0")
 
     def reflect_second(self) -> CurvePoint:
         """Secant image through (N, 0): (x, y) -> (N(x+N)/(x-N), 2N^2 y/(x-N)^2)."""
-        n = self.curve.N
-        if self.is_infinity or self.x == n:
-            raise TrivialInput("second reflection is undefined at x = N")
-        denom = self.x - n
-        return CurvePoint(
-            self.curve, n * (self.x + n) / denom, 2 * n ** 2 * self.y / denom ** 2
-        )
+        return self._secant_image(self.curve.N, "second reflection is undefined at x = N")
 
     def reflect_third(self) -> CurvePoint:
         """Secant image through (-N, 0): (x, y) -> (N(N-x)/(x+N), 2N^2 y/(x+N)^2).
@@ -150,13 +152,7 @@ class CurvePoint:
         Agrees with composing the first and second reflections on the
         x-coordinate (the y-sign depends on composition order).
         """
-        n = self.curve.N
-        if self.is_infinity or self.x == -n:
-            raise TrivialInput("third reflection is undefined at x = -N")
-        denom = self.x + n
-        return CurvePoint(
-            self.curve, n * (n - self.x) / denom, 2 * n ** 2 * self.y / denom ** 2
-        )
+        return self._secant_image(-self.curve.N, "third reflection is undefined at x = -N")
 
     def __add__(self, other: CurvePoint) -> CurvePoint:
         return self.add(other)

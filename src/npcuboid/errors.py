@@ -56,9 +56,9 @@ class NotAnNPC(NpcuboidError):
 
 
 class InconsistentKernel(NpcuboidError):
-    """Inversion read abscissa ratios off the cuboid that fail the curve
-    inequality, or one that is not a curve point for the congruent number
-    recovered from the other."""
+    """Inversion read an abscissa ratio off the cuboid that is not a curve
+    point for the congruent number recovered from the other. A verified NPC
+    gives ratios above 1; r < -1 or 0 < r < 1 would have no curve point."""
 
 
 class InvalidSeed(NpcuboidError):

@@ -2,8 +2,8 @@
 
 Every family inverts the same way. Its circle or hyperbola parameters are
 diagonal-sum ratios of the cuboid, and they give the two abscissa ratios
-X/N and Z/N of pair I. Both ratios must satisfy the curve inequality
-(-1 < X/N < 0 or X/N > 1). N is the squarefree kernel of
+X/N and Z/N of pair I; for a verified NPC both exceed 1, so they meet the
+curve inequality (-1 < X/N < 0 or X/N > 1). N is the squarefree kernel of
 (X/N)((X/N)^2 - 1), and the abscissae follow by scaling. The other pairs
 are images of pair I under the reflected transformations: II under the
 first, and for the invariant family III and IV under the second.
@@ -50,11 +50,6 @@ class RecoveredSolutions:
         raise KeyError(which)
 
 
-def _satisfies_curve_inequality(ratio: Fraction) -> bool:
-    # x(x^2 - N^2) > 0, i.e. a nontrivial point can sit above this abscissa.
-    return -1 < ratio < 0 or ratio > 1
-
-
 def _require_npc(cuboid: Cuboid) -> None:
     violations = verify_npc(cuboid)
     if violations:
@@ -87,11 +82,14 @@ def _recover(
     family: str,
     rho_budget: int,
 ) -> RecoveredSolutions:
-    for ratio in (x_ratio, z_ratio):
-        if not _satisfies_curve_inequality(ratio):
-            raise InconsistentKernel(
-                f"{family} recovery ratio {format_rational(ratio)} fails the curve inequality"
-            )
+    # A verified NPC with positive entries has d_ac > a, c; d_bc > b, c;
+    # d_s > d_ac, d_bc, a; and d_ac d_bc > c d_s, as (a^2 + c^2)(b^2 + c^2) =
+    # a^2 b^2 + c^2 d_s^2. So every ratio exceeds 1 and meets the curve
+    # inequality: (d_ac + c)(d_s + d_bc)/a^2 and (d_s + d_bc)/(d_ac + c);
+    # alpha beta and alpha/beta = (d_s + d_bc) d_ac/(a (d_s + b)); beta/alpha
+    # = (d_ac + a)(d_s + a)/(c d_bc) and alpha beta = (d_ac + a) d_bc/(c (d_s + a)).
+    # A ratio r < -1 or 0 < r < 1 has rhs(N r) = N^3 r (r^2 - 1) < 0, no
+    # square, so _point_from_ratio raises InconsistentKernel.
     n = squarefree_kernel(x_ratio * (x_ratio * x_ratio - 1), rho_budget)
     curve = CongruentCurve(n)
     # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only

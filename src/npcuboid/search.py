@@ -30,7 +30,6 @@ from .cuboids import (
     _build_npc,
     build_npc,
     cuboid_to_json,
-    pc_condition,
 )
 from .curve import CurvePoint, SolutionPair, load_seeds, point_from_json, same_parity_pair
 from .errors import DegeneratePair, InvalidSeed
@@ -155,8 +154,9 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             if digits > job.height_limit:
                 record["truncated"] = True
                 continue
-            record["pc"] = pc_condition(cuboid)
-            record["cuboid"] = cuboid_to_json(cuboid)
+            payload = cuboid_to_json(cuboid)
+            record["pc"] = payload["pc"]
+            record["cuboid"] = payload
     return records
 
 
@@ -183,11 +183,9 @@ def run_search(
 
     # Unless forked, workers start at the interpreter's default int <-> str
     # digit limit, so they are given the caller's.
-    options = {}
-    if hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
-        options = {"initializer": sys.set_int_max_str_digits,
-                   "initargs": (sys.get_int_max_str_digits(),)}
-    with ProcessPoolExecutor(max_workers=workers, **options) as pool:
+    limit = (sys.get_int_max_str_digits(),)
+    with ProcessPoolExecutor(workers, initializer=sys.set_int_max_str_digits,
+                             initargs=limit) as pool:
         yield from chain.from_iterable(pool.map(unit, seeds))
 
 

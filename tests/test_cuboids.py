@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from npcuboid import (
+    FAMILIES,
     FAMILY_OF_PARAMETRIZATION,
     PARAMETRIZATIONS,
     Cuboid,
@@ -265,6 +267,76 @@ class TestResidual:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             pc_equation_residual("fourth", Fraction(2), Fraction(3), Fraction(5))
+
+
+def reference_pc_equation_residual(family, alpha, beta, gamma):
+    """The three-branch residual that the term table replaced: an oracle for
+    its values, exceptions and their messages included."""
+    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+
+    if family == "first":
+        def term(t):
+            return (2 * t / (1 + t * t)) ** 2
+        return term(alpha) + term(gamma) - term(beta)
+    if family == "second":
+        for t in (alpha, beta, gamma):
+            if t * t == 1:
+                raise TrivialParameter(f"parameter {t} vanishes a denominator")
+        def term(t):
+            return (2 * t / (1 - t * t)) ** 2
+        return term(gamma) + term(beta) - term(alpha)
+    if family == "third":
+        for t in (alpha, beta, gamma):
+            if t == 0:
+                raise TrivialParameter("parameter 0 vanishes a denominator")
+        def term(t):
+            return ((1 - t * t) / (2 * t)) ** 2
+        return term(gamma) + term(beta) - term(alpha)
+    raise ValueError(f"unknown family {family!r}")
+
+
+def residual_outcome(residual, family, parameters):
+    """The residual, or the error's type and message."""
+    try:
+        return residual(family, *parameters)
+    except (NpcuboidError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# The parameters at which some family's term has a vanishing denominator.
+SPECIAL_PARAMETERS = (Fraction(0), Fraction(1), Fraction(-1))
+
+
+class TestResidualReference:
+    @pytest.mark.parametrize("family", FAMILIES + ("fourth",))
+    @given(st.fractions(), st.fractions(), st.fractions())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_reference(self, family, alpha, beta, gamma):
+        parameters = (alpha, beta, gamma)
+        assert residual_outcome(pc_equation_residual, family, parameters) == residual_outcome(
+            reference_pc_equation_residual, family, parameters
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("slot", range(3))
+    @pytest.mark.parametrize("special", SPECIAL_PARAMETERS, ids=str)
+    @given(st.fractions(), st.fractions())
+    @settings(max_examples=20, deadline=None)
+    def test_special_parameter_in_each_slot(self, family, slot, special, first, second):
+        parameters = [first, second]
+        parameters.insert(slot, special)
+        assert residual_outcome(pc_equation_residual, family, parameters) == residual_outcome(
+            reference_pc_equation_residual, family, parameters
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_first_degenerate_parameter_is_named(self, family):
+        # Several degenerate slots: the message names the first in the order
+        # alpha, beta, gamma.
+        for parameters in product(SPECIAL_PARAMETERS + (Fraction(2),), repeat=3):
+            assert residual_outcome(pc_equation_residual, family, parameters) == residual_outcome(
+                reference_pc_equation_residual, family, parameters
+            )
 
 
 class TestBirationalEquivalence:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,39 @@ class TestReflections:
             curve5.point(5, 0).reflect_second()
         with pytest.raises(TrivialInput):
             curve5.point(-5, 0).reflect_third()
+
+
+# Each reflection with the abscissa e/N of its 2-torsion point and its pole
+# message.
+REFLECTIONS = [
+    ("reflect_first", 0, "first reflection is undefined at x = 0"),
+    ("reflect_second", 1, "second reflection is undefined at x = N"),
+    ("reflect_third", -1, "third reflection is undefined at x = -N"),
+]
+
+
+class TestSecantMapAgainstGroupLaw:
+    """The secant through P and (e, 0) meets the curve again at -(P + (e, 0)):
+    an oracle from the chord-and-tangent law, independent of the closed form."""
+
+    @pytest.mark.parametrize("reflect, sign, message", REFLECTIONS)
+    def test_reflection_is_minus_the_sum_with_its_torsion_point(
+        self, seeds, reflect, sign, message
+    ):
+        for seed in seeds:
+            torsion = seed.curve.point(sign * seed.curve.N, 0)
+            point = seed
+            for _ in range(8):  # kP for k = 1, ..., 8
+                assert getattr(point, reflect)() == point.add(torsion).neg()
+                point = point.add(seed)
+
+    @pytest.mark.parametrize("reflect, sign, message", REFLECTIONS)
+    def test_pole_keeps_its_message(self, seeds, reflect, sign, message):
+        for seed in seeds:
+            curve = seed.curve
+            for pole in (curve.point(sign * curve.N, 0), curve.infinity()):
+                with pytest.raises(TrivialInput, match=f"^{re.escape(message)}$"):
+                    getattr(pole, reflect)()
 
 
 class TestSameParityPair:

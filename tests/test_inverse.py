@@ -5,6 +5,7 @@ import pytest
 import npcuboid.inverse as inverse
 from npcuboid import (
     Cuboid,
+    InconsistentKernel,
     NotAnNPC,
     build_npc,
     classify_labeling,
@@ -142,6 +143,52 @@ def test_one_kernel_extraction_per_inversion(seeds, monkeypatch, family, recover
         result = recover(cuboid)
         assert len(calls) - before == 1
         assert build_npc(result.pair("I"), family) == cuboid
+
+
+class TestInconsistentKernel:
+    def test_ratio_off_the_curve_of_the_recovered_kernel(self, golden_npc):
+        # Both ratios exceed 1; the kernel of 5/4 is 5, that of 2 is 6.
+        with pytest.raises(
+            InconsistentKernel, match=r"^recovered abscissa 10 is not a curve point of N=5$"
+        ):
+            inverse._recover(
+                golden_npc, Fraction(5, 4), Fraction(2), "invariant", inverse.DEFAULT_RHO_BUDGET
+            )
+
+    def test_ratio_failing_the_curve_inequality(self, golden_npc):
+        # 0 < 1/2 < 1, so rhs(N/2) = N^3 (1/2)(1/4 - 1) < 0 has no root.
+        with pytest.raises(
+            InconsistentKernel, match=r"^recovered abscissa 3 is not a curve point of N=6$"
+        ):
+            inverse._recover(
+                golden_npc, Fraction(1, 2), Fraction(2), "first", inverse.DEFAULT_RHO_BUDGET
+            )
+
+    @pytest.mark.parametrize(
+        "parametrization, recover",
+        [
+            ("invariant", recover_invariant),
+            ("first", recover_first),
+            ("first_reflected", recover_first),
+            ("second", recover_second),
+            ("second_reflected", recover_second),
+        ],
+    )
+    def test_ratios_of_verified_cuboids_exceed_one(
+        self, seeds, monkeypatch, parametrization, recover
+    ):
+        # So they meet the curve inequality, which _recover leaves unchecked.
+        ratios = []
+        original = inverse._recover
+
+        def recording(cuboid, x_ratio, z_ratio, *args):
+            ratios.extend((x_ratio, z_ratio))
+            return original(cuboid, x_ratio, z_ratio, *args)
+
+        monkeypatch.setattr(inverse, "_recover", recording)
+        for pair in generated_pairs(seeds, max_multiple=4):
+            recover(build_npc(pair, parametrization))
+        assert ratios and min(ratios) > 1
 
 
 class TestRecoverFamilies:
