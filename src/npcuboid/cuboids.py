@@ -18,18 +18,23 @@ denominators of the pair as reduced integer fractions, each conic point is
 an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
 and 2|p|q of its parameter p/q, and the six entries are those integers over
 the least common denominator of the two points and the gamma condition,
-divided by their one gcd. The first_reflected and second_reflected
-cuboids are the first and second cuboids of the pair's image under the
-second reflected transformation. The residual evaluator and the birational
-map between the two hyperbola-based families expose the rest of the
-parameter algebra.
+divided by their one gcd. The square root of XZ is the integer root of
+the numerator times the denominator of XZ, over that denominator. The
+first_reflected and second_reflected cuboids are the first and second
+cuboids of the pair's image under the second reflected transformation. The
+residual evaluator and the birational map between the two hyperbola-based
+families expose the rest of the parameter algebra.
+
+The public build returns a Cuboid of Fractions; the sweep takes the six
+coprime integers of the same integer core and writes its record through the
+payload builder that cuboid_to_json uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .curve import SolutionPair, kummer_map
 from .errors import DegeneratePair, TrivialParameter
@@ -184,10 +189,15 @@ def _family_parameters(pair: SolutionPair, family: str) -> tuple[tuple[int, int]
         gap = n * n * xz_den - xz_num  # (N^2 - XZ) xz_den
         if difference == 0 or gap == 0:
             raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
-    root = sqrt_exact(x * z)
-    if root == 0:
+    # sqrt(XZ) = sqrt(xz_num xz_den)/xz_den, a square root iff that integer
+    # product is a square.
+    product = xz_num * xz_den
+    whole = isqrt(product) if product > 0 else 0
+    if whole * whole != product:
+        sqrt_exact(x * z)  # raises NotASquare, naming XZ in lowest terms
+    if whole == 0:
         raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
-    rn, rd = root.numerator, root.denominator
+    rn, rd = _lowest_terms(whole, xz_den)
     common = gcd(rn, n)  # rn is coprime to rd, so only N can share its factors
     over_n = rn // common, rd * (n // common)  # sqrt(XZ)/N
     if family == "first":
@@ -308,14 +318,17 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
         # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
         # so each family's rule stays correct on the image pair.
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
-    return _build_npc(pair, source)
+    a, b, c, d_bc, d_ac, d_s = _npc_entries(pair, FAMILY_OF_PARAMETRIZATION[parametrization])
+    return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
 
 
-def _build_npc(pair: SolutionPair, source: CuboidSource) -> Cuboid:
-    """The cuboid of source's parametrization, built from pair: the source
-    pair itself, or for a reflected parametrization its image under the
-    second reflection. The pair's points must be nontrivial."""
-    family = FAMILY_OF_PARAMETRIZATION[source.parametrization]
+_ENTRY_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
+
+
+def _npc_entries(pair: SolutionPair, family: str) -> tuple[int, ...]:
+    """The family's cuboid of pair as six coprime positive integers
+    (a, b, c, d_bc, d_ac, d_s); see build_npc. The pair's points must be
+    nontrivial: a reflected parametrization passes the reflected pair."""
     alpha, beta, (gn, gd) = _family_parameters(pair, family)
     try:
         ax, ay, a_den = _conic_point(family, *alpha)
@@ -334,33 +347,38 @@ def _build_npc(pair: SolutionPair, source: CuboidSource) -> Cuboid:
         entries = (one, 2 * g, by, ay, bx, ax)
     else:
         entries = (2 * one, g, 2 * by, 2 * ay, 2 * bx, 2 * ax)
-    a, b, c, d_bc, d_ac, d_s = primitive_integer_scaling(entries)
-    return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
+    entries = tuple(primitive_integer_scaling(entries))
+    for name, value in zip(_ENTRY_NAMES, entries):
+        if value <= 0:
+            raise ValueError(f"cuboid entry {name} must be positive")
+    return entries
 
 
 def _entry_to_json(value: Fraction):
     return int(value) if value.denominator == 1 else format_rational(value)
 
 
-def cuboid_to_json(cuboid: Cuboid) -> dict:
+def _cuboid_payload(a, b, c, d_bc, d_ac, d_s, d_ab_sq, pc: bool,
+                    source: CuboidSource | None) -> dict:
+    """The JSON form of a cuboid from its entries as they are written: ints,
+    or "p/q" text."""
     record = {
-        "a": _entry_to_json(cuboid.a),
-        "b": _entry_to_json(cuboid.b),
-        "c": _entry_to_json(cuboid.c),
-        "d_ac": _entry_to_json(cuboid.d_ac),
-        "d_bc": _entry_to_json(cuboid.d_bc),
-        "d_s": _entry_to_json(cuboid.d_s),
-        "d_ab_sq": _entry_to_json(cuboid.d_ab_sq),
-        "pc": pc_condition(cuboid),
+        "a": a, "b": b, "c": c, "d_ac": d_ac, "d_bc": d_bc, "d_s": d_s, "d_ab_sq": d_ab_sq,
+        "pc": pc,
     }
-    if cuboid.source is not None:
+    if source is not None:
         record["source"] = {
-            "N": cuboid.source.N,
-            "X": format_rational(cuboid.source.X),
-            "Z": format_rational(cuboid.source.Z),
-            "parametrization": cuboid.source.parametrization,
+            "N": source.N,
+            "X": format_rational(source.X),
+            "Z": format_rational(source.Z),
+            "parametrization": source.parametrization,
         }
     return record
+
+
+def cuboid_to_json(cuboid: Cuboid) -> dict:
+    entries = cuboid.rational_entries() + (cuboid.d_ab_sq,)
+    return _cuboid_payload(*map(_entry_to_json, entries), pc_condition(cuboid), cuboid.source)
 
 
 def _entry_from_json(value) -> Fraction:

@@ -5,6 +5,12 @@ transformations (secants through the 2-torsion points), generation of
 solution pairs whose x-product is a rational square, and the Kummer-surface
 change of variables. All values are exact rationals; every type is frozen
 and safe to share between threads or worker processes.
+
+Points hold reduced Fractions, but the group law, the secant map, the curve
+equation and the square check compute on their numerators and denominators:
+with x = a/e and y = b/f, each new coordinate is one integer quotient,
+reduced by one gcd, in place of a chain of Fraction operations that would
+reduce every intermediate value.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
     TrivialInput,
     VerticalSecant,
 )
-from .rationals import format_rational, is_square, parse_rational
+from .rationals import format_rational, is_square, is_square_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,10 @@ class CongruentCurve:
         return x ** 3 - self.N ** 2 * x
 
     def contains(self, x: Fraction, y: Fraction) -> bool:
-        return y * y == self.rhs(x)
+        """y^2 = x^3 - N^2 x, tested in integers: with x = a/e and y = b/f,
+        b^2 e^3 = f^2 a (a^2 - N^2 e^2)."""
+        a, e, b, f = x.numerator, x.denominator, y.numerator, y.denominator
+        return b * b * e ** 3 == f * f * a * (a * a - self.N ** 2 * e * e)
 
     def point(self, x, y) -> CurvePoint:
         return CurvePoint(self, Fraction(x), Fraction(y))
@@ -95,15 +104,24 @@ class CurvePoint:
             return other
         if other.is_infinity:
             return self
-        if self.x == other.x:
-            if self.y == -other.y:
+        # x1 = a1/e1, y1 = b1/f1 and x2 = a2/e2, y2 = b2/f2, all reduced.
+        a1, e1, b1, f1 = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
+        a2, e2, b2, f2 = (
+            other.x.numerator, other.x.denominator, other.y.numerator, other.y.denominator
+        )
+        if a1 == a2 and e1 == e2:
+            if b1 == -b2 and f1 == f2:
                 return self.curve.infinity()
-            # Equal points: tangent slope. y != 0 here since y == -y was handled.
-            slope = (3 * self.x * self.x - self.curve.N ** 2) / (2 * self.y)
+            # Equal points: tangent slope (3x^2 - N^2)/(2y). y != 0 here
+            # since y == -y was handled.
+            slope = Fraction((3 * a1 * a1 - self.curve.N ** 2 * e1 * e1) * f1, 2 * b1 * e1 * e1)
         else:
-            slope = (other.y - self.y) / (other.x - self.x)
-        x3 = slope * slope - self.x - other.x
-        y3 = slope * (self.x - x3) - self.y
+            slope = Fraction((b2 * f1 - b1 * f2) * e1 * e2, (a2 * e1 - a1 * e2) * f1 * f2)
+        s, t = slope.numerator, slope.denominator
+        # x3 = s^2/t^2 - x1 - x2 and y3 = (s/t)(x1 - x3) - y1.
+        x3 = Fraction(s * s * e1 * e2 - t * t * (a1 * e2 + a2 * e1), t * t * e1 * e2)
+        a3, e3 = x3.numerator, x3.denominator
+        y3 = Fraction(s * (a1 * e3 - a3 * e1) * f1 - b1 * t * e1 * e3, t * e1 * e3 * f1)
         return CurvePoint(self.curve, x3, y3)
 
     def double(self) -> CurvePoint:
@@ -134,9 +152,12 @@ class CurvePoint:
         if self.is_infinity or self.x == e:
             raise TrivialInput(pole)
         n2 = self.curve.N ** 2
-        denom = self.x - e
-        x = (e * self.x + (2 * e * e - n2)) / denom
-        return CurvePoint(self.curve, x, (3 * e * e - n2) * self.y / denom ** 2)
+        a, d, b, f = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
+        # x - e = (a - e d)/d, so x' = (e a + (2e^2 - N^2) d)/(a - e d) and
+        # y' = (3e^2 - N^2) b d^2 / (f (a - e d)^2).
+        gap = a - e * d
+        x = Fraction(e * a + (2 * e * e - n2) * d, gap)
+        return CurvePoint(self.curve, x, Fraction((3 * e * e - n2) * b * d * d, f * gap * gap))
 
     def reflect_first(self) -> CurvePoint:
         """Secant image through (0, 0): (x, y) -> (-N^2/x, -N^2 y/x^2)."""
@@ -245,7 +266,9 @@ def same_parity_pair(
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if kp.x == mp.x:
         raise DegeneratePair(f"{k}P and {m}P share an abscissa")
-    if not is_square(kp.x * mp.x):
+    # A rational p/q is a square iff the integer p*q is.
+    x, z = kp.x, mp.x
+    if not is_square_int(x.numerator * z.numerator * x.denominator * z.denominator):
         raise SquareCheckFailed(
             f"x-product of {k}P and {m}P is not a square; group law is broken"
         )
@@ -274,7 +297,12 @@ def point_to_json(point: CurvePoint) -> dict:
 
 
 def point_from_json(record: dict) -> CurvePoint:
-    curve = CongruentCurve(int(record["N"]))
+    """Read a point record; N must be a JSON integer, never a float or text
+    that would be truncated or parsed to one."""
+    n = record["N"]
+    if type(n) is not int:
+        raise TypeError(f"N must be an integer, got {n!r}")
+    curve = CongruentCurve(n)
     if record.get("infinity"):
         return curve.infinity()
     return curve.point(parse_rational(str(record["x"])), parse_rational(str(record["y"])))
@@ -297,7 +325,7 @@ def load_seeds(path: str | Path | None = None) -> list[CurvePoint]:
             continue
         try:
             point = point_from_json(json.loads(line))
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidSeed(f"seed line {line_no} is malformed: {exc}") from exc
         if point.is_trivial or not point.on_curve():
             raise InvalidSeed(f"seed line {line_no}: {point} is not a nontrivial curve point")

@@ -27,7 +27,9 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(value))
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return str(value)
 
 
 def is_square_int(n: int) -> bool:

@@ -25,15 +25,20 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from .cuboids import (
+    FAMILY_OF_PARAMETRIZATION,
     PARAMETRIZATIONS,
     CuboidSource,
-    _build_npc,
-    build_npc,
-    cuboid_to_json,
+    _cuboid_payload,
+    _npc_entries,
 )
 from .curve import CurvePoint, SolutionPair, load_seeds, point_from_json, same_parity_pair
 from .errors import DegeneratePair, InvalidSeed
-from .rationals import max_decimal_digits
+from .rationals import is_square_int, max_decimal_digits
+
+# Every emitted record equals cuboid_to_json(build_npc(pair, parametrization));
+# the sweep runs their integer core and payload builder instead. Both stay
+# importable here, where perfbench/tracing.py wraps them.
+from .cuboids import build_npc, cuboid_to_json  # noqa: F401
 
 DEFAULT_HEIGHT_LIMIT = 200
 
@@ -81,18 +86,33 @@ class SearchJob:
             seen.add(seed.curve.N)
 
 
+def _integer_field(record: dict, name: str, default: int | None = None) -> int:
+    """record[name], or default when it is absent and there is one. Only a
+    JSON integer is accepted: a float or a string is refused, not truncated."""
+    value = record[name] if default is None else record.get(name, default)
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
-    """Build a job from its JSON form; seeds default to the packaged file."""
+    """Build a job from its JSON form; seeds default to the packaged file.
+
+    A field of the wrong JSON type raises TypeError."""
     if "seeds" in record:
         seeds = tuple(point_from_json(entry) for entry in record["seeds"])
     else:
         seeds = tuple(load_seeds(seed_path))
+    max_multiple = _integer_field(record, "max_multiple")
+    parametrizations = record.get("parametrizations", list(PARAMETRIZATIONS))
+    if not isinstance(parametrizations, list):
+        raise TypeError(f"parametrizations must be a list, got {parametrizations!r}")
     return SearchJob(
         seeds=seeds,
-        max_multiple=int(record["max_multiple"]),
+        max_multiple=max_multiple,
         parity=record.get("parity", "both"),
-        parametrizations=tuple(record.get("parametrizations", PARAMETRIZATIONS)),
-        height_limit=int(record.get("height_limit", DEFAULT_HEIGHT_LIMIT)),
+        parametrizations=tuple(parametrizations),
+        height_limit=_integer_field(record, "height_limit", DEFAULT_HEIGHT_LIMIT),
     )
 
 
@@ -139,24 +159,25 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             continue
         for record in pending:
             param = record["parametrization"]
+            built = pair
+            if param.endswith("_reflected"):
+                built = SolutionPair.trusted(images[k - 1], images[m - 1])
             try:
-                if param.endswith("_reflected"):
-                    image = SolutionPair.trusted(images[k - 1], images[m - 1])
-                    source = CuboidSource(n, pair.P.x, pair.Q.x, param)
-                    cuboid = _build_npc(image, source)
-                else:
-                    cuboid = build_npc(pair, param)
+                entries = _npc_entries(built, FAMILY_OF_PARAMETRIZATION[param])
             except DegeneratePair as exc:
                 record["skipped"] = str(exc)
                 continue
-            digits = max_decimal_digits(int(v) for v in cuboid.rational_entries())
+            digits = max_decimal_digits(entries)
             record["digits"] = digits
             if digits > job.height_limit:
                 record["truncated"] = True
                 continue
-            payload = cuboid_to_json(cuboid)
-            record["pc"] = payload["pc"]
-            record["cuboid"] = payload
+            a, b = entries[0], entries[1]
+            d_ab_sq = a * a + b * b
+            pc = is_square_int(d_ab_sq)
+            source = CuboidSource(n, pair.P.x, pair.Q.x, param)
+            record["pc"] = pc
+            record["cuboid"] = _cuboid_payload(*entries, d_ab_sq, pc, source)
     return records
 
 

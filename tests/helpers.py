@@ -1,6 +1,9 @@
 """Shared generators for the test suite."""
 
-from npcuboid import same_parity_pair, sqrt_exact
+from fractions import Fraction
+from math import gcd
+
+from npcuboid import CongruentCurve, same_parity_pair, sqrt_exact
 
 
 def generated_pairs(seeds, max_multiple=6):
@@ -16,3 +19,17 @@ def generated_pairs(seeds, max_multiple=6):
 def point_above(curve, x):
     """The curve point (x, y) with the non-negative ordinate."""
     return curve.point(x, sqrt_exact(curve.rhs(x)))
+
+
+def triangle_seeds(count):
+    """Points above c^2/4 on the curves N = ab/2 of the first count primitive
+    Pythagorean triangles (a, b, c), by increasing u in (u^2 - v^2, 2uv)."""
+    seeds, seen, u = [], set(), 2
+    while len(seeds) < count:
+        for v in range(1, u):
+            a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
+            if (u - v) % 2 and gcd(u, v) == 1 and a * b // 2 not in seen and len(seeds) < count:
+                seen.add(a * b // 2)
+                seeds.append(point_above(CongruentCurve(a * b // 2), Fraction(c * c, 4)))
+        u += 1
+    return tuple(seeds)

@@ -332,8 +332,38 @@ class TestSearchCommand:
             ({"seeds": [{"N": 5, "x": "-4"}], "max_multiple": 4}, "lacks field 'y'"),
             ([], "malformed"),
             ({"seeds": ["5"], "max_multiple": 4}, "malformed"),
+            (
+                {"seeds": [{"N": 5.9, "x": "-4", "y": "6"}], "max_multiple": 4},
+                "N must be an integer, got 5.9",
+            ),
+            (
+                {"seeds": [{"N": "5", "x": "-4", "y": "6"}], "max_multiple": 4},
+                "N must be an integer, got '5'",
+            ),
+            (
+                {"seeds": [{"N": 5, "x": "-4", "y": "6"}], "max_multiple": 3.9},
+                "max_multiple must be an integer, got 3.9",
+            ),
+            (
+                {"seeds": [{"N": 5, "x": "-4", "y": "6"}], "max_multiple": True},
+                "max_multiple must be an integer, got True",
+            ),
+            (
+                {"seeds": [{"N": 5, "x": "-4", "y": "6"}], "max_multiple": 4,
+                 "height_limit": 50.5},
+                "height_limit must be an integer, got 50.5",
+            ),
+            (
+                {"seeds": [{"N": 5, "x": "-4", "y": "6"}], "max_multiple": 4,
+                 "parametrizations": "invariant"},
+                "parametrizations must be a list, got 'invariant'",
+            ),
         ],
-        ids=["no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object"],
+        ids=[
+            "no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object",
+            "float-N", "string-N", "float-max-multiple", "boolean-max-multiple",
+            "float-height-limit", "parametrizations-not-a-list",
+        ],
     )
     def test_malformed_job_record_is_usage_error(self, capsys, tmp_path, record, message):
         path = tmp_path / "job.json"

@@ -1,14 +1,19 @@
+import functools
 import json
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from npcuboid import (
     CongruentCurve,
     CurveMismatch,
+    CurvePoint,
     DegeneratePair,
     InvalidSeed,
+    NpcuboidError,
     SolutionPair,
     SquareCheckFailed,
     TrivialInput,
@@ -22,7 +27,7 @@ from npcuboid import (
     secant_y_intercept,
 )
 
-from helpers import generated_pairs, point_above
+from helpers import generated_pairs, point_above, triangle_seeds
 
 
 @pytest.fixture
@@ -374,3 +379,131 @@ class TestSerialization:
         path.write_text('{"N": 5}\n')
         with pytest.raises(InvalidSeed):
             load_seeds(path)
+
+    @pytest.mark.parametrize("n", [5.9, 5.0, "5", True, None])
+    def test_non_integer_curve_parameter_rejected(self, tmp_path, n):
+        # A float was truncated: N = 5.9 loaded the seed onto the curve N = 5.
+        path = tmp_path / "seeds.jsonl"
+        path.write_text(json.dumps({"N": n, "x": "-4", "y": "6"}) + "\n")
+        with pytest.raises(InvalidSeed, match="N must be an integer"):
+            load_seeds(path)
+
+
+# The Fraction group law, secant map and curve equation that the integer
+# forms in curve.py replaced, kept as oracles: each new coordinate was built
+# from Fraction operations, every intermediate value reduced.
+
+
+def reference_add(p, q):
+    if p.curve != q.curve:
+        raise CurveMismatch(f"cannot add points on {p.curve} and {q.curve}")
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x:
+        if p.y == -q.y:
+            return p.curve.infinity()
+        slope = (3 * p.x * p.x - p.curve.N ** 2) / (2 * p.y)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    x3 = slope * slope - p.x - q.x
+    y3 = slope * (p.x - x3) - p.y
+    return CurvePoint(p.curve, x3, y3)
+
+
+def reference_secant_image(p, e, pole):
+    if p.is_infinity or p.x == e:
+        raise TrivialInput(pole)
+    n2 = p.curve.N ** 2
+    denom = p.x - e
+    x = (e * p.x + (2 * e * e - n2)) / denom
+    return CurvePoint(p.curve, x, (3 * e * e - n2) * p.y / denom ** 2)
+
+
+def reference_contains(curve, x, y):
+    return y * y == x ** 3 - curve.N ** 2 * x
+
+
+def outcome(operation, *args):
+    """The resulting point with the types of its coordinates, or the error's
+    type and message."""
+    try:
+        point = operation(*args)
+    except (NpcuboidError, ValueError) as exc:
+        return type(exc), str(exc)
+    return point, type(point.x), type(point.y)
+
+
+ORACLE_SEEDS = tuple(load_seeds()) + triangle_seeds(8)
+
+
+@functools.cache
+def oracle_operands(index):
+    """Infinity, the three 2-torsion points and +-kP for k = 1, ..., 8 of one
+    seed, with the multiples taken by the reference group law."""
+    seed = ORACLE_SEEDS[index]
+    curve = seed.curve
+    multiples = [seed]
+    for _ in range(7):
+        multiples.append(reference_add(multiples[-1], seed))
+    torsion = [curve.point(e, 0) for e in (0, curve.N, -curve.N)]
+    return [curve.infinity(), *torsion, *multiples, *(p.neg() for p in multiples)]
+
+
+seed_indices = st.integers(0, len(ORACLE_SEEDS) - 1)
+operand_indices = st.integers(0, 19)
+
+
+class TestIntegerGroupLawAgainstFractionReference:
+    @given(seed_indices, operand_indices, operand_indices, st.sampled_from(["any", "same", "neg"]))
+    @settings(max_examples=300, deadline=None)
+    def test_add_matches_reference(self, seed, i, j, relation):
+        operands = oracle_operands(seed)
+        p = operands[i]
+        q = {"any": operands[j], "same": p, "neg": p.neg()}[relation]
+        assert outcome(p.add, q) == outcome(reference_add, p, q)
+
+    @pytest.mark.parametrize("seed", range(len(ORACLE_SEEDS)))
+    def test_special_operands(self, seed):
+        operands = oracle_operands(seed)
+        infinity = operands[0]
+        for p in operands:
+            for q in (p, p.neg(), infinity, *operands[1:4]):
+                assert outcome(p.add, q) == outcome(reference_add, p, q)
+                assert outcome(q.add, p) == outcome(reference_add, q, p)
+
+    @given(seed_indices, seed_indices, operand_indices, operand_indices)
+    @settings(max_examples=100, deadline=None)
+    def test_curve_mismatch_matches_reference(self, first, second, i, j):
+        assume(ORACLE_SEEDS[first].curve != ORACLE_SEEDS[second].curve)
+        p, q = oracle_operands(first)[i], oracle_operands(second)[j]
+        expected = outcome(reference_add, p, q)
+        assert expected[0] is CurveMismatch
+        assert outcome(p.add, q) == expected
+
+    @given(seed_indices, operand_indices, st.sampled_from(REFLECTIONS))
+    @settings(max_examples=200, deadline=None)
+    def test_secant_map_matches_reference(self, seed, i, reflection):
+        reflect, sign, message = reflection
+        p = oracle_operands(seed)[i]
+        e = sign * p.curve.N
+        assert outcome(getattr(p, reflect)) == outcome(reference_secant_image, p, e, message)
+
+    @given(
+        seed_indices,
+        st.integers(1, 19),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_contains_matches_reference(self, seed, i, dx, dy):
+        p = oracle_operands(seed)[i]
+        curve = p.curve
+        for x, y in ((p.x, p.y), (p.x + dx, p.y), (p.x, p.y + dy), (dx, dy)):
+            assert curve.contains(x, y) == reference_contains(curve, x, y)
+        assert curve.contains(p.x, p.y)
+
+    def test_contains_takes_integers(self, curve5):
+        for x, y in ((-4, 6), (-4, -6), (0, 0), (5, 0), (1, 1), (45, 300), (45, 301)):
+            assert curve5.contains(x, y) == reference_contains(curve5, Fraction(x), Fraction(y))

@@ -11,19 +11,23 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import partial
-from math import gcd
 from pathlib import Path
 
 import pytest
 
 import npcuboid.search as search
 from npcuboid import (
+    PARAMETRIZATIONS,
     CongruentCurve,
     CurvePoint,
+    DegeneratePair,
     InvalidSeed,
+    build_npc,
     cuboid_from_json,
+    cuboid_to_json,
     load_seeds,
     pc_condition,
+    same_parity_pair,
     verify_npc,
 )
 from npcuboid.search import (
@@ -36,7 +40,7 @@ from npcuboid.search import (
     write_records,
 )
 
-from helpers import point_above
+from helpers import point_above, triangle_seeds
 
 
 def render(job, workers=1, skip_through=None):
@@ -226,6 +230,41 @@ class TestSeedChain:
             assert calls.count(seed.curve.N) == reflections
 
 
+class TestRecordsMatchThePublicBuild:
+    """The sweep builds each record from the integer core of build_npc and
+    the payload builder of cuboid_to_json: every record must equal what the
+    public calls give for its pair."""
+
+    @pytest.mark.parametrize(
+        "seeds, max_multiple",
+        [(tuple(load_seeds()), 9), (triangle_seeds(20), 5)],
+        ids=["packaged-seeds", "triangle-curves"],
+    )
+    def test_every_record_equals_the_public_build(self, seeds, max_multiple):
+        job = SearchJob(seeds=seeds, max_multiple=max_multiple)
+        assert job.parametrizations == PARAMETRIZATIONS
+        seed_of = {seed.curve.N: seed for seed in seeds}
+        emitted = 0
+        for record in run_search(job):
+            try:
+                pair = same_parity_pair(seed_of[record["N"]], record["k"], record["m"])
+                cuboid = build_npc(pair, record["parametrization"])
+            except DegeneratePair as exc:
+                assert record["skipped"] == str(exc)
+                continue
+            assert "skipped" not in record
+            digits = max(len(str(int(v))) for v in cuboid.rational_entries())
+            assert record["digits"] == digits
+            if digits > job.height_limit:
+                assert record["truncated"] is True and "cuboid" not in record
+                continue
+            payload = cuboid_to_json(cuboid)
+            assert record["cuboid"] == payload and list(record["cuboid"]) == list(payload)
+            assert record["pc"] is pc_condition(cuboid)
+            emitted += 1
+        assert emitted > 0
+
+
 class TestRecordContents:
     def test_emitted_cuboids_verify_and_are_not_perfect(self, small_job):
         records = [json.loads(line) for line in render(small_job).splitlines()]
@@ -357,20 +396,6 @@ class TestResume:
         path.write_text(render(small_job) + line + "\n")
         with pytest.raises(ValueError, match="not a sweep record"):
             last_record_key(path)
-
-
-def triangle_seeds(count):
-    """Points above c^2/4 on the curves N = ab/2 of the first count primitive
-    Pythagorean triangles (a, b, c), by increasing u in (u^2 - v^2, 2uv)."""
-    seeds, seen, u = [], set(), 2
-    while len(seeds) < count:
-        for v in range(1, u):
-            a, b, c = u * u - v * v, 2 * u * v, u * u + v * v
-            if (u - v) % 2 and gcd(u, v) == 1 and a * b // 2 not in seen and len(seeds) < count:
-                seen.add(a * b // 2)
-                seeds.append(point_above(CongruentCurve(a * b // 2), Fraction(c * c, 4)))
-        u += 1
-    return tuple(seeds)
 
 
 class TestStreamPins:
