@@ -264,11 +264,12 @@ def _cmd_search(args) -> tuple[dict | None, int]:
         if not args.out:
             raise _Usage("--resume requires --out")
         if Path(args.out).is_file():
-            drop_torn_tail(args.out)
+            # The key ignores a torn fragment, so a refused file is left as it was.
             try:
                 skip_through = last_record_key(args.out)
             except ValueError as exc:
                 raise _Usage(f"cannot resume: {exc}") from exc
+            drop_torn_tail(args.out)
     records = run_search(job, workers=args.workers, skip_through=skip_through)
     if args.out:
         mode = "a" if args.resume else "w"

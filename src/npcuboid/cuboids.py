@@ -18,8 +18,8 @@ denominators of the pair as reduced integer fractions, each conic point is
 an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
 and 2|p|q of its parameter p/q, and the six entries are those integers over
 the least common denominator of the two points and the gamma condition,
-divided by their one gcd. The square root of XZ is the integer root of
-the numerator times the denominator of XZ, over that denominator. The
+divided by their one gcd. The square root of XZ is the pair's own integer
+root (see SolutionPair), over the denominator of XZ. The
 first_reflected and second_reflected cuboids are the first and second
 cuboids of the pair's image under the second reflected transformation. The
 residual evaluator and the birational map between the two hyperbola-based
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .curve import SolutionPair, kummer_map
 from .errors import DegeneratePair, TrivialParameter
 from .rationals import (
+    _integer_field,
     format_rational,
     is_square,
     parse_rational,
@@ -189,11 +190,9 @@ def _family_parameters(pair: SolutionPair, family: str) -> tuple[tuple[int, int]
         gap = n * n * xz_den - xz_num  # (N^2 - XZ) xz_den
         if difference == 0 or gap == 0:
             raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
-    # sqrt(XZ) = sqrt(xz_num xz_den)/xz_den, a square root iff that integer
-    # product is a square.
-    product = xz_num * xz_den
-    whole = isqrt(product) if product > 0 else 0
-    if whole * whole != product:
+    # sqrt(XZ) = whole/xz_den, with the root the pair takes once.
+    whole = pair._xz_root
+    if whole is None:
         sqrt_exact(x * z)  # raises NotASquare, naming XZ in lowest terms
     if whole == 0:
         raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
@@ -381,30 +380,40 @@ def cuboid_to_json(cuboid: Cuboid) -> dict:
     return _cuboid_payload(*map(_entry_to_json, entries), pc_condition(cuboid), cuboid.source)
 
 
-def _entry_from_json(value) -> Fraction:
+def _entry_from_json(record: dict, name: str) -> Fraction:
+    """record[name] as an integer or as "p/q" text; a boolean is refused, not
+    read as 0 or 1."""
+    value = record[name]
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer or a rational, got {value!r}")
     return Fraction(value) if isinstance(value, int) else parse_rational(str(value))
 
 
 def cuboid_from_json(record: dict) -> Cuboid:
-    """Read a cuboid record; d_ab_sq defaults to a^2 + b^2 when absent."""
-    a = _entry_from_json(record["a"])
-    b = _entry_from_json(record["b"])
+    """Read a cuboid record; d_ab_sq defaults to a^2 + b^2 when absent.
+
+    A field of the wrong JSON type raises TypeError."""
+    a = _entry_from_json(record, "a")
+    b = _entry_from_json(record, "b")
     source = None
     if record.get("source"):
         src = record["source"]
+        parametrization = src["parametrization"]
+        if type(parametrization) is not str:
+            raise TypeError(f"parametrization must be a string, got {parametrization!r}")
         source = CuboidSource(
-            N=int(src["N"]),
+            N=_integer_field(src, "N"),
             X=parse_rational(str(src["X"])),
             Z=parse_rational(str(src["Z"])),
-            parametrization=str(src["parametrization"]),
+            parametrization=parametrization,
         )
     return Cuboid(
         a=a,
         b=b,
-        c=_entry_from_json(record["c"]),
-        d_bc=_entry_from_json(record["d_bc"]),
-        d_ac=_entry_from_json(record["d_ac"]),
-        d_s=_entry_from_json(record["d_s"]),
-        d_ab_sq=_entry_from_json(record["d_ab_sq"]) if "d_ab_sq" in record else a * a + b * b,
+        c=_entry_from_json(record, "c"),
+        d_bc=_entry_from_json(record, "d_bc"),
+        d_ac=_entry_from_json(record, "d_ac"),
+        d_s=_entry_from_json(record, "d_s"),
+        d_ab_sq=_entry_from_json(record, "d_ab_sq") if "d_ab_sq" in record else a * a + b * b,
         source=source,
     )

@@ -18,7 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
+from math import isqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +32,7 @@ from .errors import (
     TrivialInput,
     VerticalSecant,
 )
-from .rationals import format_rational, is_square, is_square_int, parse_rational
+from .rationals import _integer_field, format_rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,8 @@ class SolutionPair:
     """Two nontrivial points (X, Y), (Z, W) on one curve with X*Z a square.
 
     This square-product condition is exactly what the cuboid parametrizations
-    need in order to keep all their square roots rational.
+    need in order to keep all their square roots rational. One integer root,
+    _xz_root, decides it and gives sqrt(XZ) to the builds.
     """
 
     P: CurvePoint
@@ -224,7 +227,7 @@ class SolutionPair:
             raise DegeneratePair("solution pair requires distinct abscissae")
         if not p.on_curve() or not q.on_curve():
             raise DegeneratePair("solution pair points must satisfy the curve equation")
-        if not is_square(p.x * q.x):
+        if self._xz_root is None:
             raise DegeneratePair(f"x-product {p.x * q.x} is not a rational square")
 
     @classmethod
@@ -241,6 +244,17 @@ class SolutionPair:
 
     def swapped(self) -> SolutionPair:
         return SolutionPair.trusted(self.Q, self.P)
+
+    @cached_property
+    def _xz_root(self) -> int | None:
+        """isqrt(xn zn xd zd) for X = xn/xd and Z = zn/zd, so that sqrt(XZ) =
+        root/(xd zd); None when XZ is no square, as p/q is a square iff p*q is.
+        Taken on first use, at most once; no field, so equality, hash and repr
+        ignore it."""
+        x, z = self.P.x, self.Q.x
+        product = x.numerator * z.numerator * x.denominator * z.denominator
+        root = isqrt(max(product, 0))
+        return root if root * root == product else None
 
 
 def same_parity_pair(
@@ -266,13 +280,12 @@ def same_parity_pair(
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if kp.x == mp.x:
         raise DegeneratePair(f"{k}P and {m}P share an abscissa")
-    # A rational p/q is a square iff the integer p*q is.
-    x, z = kp.x, mp.x
-    if not is_square_int(x.numerator * z.numerator * x.denominator * z.denominator):
+    pair = SolutionPair.trusted(kp, mp)
+    if pair._xz_root is None:
         raise SquareCheckFailed(
             f"x-product of {k}P and {m}P is not a square; group law is broken"
         )
-    return SolutionPair.trusted(kp, mp)
+    return pair
 
 
 def kummer_map(pair: SolutionPair) -> tuple[Fraction, Fraction, Fraction]:
@@ -299,10 +312,7 @@ def point_to_json(point: CurvePoint) -> dict:
 def point_from_json(record: dict) -> CurvePoint:
     """Read a point record; N must be a JSON integer, never a float or text
     that would be truncated or parsed to one."""
-    n = record["N"]
-    if type(n) is not int:
-        raise TypeError(f"N must be an integer, got {n!r}")
-    curve = CongruentCurve(n)
+    curve = CongruentCurve(_integer_field(record, "N"))
     if record.get("infinity"):
         return curve.infinity()
     return curve.point(parse_rational(str(record["x"])), parse_rational(str(record["y"])))

@@ -32,6 +32,16 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _integer_field(record: dict, name: str, default: int | None = None) -> int:
+    """record[name], or default when it is absent and there is one. Only a
+    JSON integer is accepted: a float, a boolean or a string is refused, not
+    truncated or parsed."""
+    value = record[name] if default is None else record.get(name, default)
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def is_square_int(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 

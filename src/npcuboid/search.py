@@ -33,7 +33,7 @@ from .cuboids import (
 )
 from .curve import CurvePoint, SolutionPair, load_seeds, point_from_json, same_parity_pair
 from .errors import DegeneratePair, InvalidSeed
-from .rationals import is_square_int, max_decimal_digits
+from .rationals import _integer_field, is_square_int, max_decimal_digits
 
 # Every emitted record equals cuboid_to_json(build_npc(pair, parametrization));
 # the sweep runs their integer core and payload builder instead. Both stay
@@ -84,15 +84,6 @@ class SearchJob:
             if seed.curve.N in seen:
                 raise InvalidSeed(f"duplicate seed curve N={seed.curve.N}")
             seen.add(seed.curve.N)
-
-
-def _integer_field(record: dict, name: str, default: int | None = None) -> int:
-    """record[name], or default when it is absent and there is one. Only a
-    JSON integer is accepted: a float or a string is refused, not truncated."""
-    value = record[name] if default is None else record.get(name, default)
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
@@ -157,11 +148,11 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             for record in pending:
                 record["skipped"] = str(exc)
             continue
+        # One image pair serves both reflected parametrizations and its root.
+        reflected = None if images is None else SolutionPair.trusted(images[k - 1], images[m - 1])
         for record in pending:
             param = record["parametrization"]
-            built = pair
-            if param.endswith("_reflected"):
-                built = SolutionPair.trusted(images[k - 1], images[m - 1])
+            built = reflected if param.endswith("_reflected") else pair
             try:
                 entries = _npc_entries(built, FAMILY_OF_PARAMETRIZATION[param])
             except DegeneratePair as exc:

@@ -84,6 +84,13 @@ class TestPointCommands:
         assert payload == {"d": "0"}
 
 
+# The golden cuboid as npc generate writes it, with its source.
+GOLDEN_SOURCE = {"N": 34, "X": "833/16", "Z": "153/4", "parametrization": "invariant"}
+GOLDEN_RECORD = {
+    "a": 672, "b": 153, "c": 104, "d_ac": 680, "d_bc": 185, "d_s": 697, "source": GOLDEN_SOURCE,
+}
+
+
 class TestNpcCommands:
     def test_generate_invariant_golden(self, capsys):
         payload = run_json(
@@ -136,8 +143,22 @@ class TestNpcCommands:
 
     @pytest.mark.parametrize(
         "record, message",
-        [({"a": 672, "b": 153}, "lacks field 'c'"), ([], "malformed")],
-        ids=["missing-field", "not-an-object"],
+        [
+            ({"a": 672, "b": 153}, "lacks field 'c'"),
+            ([], "malformed"),
+            # Each was read silently: true as 1, N = 5.9 as 5 and 7 as "7".
+            ({**GOLDEN_RECORD, "a": True}, "a must be an integer or a rational, got True"),
+            (
+                {**GOLDEN_RECORD, "source": {**GOLDEN_SOURCE, "N": 5.9}},
+                "N must be an integer, got 5.9",
+            ),
+            (
+                {**GOLDEN_RECORD, "source": {**GOLDEN_SOURCE, "parametrization": 7}},
+                "parametrization must be a string, got 7",
+            ),
+        ],
+        ids=["missing-field", "not-an-object", "boolean-entry", "float-source-N",
+             "numeric-parametrization"],
     )
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, record, message):
         path = tmp_path / "cuboid.json"
@@ -297,19 +318,21 @@ class TestSearchCommand:
             assert partial.read_bytes() == data
 
     @pytest.mark.parametrize(
-        "last_line",
-        ["[1]", '{"N":5,"k":1,"m":3,"parametrization":"fourth"}'],
+        "tail",
+        ["[1]\n", '{"N":5,"k":1,"m":3,"parametrization":"fourth"}\n', '[1]\n{"N":5,"k":1'],
+        ids=lambda tail: tail.rstrip("\n"),
     )
     def test_resume_after_a_line_that_is_not_a_record_is_usage_error(
-        self, capsys, tmp_path, last_line
+        self, capsys, tmp_path, tail
     ):
         # A list crashed the resume; an unknown parametrization was skipped,
-        # so the sweep restarted and appended after the foreign line.
+        # so the sweep restarted and appended after the foreign line. A torn
+        # fragment after the foreign line was cut before the file was refused.
         job = self.write_job(tmp_path)
         full = tmp_path / "full.jsonl"
         assert run(capsys, "search", str(job), "--out", str(full))[0] == 0
         partial = tmp_path / "partial.jsonl"
-        partial.write_text(full.read_text().splitlines(keepends=True)[0] + last_line + "\n")
+        partial.write_text(full.read_text().splitlines(keepends=True)[0] + tail)
         before = partial.read_bytes()
         code, _, err = run(capsys, "search", str(job), "--out", str(partial), "--resume")
         assert code == 2 and "not a sweep record" in err

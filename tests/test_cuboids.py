@@ -521,10 +521,12 @@ class TestBuildNpc:
     @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
     def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):
         # (5, 0) is 2-torsion; the x-product 225 is a square, so only a
-        # trusted pair can hold it. No reflection may fail on it first.
-        pair = SolutionPair.trusted(curve5.point(5, 0), curve5.point(45, 300))
-        with pytest.raises(DegeneratePair):
-            build_npc(pair, parametrization)
+        # trusted pair can hold it. No reflection may fail on it first, and
+        # infinity, with no abscissa, is refused before the pair's root is read.
+        for trivial in (curve5.point(5, 0), curve5.infinity()):
+            pair = SolutionPair.trusted(trivial, curve5.point(45, 300))
+            with pytest.raises(DegeneratePair, match="trivial point"):
+                build_npc(pair, parametrization)
 
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):

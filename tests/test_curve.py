@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -25,6 +26,7 @@ from npcuboid import (
     point_to_json,
     same_parity_pair,
     secant_y_intercept,
+    sqrt_exact,
 )
 
 from helpers import generated_pairs, point_above, triangle_seeds
@@ -330,6 +332,38 @@ class TestSolutionPair:
     def test_swapped(self, golden_pair):
         swapped = golden_pair.swapped()
         assert swapped.P == golden_pair.Q and swapped.Q == golden_pair.P
+
+
+class TestPairRoot:
+    """The pair's one integer root of xn zn xd zd, with sqrt(XZ) = root/(xd zd)."""
+
+    def test_root_over_generated_pairs(self, seeds):
+        pairs = generated_pairs(seeds, max_multiple=6)
+        assert len(pairs) >= 20
+        for pair in pairs:
+            x, z = pair.P.x, pair.Q.x
+            assert pair._xz_root == sqrt_exact(x * z) * x.denominator * z.denominator
+
+    @pytest.mark.parametrize(
+        "x, z, root",
+        [(2, 3, None), (Fraction(25, 4), Fraction(-1681, 144), None), (-4, 5, None),
+         (0, Fraction(25, 4), 0), (-4, -1, 2), (Fraction(-9, 4), -1, 6)],
+    )
+    def test_root_of_chosen_abscissae(self, curve5, x, z, root):
+        # A trusted pair is not validated, so any abscissae will do.
+        pair = SolutionPair.trusted(curve5.point(x, 1), curve5.point(z, 1))
+        assert pair._xz_root == root
+
+    def test_root_is_no_field(self, golden_pair):
+        fresh = SolutionPair.trusted(golden_pair.P, golden_pair.Q)
+        assert "_xz_root" not in vars(fresh)
+        assert [f.name for f in dataclasses.fields(SolutionPair)] == ["P", "Q"]
+        assert fresh == golden_pair and hash(fresh) == hash(golden_pair)
+        assert repr(fresh) == repr(golden_pair)
+        before = (repr(fresh), hash(fresh))
+        # sqrt(XZ) = (5 * 41)/(2 * 12), over xd zd = 4 * 144.
+        assert fresh._xz_root == 5 * 41 * 2 * 12
+        assert (repr(fresh), hash(fresh)) == before and fresh == golden_pair
 
 
 class TestKummerMap:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import npcuboid.curve as curve_module
 import npcuboid.search as search
 from npcuboid import (
     PARAMETRIZATIONS,
@@ -27,7 +29,11 @@ from npcuboid import (
     cuboid_to_json,
     load_seeds,
     pc_condition,
+    recover_first,
+    recover_invariant,
+    recover_second,
     same_parity_pair,
+    squarefree_kernel,
     verify_npc,
 )
 from npcuboid.search import (
@@ -398,13 +404,21 @@ class TestResume:
             last_record_key(path)
 
 
+def packaged_pin_job():
+    return SearchJob(seeds=tuple(load_seeds()), max_multiple=9)
+
+
+def triangle_pin_job():
+    return SearchJob(seeds=triangle_seeds(20), max_multiple=5)
+
+
 class TestStreamPins:
     """SHA-256 of whole record streams, pinned when cuboids were still built
     with Fraction arithmetic: any change to the construction, the record
     schema or the enumeration order shows here."""
 
     def test_packaged_seeds_every_parametrization(self):
-        job = SearchJob(seeds=tuple(load_seeds()), max_multiple=9)
+        job = packaged_pin_job()
         text = render(job)
         assert len(text.splitlines()) == 4 * 36 * 5
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -412,7 +426,7 @@ class TestStreamPins:
         )
 
     def test_triangle_curves_with_skip_and_truncated_records(self):
-        job = SearchJob(seeds=triangle_seeds(20), max_multiple=5)
+        job = triangle_pin_job()
         text = render(job)
         records = [json.loads(line) for line in text.splitlines()]
         assert len(records) == 20 * 10 * 5
@@ -421,6 +435,67 @@ class TestStreamPins:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "208562cc3e8c3d52e30bc02b58c55a01e30d5ef445e0e3596f38d049ab9ebae0"
         )
+
+
+RECOVER = {"invariant": recover_invariant, "first": recover_first, "second": recover_second}
+
+
+class TestInversionCertifiesTheSweep:
+    """Every emitted cuboid inverts, by a different code path, to the curve
+    and the pair it came from: N' = squarefree_kernel(N), pair I rebuilds
+    a, b and c, and the source pair scaled by N'/N is among the recovered
+    pairs. A reflected cuboid is built from the second-reflected image of
+    the source pair, so that image is the one recovered."""
+
+    @pytest.mark.parametrize("make_job", [packaged_pin_job, triangle_pin_job])
+    def test_every_emitted_record_inverts_to_its_source(self, make_job):
+        emitted = [r for r in run_search(make_job()) if "cuboid" in r]
+        assert emitted
+        for record in emitted:
+            cuboid = cuboid_from_json(record["cuboid"])
+            param = cuboid.source.parametrization
+            family = param.removesuffix("_reflected")
+            result = RECOVER[family](cuboid)
+            n = cuboid.source.N
+            assert result.N == squarefree_kernel(n)
+            rebuilt = build_npc(result.pair("I"), family)
+            assert (rebuilt.a, rebuilt.b, rebuilt.c) == (cuboid.a, cuboid.b, cuboid.c)
+            curve = CongruentCurve(n)
+            source = [point_above(curve, x) for x in (cuboid.source.X, cuboid.source.Z)]
+            if param != family:
+                source = [point.reflect_second() for point in source]
+            # In either order: a recovered pair may hold (Z, X).
+            scale = Fraction(result.N, n)
+            recovered = {frozenset((e.pair.P.x, e.pair.Q.x)) for e in result.pairs}
+            assert frozenset(p.x * scale for p in source) in recovered, record
+
+
+class TestOneRootPerPair:
+    """A sweep takes the x-product root once per pair of multiples, and once
+    for the pair's second-reflected image when a reflected parametrization
+    is asked for: the pair check takes it and every build reads it."""
+
+    @pytest.mark.parametrize(
+        "parametrizations, pairs_per_multiples",
+        [(("invariant", "first", "second"), 1), (PARAMETRIZATIONS, 2)],
+        ids=["unreflected", "with-reflected-images"],
+    )
+    def test_one_root_per_k_m(self, monkeypatch, parametrizations, pairs_per_multiples):
+        roots = []
+
+        def counting_isqrt(n):
+            roots.append(n)
+            return math.isqrt(n)
+
+        monkeypatch.setattr(curve_module, "isqrt", counting_isqrt)
+        job = SearchJob(
+            seeds=tuple(load_seeds()), max_multiple=7, parametrizations=parametrizations
+        )
+        records = list(run_search(job))
+        assert sum("cuboid" in r for r in records) > 0
+        paired = {(r["N"], r["k"], r["m"]) for r in records if (r["k"] - r["m"]) % 2 == 0}
+        assert len(paired) == 4 * 9
+        assert len(roots) == pairs_per_multiples * len(paired)
 
 
 class TestJobConstruction:
