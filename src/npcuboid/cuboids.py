@@ -13,13 +13,15 @@ of one conic, at the circle or hyperbola parameters alpha and beta of the
 pair, together with the family's gamma condition: the first family uses the
 unit circle, the second and third (invariant) families the hyperbola
 x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
-the parameters and the gamma condition are read off the numerators and
-denominators of the pair as reduced integer fractions, each conic point is
+the parameters and the gamma condition are read off the integer elements
+(a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c for a c
+the two share; see curve) as reduced integer fractions, each conic point is
 an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
 and 2|p|q of its parameter p/q, and the six entries are those integers over
 the least common denominator of the two points and the gamma condition,
-divided by their one gcd. The square root of XZ is the pair's own integer
-root (see SolutionPair), over the denominator of XZ. The
+divided by their one gcd. The sweep passes the elements of its chain, whose
+class roots r it took once per point; a standalone pair's elements take
+their root from the pair's own root of XZ (see SolutionPair). The
 first_reflected and second_reflected cuboids are the first and second
 cuboids of the pair's image under the second reflected transformation. The
 residual evaluator and the birational map between the two hyperbola-based
@@ -36,13 +38,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import SolutionPair, kummer_map
+from .curve import SolutionPair, _integer_coordinates, kummer_map
 from .errors import DegeneratePair, TrivialParameter
 from .rationals import (
     _integer_field,
+    _rational_field,
     format_rational,
     is_square,
-    parse_rational,
     primitive_integer_scaling,
     sqrt_exact,
 )
@@ -166,48 +168,58 @@ def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _family_parameters(pair: SolutionPair, family: str) -> tuple[tuple[int, int], ...]:
-    """The family's alpha, beta and gamma condition as integer fractions in
-    lowest terms, read off the numerators and denominators of X, Z, YW and N.
+def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
+    """The elements (a, d, b, r, c) of a standalone pair's points (see
+    curve._chain_elements), with c the a of Q: r is |c| for Q and
+    sqrt(a c) for P, read off the pair's root of XZ, or None when XZ is no
+    square."""
+    (a1, d1, b1), (a2, d2, b2) = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
+    root = pair._xz_root
+    if root is not None:
+        # a1 a2 = XZ (d1 d2)^2 and sqrt(XZ) = root/(xd zd).
+        root = root * d1 * d2 // (pair.P.x.denominator * pair.Q.x.denominator)
+    return (a1, d1, b1, root, a2), (a2, d2, b2, abs(a2), a2)
 
-    alpha and beta are positive; the gamma condition keeps its sign. Each is
-    reduced by one gcd. See variables_from_pair for the algebra and the
-    degenerate cases.
+
+def _family_parameters(
+    n: int, first: tuple, second: tuple, family: str
+) -> tuple[tuple[int, int], ...]:
+    """The family's alpha, beta and gamma condition as integer fractions in
+    lowest terms, read off the elements (a, d, b, r, c) of the two points,
+    which share c.
+
+    With X = a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is
+    r1 r2/(|c| d1 d2) and sqrt(X/Z) is r1 d2/(r2 d1), and the gamma
+    condition's (d1 d2)^3 cancels before any gcd. alpha and beta are
+    positive; the gamma condition keeps its sign. Each is reduced by one
+    gcd. See variables_from_pair for the algebra and the degenerate cases.
     """
-    n = pair.curve.N
-    x, z = pair.P.x, pair.Q.x
-    xn, xd, zn, zd = x.numerator, x.denominator, z.numerator, z.denominator
-    # XZ = xz_num / xz_den and YW = yw_num / yw_den, both unreduced.
-    xz_num, xz_den = xn * zn, xd * zd
-    yw_num = pair.P.y.numerator * pair.Q.y.numerator
-    yw_den = pair.P.y.denominator * pair.Q.y.denominator
+    a1, d1, b1, r1, c = first
+    a2, d2, b2, r2, _ = second
+    dd = d1 * d2
     if family == "first":
-        total = xn * zd + zn * xd  # (X + Z) xz_den
+        total = a1 * d2 * d2 + a2 * d1 * d1  # (X + Z)(d1 d2)^2
         if total == 0:
             raise DegeneratePair("X = -Z vanishes the first-family denominator")
     elif family == "second":
-        difference = xn * zd - zn * xd  # (X - Z) xz_den
-        gap = n * n * xz_den - xz_num  # (N^2 - XZ) xz_den
+        difference = a1 * d2 * d2 - a2 * d1 * d1  # (X - Z)(d1 d2)^2
+        gap = n * n * dd * dd - a1 * a2  # (N^2 - XZ)(d1 d2)^2
         if difference == 0 or gap == 0:
             raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
-    # sqrt(XZ) = whole/xz_den, with the root the pair takes once.
-    whole = pair._xz_root
-    if whole is None:
-        sqrt_exact(x * z)  # raises NotASquare, naming XZ in lowest terms
+    if r1 is None:
+        sqrt_exact(Fraction(a1 * a2, dd * dd))  # raises NotASquare, naming XZ in lowest terms
+    whole = r1 * r2  # sqrt(a1 a2) |c|
     if whole == 0:
         raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
-    rn, rd = _lowest_terms(whole, xz_den)
-    common = gcd(rn, n)  # rn is coprime to rd, so only N can share its factors
-    over_n = rn // common, rd * (n // common)  # sqrt(XZ)/N
+    over_n = _lowest_terms(whole // abs(c), dd * n)  # sqrt(XZ)/N
+    yw = b1 * b2
     if family == "first":
-        over_z = _lowest_terms(rn * zd, rd * abs(zn))  # sqrt(XZ)/|Z|
-        gamma = yw_num * xz_den * xz_den, yw_den * (xz_num + n * n * xz_den) * total
-        return over_n, over_z, _lowest_terms(*gamma)
-    over_x = _lowest_terms(rn * xd, rd * abs(xn))  # sqrt(XZ)/|X|
+        over_z = _lowest_terms(r1 * d2, r2 * d1)  # sqrt(X/Z)
+        return over_n, over_z, _lowest_terms(yw * dd, (a1 * a2 + n * n * dd * dd) * total)
+    over_x = _lowest_terms(r2 * d1, r1 * d2)  # sqrt(Z/X)
     if family == "second":
-        gamma = yw_num * xz_den * xz_den, yw_den * difference * gap
-        return over_x, over_n, _lowest_terms(*gamma)
-    return over_n, over_x, _lowest_terms(yw_num * xz_den, yw_den * xz_num * n)
+        return over_x, over_n, _lowest_terms(yw * dd, difference * gap)
+    return over_n, over_x, _lowest_terms(yw, dd * a1 * a2 * n)
 
 
 def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
@@ -223,7 +235,7 @@ def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVaria
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    alpha, beta, gamma = _family_parameters(pair, family)
+    alpha, beta, gamma = _family_parameters(pair.curve.N, *_pair_elements(pair), family)
     return ParametrizationVariables(
         alpha=Fraction(*alpha),
         beta=Fraction(*beta),
@@ -317,18 +329,20 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
         # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
         # so each family's rule stays correct on the image pair.
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
-    a, b, c, d_bc, d_ac, d_s = _npc_entries(pair, FAMILY_OF_PARAMETRIZATION[parametrization])
+    family = FAMILY_OF_PARAMETRIZATION[parametrization]
+    a, b, c, d_bc, d_ac, d_s = _npc_entries(pair.curve.N, *_pair_elements(pair), family)
     return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
 
 
 _ENTRY_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
 
 
-def _npc_entries(pair: SolutionPair, family: str) -> tuple[int, ...]:
-    """The family's cuboid of pair as six coprime positive integers
-    (a, b, c, d_bc, d_ac, d_s); see build_npc. The pair's points must be
-    nontrivial: a reflected parametrization passes the reflected pair."""
-    alpha, beta, (gn, gd) = _family_parameters(pair, family)
+def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int, ...]:
+    """The family's cuboid of the pair with elements first and second as six
+    coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
+    points must be nontrivial: a reflected parametrization passes the
+    elements of the reflected pair."""
+    alpha, beta, (gn, gd) = _family_parameters(n, first, second, family)
     try:
         ax, ay, a_den = _conic_point(family, *alpha)
         bx, by, b_den = _conic_point(family, *beta)
@@ -380,21 +394,12 @@ def cuboid_to_json(cuboid: Cuboid) -> dict:
     return _cuboid_payload(*map(_entry_to_json, entries), pc_condition(cuboid), cuboid.source)
 
 
-def _entry_from_json(record: dict, name: str) -> Fraction:
-    """record[name] as an integer or as "p/q" text; a boolean is refused, not
-    read as 0 or 1."""
-    value = record[name]
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer or a rational, got {value!r}")
-    return Fraction(value) if isinstance(value, int) else parse_rational(str(value))
-
-
 def cuboid_from_json(record: dict) -> Cuboid:
     """Read a cuboid record; d_ab_sq defaults to a^2 + b^2 when absent.
 
     A field of the wrong JSON type raises TypeError."""
-    a = _entry_from_json(record, "a")
-    b = _entry_from_json(record, "b")
+    a = _rational_field(record, "a")
+    b = _rational_field(record, "b")
     source = None
     if record.get("source"):
         src = record["source"]
@@ -403,17 +408,17 @@ def cuboid_from_json(record: dict) -> Cuboid:
             raise TypeError(f"parametrization must be a string, got {parametrization!r}")
         source = CuboidSource(
             N=_integer_field(src, "N"),
-            X=parse_rational(str(src["X"])),
-            Z=parse_rational(str(src["Z"])),
+            X=_rational_field(src, "X"),
+            Z=_rational_field(src, "Z"),
             parametrization=parametrization,
         )
     return Cuboid(
         a=a,
         b=b,
-        c=_entry_from_json(record, "c"),
-        d_bc=_entry_from_json(record, "d_bc"),
-        d_ac=_entry_from_json(record, "d_ac"),
-        d_s=_entry_from_json(record, "d_s"),
-        d_ab_sq=_entry_from_json(record, "d_ab_sq") if "d_ab_sq" in record else a * a + b * b,
+        c=_rational_field(record, "c"),
+        d_bc=_rational_field(record, "d_bc"),
+        d_ac=_rational_field(record, "d_ac"),
+        d_s=_rational_field(record, "d_s"),
+        d_ab_sq=_rational_field(record, "d_ab_sq") if "d_ab_sq" in record else a * a + b * b,
         source=source,
     )

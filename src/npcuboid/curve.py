@@ -11,6 +11,16 @@ equation and the square check compute on their numerators and denominators:
 with x = a/e and y = b/f, each new coordinate is one integer quotient,
 reduced by one gcd, in place of a chain of Fraction operations that would
 reduce every intermediate value.
+
+The cuboid build reads each point as an integer element (a, d, b, r, c):
+x = a/d^2 and y = b/d^3, which a curve point satisfies with its own
+numerators (Silverman and Tate, Rational Points on Elliptic Curves, ch. III),
+and r^2 = a c for the x numerator c of a point in the same square class of x.
+Equal-parity multiples of one point share that class, the image of the
+2-descent map (Silverman, The Arithmetic of Elliptic Curves, X.1), so a
+chain's elements take c from its first point of their parity and one isqrt
+each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
+of their own.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ from .errors import (
     TrivialInput,
     VerticalSecant,
 )
-from .rationals import _integer_field, format_rational, parse_rational
+from .rationals import _integer_field, _rational_field, format_rational
 
 
 @dataclass(frozen=True)
@@ -211,7 +221,8 @@ class SolutionPair:
 
     This square-product condition is exactly what the cuboid parametrizations
     need in order to keep all their square roots rational. One integer root,
-    _xz_root, decides it and gives sqrt(XZ) to the builds.
+    _xz_root, decides it and gives sqrt(XZ) to the build of a standalone
+    pair; the sweep's chain elements carry class roots in its place.
     """
 
     P: CurvePoint
@@ -257,6 +268,61 @@ class SolutionPair:
         return root if root * root == product else None
 
 
+def _integer_coordinates(point: CurvePoint) -> tuple[int, int, int]:
+    """Integers (a, d, b) with x = a/d^2, y = b/d^3 and d > 0. A curve point
+    has x = a/d^2 and y = b/d^3 in lowest terms, so d = yd/xd; any other
+    point is scaled by d = xd yd."""
+    x, y = point.x, point.y
+    xd, yd = x.denominator, y.denominator
+    d = yd // xd
+    if d * d != xd or d * xd != yd:
+        d = xd * yd
+    return x.numerator * (d * d // xd), d, y.numerator * (d * d * d // yd)
+
+
+def _chain_elements(points: Sequence[CurvePoint]) -> list[tuple[int, int, int, int, int]]:
+    """The element (a, d, b, r, c) of each point of a chain P, 2P, 3P, ...,
+    or of its image under one reflection: c is the a of the chain's first
+    point of the same parity and r = isqrt(a c), at most one root per
+    element (the first two have r = |a|). Equal parity means one square
+    class of x, so a failed r^2 = a c check raises SquareCheckFailed (an
+    internal bug)."""
+    elements = []
+    for j, point in enumerate(points):
+        a, d, b = _integer_coordinates(point)
+        if j < 2:
+            elements.append((a, d, b, abs(a), a))
+            continue
+        c = elements[j - 2][4]
+        r = isqrt(max(a * c, 0))
+        if r * r != a * c:
+            raise SquareCheckFailed(
+                f"x of chain point {j + 1} is not in the square class of point {j % 2 + 1};"
+                " group law is broken"
+            )
+        elements.append((a, d, b, r, c))
+    return elements
+
+
+def _same_parity_multiples(
+    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
+) -> tuple[CurvePoint, CurvePoint]:
+    """(kP, mP) for k, m of equal parity, read from chain where it covers
+    them; violated preconditions raise DegeneratePair."""
+    if k == m or k == 0 or m == 0:
+        raise DegeneratePair("multipliers must be distinct and nonzero")
+    if (k - m) % 2 != 0:
+        raise DegeneratePair(f"multipliers {k} and {m} have different parity")
+    if p.is_trivial:
+        raise DegeneratePair("base point must be nontrivial")
+    kp, mp = (chain[j - 1] if 0 < j <= len(chain) else p.mul(j) for j in (k, m))
+    if kp.is_trivial or mp.is_trivial:
+        raise DegeneratePair(f"a multiple of {p} is trivial")
+    if kp.x == mp.x:
+        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
+    return kp, mp
+
+
 def same_parity_pair(
     p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
 ) -> SolutionPair:
@@ -269,18 +335,7 @@ def same_parity_pair(
     failed square check therefore raises SquareCheckFailed (an internal bug),
     while violated preconditions raise DegeneratePair.
     """
-    if k == m or k == 0 or m == 0:
-        raise DegeneratePair("multipliers must be distinct and nonzero")
-    if (k - m) % 2 != 0:
-        raise DegeneratePair(f"multipliers {k} and {m} have different parity")
-    if p.is_trivial:
-        raise DegeneratePair("base point must be nontrivial")
-    kp, mp = (chain[j - 1] if 0 < j <= len(chain) else p.mul(j) for j in (k, m))
-    if kp.is_trivial or mp.is_trivial:
-        raise DegeneratePair(f"a multiple of {p} is trivial")
-    if kp.x == mp.x:
-        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
-    pair = SolutionPair.trusted(kp, mp)
+    pair = SolutionPair.trusted(*_same_parity_multiples(p, k, m, chain))
     if pair._xz_root is None:
         raise SquareCheckFailed(
             f"x-product of {k}P and {m}P is not a square; group law is broken"
@@ -311,11 +366,12 @@ def point_to_json(point: CurvePoint) -> dict:
 
 def point_from_json(record: dict) -> CurvePoint:
     """Read a point record; N must be a JSON integer, never a float or text
-    that would be truncated or parsed to one."""
+    that would be truncated or parsed to one, and x and y a JSON integer or
+    "p/q" text."""
     curve = CongruentCurve(_integer_field(record, "N"))
     if record.get("infinity"):
         return curve.infinity()
-    return curve.point(parse_rational(str(record["x"])), parse_rational(str(record["y"])))
+    return curve.point(_rational_field(record, "x"), _rational_field(record, "y"))
 
 
 def load_seeds(path: str | Path | None = None) -> list[CurvePoint]:

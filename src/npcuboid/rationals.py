@@ -42,6 +42,18 @@ def _integer_field(record: dict, name: str, default: int | None = None) -> int:
     return value
 
 
+def _rational_field(record: dict, name: str) -> Fraction:
+    """record[name] as an exact rational: only a JSON integer or "p/q" text
+    is accepted. A float, a boolean or null is refused, not read from its
+    repr."""
+    value = record[name]
+    if type(value) is int:
+        return Fraction(value)
+    if type(value) is not str:
+        raise TypeError(f"{name} must be an integer or a rational, got {value!r}")
+    return parse_rational(value)
+
+
 def is_square_int(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
@@ -78,17 +90,18 @@ def primitive_integer_scaling(values: Sequence[Fraction | int]) -> list[int]:
 
     All pairwise ratios are preserved exactly; the output is invariant under
     pre-multiplying the input by any positive rational. Integer input is
-    divided by its gcd as it is.
+    divided by its gcd as it is, with no common denominator formed.
     """
-    values = [v if isinstance(v, int) else Fraction(v) for v in values]
+    if not all(isinstance(v, int) for v in values):
+        fractions = [Fraction(v) for v in values]
+        common = lcm(*(v.denominator for v in fractions))
+        values = [v.numerator * (common // v.denominator) for v in fractions]
     if any(v < 0 for v in values):
         raise ValueError("primitive scaling requires non-negative values")
     if not any(values):
         raise ValueError("primitive scaling requires at least one positive value")
-    common = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (common // v.denominator) for v in values]
-    g = gcd(*ints)
-    return [n // g for n in ints]
+    g = gcd(*values)
+    return [v // g for v in values]
 
 
 def max_decimal_digits(values: Iterable[int]) -> int:

@@ -4,6 +4,10 @@ The unit of work is one seed. Its multiples P, 2P, ..., MP are computed once,
 as a chain of successive additions, and every (k, m, parametrization) record
 of that seed is built from the chain; the reflected parametrizations read
 their image pairs off the chain's second reflection, also computed once.
+Each point of both chains is read once as an integer element (a, d, b, r, c)
+with x = a/d^2, y = b/d^3 and r^2 = a c for the x numerator c of the chain's
+first point of its parity (see curve); the builds take sqrt(XZ) of a pair
+from the two class roots r, so no pair takes a square root of its own.
 Seed units are pure functions of the job, so they can run on any number of
 worker processes, but never on more processes than there are seeds: a
 one-seed job runs in one process whatever the worker count. Records come
@@ -31,14 +35,16 @@ from .cuboids import (
     _cuboid_payload,
     _npc_entries,
 )
-from .curve import CurvePoint, SolutionPair, load_seeds, point_from_json, same_parity_pair
+from .curve import CurvePoint, _chain_elements, _same_parity_multiples, load_seeds, point_from_json
 from .errors import DegeneratePair, InvalidSeed
 from .rationals import _integer_field, is_square_int, max_decimal_digits
 
-# Every emitted record equals cuboid_to_json(build_npc(pair, parametrization));
-# the sweep runs their integer core and payload builder instead. Both stay
-# importable here, where perfbench/tracing.py wraps them.
+# Every emitted record equals
+# cuboid_to_json(build_npc(same_parity_pair(seed, k, m), parametrization)); the
+# sweep runs their preconditions, integer core and payload builder instead.
+# All three stay importable here, where perfbench/tracing.py wraps them.
 from .cuboids import build_npc, cuboid_to_json  # noqa: F401
+from .curve import same_parity_pair  # noqa: F401
 
 DEFAULT_HEIGHT_LIMIT = 200
 
@@ -129,9 +135,10 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
     """Every record of one seed after skip_through, in task_key order."""
     n = seed.curve.N
     multiples = _chain(seed, job.max_multiple)
+    elements = _chain_elements(multiples)
     images = None
     if any(param.endswith("_reflected") for param in job.parametrizations):
-        images = [p.reflect_second() for p in multiples]
+        images = _chain_elements([p.reflect_second() for p in multiples])
     records = []
     for k, m in _multiple_pairs(job):
         pending = [
@@ -143,18 +150,18 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             continue
         records += pending
         try:
-            pair = same_parity_pair(seed, k, m, multiples)
+            kp, mp = _same_parity_multiples(seed, k, m, multiples)
         except DegeneratePair as exc:
             for record in pending:
                 record["skipped"] = str(exc)
             continue
-        # One image pair serves both reflected parametrizations and its root.
-        reflected = None if images is None else SolutionPair.trusted(images[k - 1], images[m - 1])
         for record in pending:
             param = record["parametrization"]
-            built = reflected if param.endswith("_reflected") else pair
+            built = images if param.endswith("_reflected") else elements
             try:
-                entries = _npc_entries(built, FAMILY_OF_PARAMETRIZATION[param])
+                entries = _npc_entries(
+                    n, built[k - 1], built[m - 1], FAMILY_OF_PARAMETRIZATION[param]
+                )
             except DegeneratePair as exc:
                 record["skipped"] = str(exc)
                 continue
@@ -166,7 +173,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             a, b = entries[0], entries[1]
             d_ab_sq = a * a + b * b
             pc = is_square_int(d_ab_sq)
-            source = CuboidSource(n, pair.P.x, pair.Q.x, param)
+            source = CuboidSource(n, kp.x, mp.x, param)
             record["pc"] = pc
             record["cuboid"] = _cuboid_payload(*entries, d_ab_sq, pc, source)
     return records

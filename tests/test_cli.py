@@ -166,6 +166,22 @@ class TestNpcCommands:
         code, out, err = run(capsys, "npc", "verify", "--in", str(path))
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("value", [672.0, None, False], ids=["float", "null", "boolean"])
+    @pytest.mark.parametrize("field", ["a", "d_s", "d_ab_sq", "source.X", "source.Z"])
+    def test_inexact_json_field_is_usage_error(self, capsys, tmp_path, field, value):
+        # A float was read from its repr (672.0 as 672) and null exited 1.
+        record = {**GOLDEN_RECORD, "source": dict(GOLDEN_SOURCE)}
+        if field.startswith("source."):
+            record["source"][field.split(".")[1]] = value
+        else:
+            record[field] = value
+        path = tmp_path / "cuboid.json"
+        path.write_text(json.dumps(record))
+        name = field.split(".")[-1]
+        code, out, err = run(capsys, "npc", "verify", "--in", str(path))
+        assert code == 2 and out == ""
+        assert f"{name} must be an integer or a rational, got {value!r}" in err
+
 
 class TestInvertCommand:
     GOLDEN = ("--a", "672", "--b", "153", "--c", "104",
@@ -393,6 +409,14 @@ class TestSearchCommand:
         path.write_text(json.dumps(record))
         code, out, err = run(capsys, "search", str(path))
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("value", [-4.0, None, True], ids=["float", "null", "boolean"])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_inexact_seed_coordinate_is_usage_error(self, capsys, tmp_path, field, value):
+        seed = {"N": 5, "x": "-4", "y": "6", field: value}
+        code, out, err = run(capsys, "search", str(self.write_job(tmp_path, seeds=[seed])))
+        assert code == 2 and out == ""
+        assert f"{field} must be an integer or a rational, got {value!r}" in err
 
     def test_entries_past_the_default_digit_limit(self, capsys, tmp_path):
         # At max_multiple 50 the packaged N=34 seed gives entries of over 4300

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,9 @@ from npcuboid import (
     variables_from_pair,
     verify_npc,
 )
+
+from npcuboid.cuboids import _conic_point, _family_parameters, _npc_entries, _pair_elements
+from npcuboid.curve import _chain_elements
 
 from helpers import generated_pairs
 
@@ -187,8 +191,102 @@ def build_outcome(build, pair, parametrization):
     return cuboid.rational_entries() + (cuboid.d_ab_sq,), cuboid.source
 
 
+def _lowest(p, q):
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    return p // g, q // g
+
+
+def reference_family_parameters(pair, family):
+    """The pair-root construction that the element path replaced: alpha, beta
+    and the gamma condition read off the numerators and denominators of X, Z,
+    YW and N, with sqrt(XZ) from one isqrt of xn zn xd zd. An oracle for
+    _family_parameters, exceptions and their messages included."""
+    n = pair.curve.N
+    x, z = pair.P.x, pair.Q.x
+    xn, xd, zn, zd = x.numerator, x.denominator, z.numerator, z.denominator
+    xz_num, xz_den = xn * zn, xd * zd
+    yw_num = pair.P.y.numerator * pair.Q.y.numerator
+    yw_den = pair.P.y.denominator * pair.Q.y.denominator
+    if family == "first":
+        total = xn * zd + zn * xd
+        if total == 0:
+            raise DegeneratePair("X = -Z vanishes the first-family denominator")
+    elif family == "second":
+        difference = xn * zd - zn * xd
+        gap = n * n * xz_den - xz_num
+        if difference == 0 or gap == 0:
+            raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
+    product = xz_num * xz_den
+    whole = isqrt(max(product, 0))
+    if whole * whole != product:
+        sqrt_exact(x * z)
+    if whole == 0:
+        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
+    rn, rd = _lowest(whole, xz_den)
+    common = gcd(rn, n)
+    over_n = rn // common, rd * (n // common)
+    if family == "first":
+        over_z = _lowest(rn * zd, rd * abs(zn))
+        gamma = yw_num * xz_den * xz_den, yw_den * (xz_num + n * n * xz_den) * total
+        return over_n, over_z, _lowest(*gamma)
+    over_x = _lowest(rn * xd, rd * abs(xn))
+    if family == "second":
+        gamma = yw_num * xz_den * xz_den, yw_den * difference * gap
+        return over_x, over_n, _lowest(*gamma)
+    return over_n, over_x, _lowest(yw_num * xz_den, yw_den * xz_num * n)
+
+
+def reference_npc_entries(pair, family):
+    """The entries that the pair-root construction built: an oracle for
+    _npc_entries on the element path."""
+    alpha, beta, (gn, gd) = reference_family_parameters(pair, family)
+    try:
+        ax, ay, a_den = _conic_point(family, *alpha)
+        bx, by, b_den = _conic_point(family, *beta)
+    except TrivialParameter as exc:
+        raise DegeneratePair(str(exc)) from exc
+    one = lcm(a_den, b_den, gd)
+    g = abs(gn) * (one // gd)
+    ax, ay = ax * (one // a_den), ay * (one // a_den)
+    bx, by = bx * (one // b_den), by * (one // b_den)
+    if family == "first":
+        entries = (ay, bx, 2 * g, ax, by, one)
+    elif family == "second":
+        entries = (one, 2 * g, by, ay, bx, ax)
+    else:
+        entries = (2 * one, g, 2 * by, 2 * ay, 2 * bx, 2 * ax)
+    entries = tuple(primitive_integer_scaling(entries))
+    for name, value in zip(("a", "b", "c", "d_bc", "d_ac", "d_s"), entries):
+        if value <= 0:
+            raise ValueError(f"cuboid entry {name} must be positive")
+    return entries
+
+
+def outcome(function, *args):
+    """function(*args), or the type and message of the error it raises."""
+    try:
+        return function(*args)
+    except (NpcuboidError, ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
 PACKAGED_SEEDS = load_seeds()
 SAME_PARITY_MULTIPLES = [(k, m) for k in range(1, 10) for m in range(k + 2, 10, 2)]
+
+# Abscissae of off-curve trusted pairs on the N = 5 curve, with y = 1 (y = 0
+# at the 2-torsion abscissa 5).
+DEGENERATE_ABSCISSAE = [
+    (2, Fraction(25, 2)),  # XZ = N^2
+    (2, -2),  # X = -Z
+    (0, 4),  # XZ = 0
+    (-4, -4),  # X = Z
+    (1, 25),  # XZ = N^2 again: alpha = 1 on the first conic
+    (4, Fraction(25, 4)),  # XZ = N^2, reflected: X' + Z' = 0
+    (2, 3),  # XZ not a square
+    (5, 45),  # a 2-torsion abscissa
+]
 
 
 class TestConicPoints:
@@ -550,19 +648,7 @@ class TestFractionReference:
         assert all(isinstance(v, Fraction) for v in built.rational_entries())
 
     @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
-    @pytest.mark.parametrize(
-        "x, z",
-        [
-            (2, Fraction(25, 2)),  # XZ = N^2
-            (2, -2),  # X = -Z
-            (0, 4),  # XZ = 0
-            (-4, -4),  # X = Z
-            (1, 25),  # XZ = N^2 again: alpha = 1 on the first conic
-            (4, Fraction(25, 4)),  # XZ = N^2, reflected: X' + Z' = 0
-            (2, 3),  # XZ not a square
-            (5, 45),  # a 2-torsion abscissa
-        ],
-    )
+    @pytest.mark.parametrize("x, z", DEGENERATE_ABSCISSAE)
     def test_degenerate_pairs_fail_as_the_reference_does(self, curve5, x, z, parametrization):
         p = curve5.point(x, 0 if x == 5 else 1)
         fake = SolutionPair.trusted(p, curve5.point(z, 1))
@@ -573,6 +659,53 @@ class TestFractionReference:
         fake = SolutionPair.trusted(curve5.point(1, 1), curve5.point(25, 1))
         with pytest.raises(DegeneratePair, match=r"^circle parameter 1 degenerates$"):
             build_npc(fake, "first")
+
+
+class TestElementReference:
+    """The element path against the pair-root construction it replaced."""
+
+    @pytest.mark.parametrize("seed", PACKAGED_SEEDS, ids=lambda seed: f"N{seed.curve.N}")
+    def test_chain_elements_match_the_reference(self, seed):
+        # Every pair k < m <= 17 of equal parity, and its second-reflected
+        # image, in each family: from the chains' elements as the sweep
+        # reads them, and from the standalone pair's own elements.
+        n = seed.curve.N
+        chain = [seed]
+        while len(chain) < 17:
+            chain.append(chain[-1].add(seed))
+        images = [point.reflect_second() for point in chain]
+        by_chain = ((chain, _chain_elements(chain)), (images, _chain_elements(images)))
+        for k in range(1, 17):
+            for m in range(k + 2, 18, 2):
+                for points, elements in by_chain:
+                    pair = SolutionPair.trusted(points[k - 1], points[m - 1])
+                    standalone = _pair_elements(pair)
+                    for family in FAMILIES:
+                        expected = reference_npc_entries(pair, family)
+                        assert _npc_entries(n, elements[k - 1], elements[m - 1], family) == expected
+                        assert _npc_entries(n, *standalone, family) == expected
+                        assert _family_parameters(n, *standalone, family) == (
+                            reference_family_parameters(pair, family)
+                        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "p, q",
+        [((x, 0 if x == 5 else 1), (z, 1)) for x, z in DEGENERATE_ABSCISSAE]
+        + [
+            # XZ a square, y denominators that are no cube of x's root.
+            ((Fraction(25, 4), Fraction(1, 3)), (Fraction(1681, 144), Fraction(7, 2))),
+            ((Fraction(9, 2), 1), (2, Fraction(1, 5))),
+        ],
+    )
+    def test_off_curve_pairs_keep_results_and_messages(self, curve5, family, p, q):
+        pair = SolutionPair.trusted(curve5.point(*p), curve5.point(*q))
+        assert outcome(lambda: _family_parameters(5, *_pair_elements(pair), family)) == (
+            outcome(reference_family_parameters, pair, family)
+        )
+        assert outcome(lambda: _npc_entries(5, *_pair_elements(pair), family)) == (
+            outcome(reference_npc_entries, pair, family)
+        )
 
 
 class TestReflectionBehaviour:

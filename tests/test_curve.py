@@ -29,6 +29,8 @@ from npcuboid import (
     sqrt_exact,
 )
 
+from npcuboid.curve import _chain_elements, _integer_coordinates
+
 from helpers import generated_pairs, point_above, triangle_seeds
 
 
@@ -332,6 +334,37 @@ class TestSolutionPair:
     def test_swapped(self, golden_pair):
         swapped = golden_pair.swapped()
         assert swapped.P == golden_pair.Q and swapped.Q == golden_pair.P
+
+
+class TestChainElements:
+    """The element (a, d, b, r, c) of each chain point: x = a/d^2, y = b/d^3,
+    and r^2 = a c for the x numerator c of the first point of its parity."""
+
+    def test_elements_of_the_packaged_chains(self, seeds):
+        for seed in seeds:
+            chain = [seed.mul(j) for j in range(1, 10)]
+            for images in (chain, [p.reflect_second() for p in chain]):
+                elements = _chain_elements(images)
+                for j, (point, (a, d, b, r, c)) in enumerate(zip(images, elements)):
+                    # A curve point's own numerators, over d^2 and d^3.
+                    assert (a, d * d, b, d ** 3) == (
+                        point.x.numerator, point.x.denominator,
+                        point.y.numerator, point.y.denominator,
+                    )
+                    assert c == elements[j % 2][0] and r * r == a * c and r >= 0
+
+    @pytest.mark.parametrize(
+        "x, y", [(Fraction(25, 2), 1), (2, Fraction(1, 3)), (Fraction(3, 4), Fraction(5, 4))]
+    )
+    def test_off_curve_points_are_scaled_exactly(self, curve5, x, y):
+        a, d, b = _integer_coordinates(curve5.point(x, y))
+        assert d > 0 and Fraction(a, d * d) == x and Fraction(b, d ** 3) == y
+
+    def test_planted_point_fails_the_class_check(self, curve5, p5):
+        # (45, 300) is on the curve but is not 3P: 45 * (-4) is no square.
+        chain = [p5, p5.double(), curve5.point(45, 300)]
+        with pytest.raises(SquareCheckFailed, match="^x of chain point 3 is not in the square"):
+            _chain_elements(chain)
 
 
 class TestPairRoot:

@@ -109,6 +109,14 @@ class TestPrimitiveIntegerScaling:
     def test_keeps_zero_entries(self):
         assert primitive_integer_scaling([Fraction(0), Fraction(1, 2), Fraction(1)]) == [0, 1, 2]
 
+    def test_integer_input_is_checked_and_kept_as_rationals_are(self):
+        # Integer input skips the common denominator, not the checks.
+        assert primitive_integer_scaling([0, 4, 8]) == [0, 1, 2]
+        with pytest.raises(ValueError, match="at least one positive"):
+            primitive_integer_scaling([0, 0])
+        with pytest.raises(ValueError, match="non-negative"):
+            primitive_integer_scaling([-1, 2])
+
     @given(
         st.lists(
             st.fractions(min_value=0, max_value=Fraction(1000), max_denominator=100),

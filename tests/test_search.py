@@ -24,6 +24,7 @@ from npcuboid import (
     CurvePoint,
     DegeneratePair,
     InvalidSeed,
+    SquareCheckFailed,
     build_npc,
     cuboid_from_json,
     cuboid_to_json,
@@ -470,32 +471,53 @@ class TestInversionCertifiesTheSweep:
             assert frozenset(p.x * scale for p in source) in recovered, record
 
 
-class TestOneRootPerPair:
-    """A sweep takes the x-product root once per pair of multiples, and once
-    for the pair's second-reflected image when a reflected parametrization
-    is asked for: the pair check takes it and every build reads it."""
+class TestOneRootPerChainElement:
+    """A sweep takes one x-product root per chain element, and one per
+    element of the chain's second-reflected image when a reflected
+    parametrization is asked for, and none per pair: every pair reads
+    sqrt(XZ) off the class roots of its two elements."""
 
     @pytest.mark.parametrize(
-        "parametrizations, pairs_per_multiples",
+        "parametrizations, chains",
         [(("invariant", "first", "second"), 1), (PARAMETRIZATIONS, 2)],
         ids=["unreflected", "with-reflected-images"],
     )
-    def test_one_root_per_k_m(self, monkeypatch, parametrizations, pairs_per_multiples):
+    def test_roots_per_element(self, monkeypatch, parametrizations, chains):
         roots = []
 
         def counting_isqrt(n):
             roots.append(n)
             return math.isqrt(n)
 
+        def no_pair_root(pair):
+            raise AssertionError("the sweep took a pair's own root")
+
         monkeypatch.setattr(curve_module, "isqrt", counting_isqrt)
+        monkeypatch.setattr(curve_module.SolutionPair, "_xz_root", property(no_pair_root))
         job = SearchJob(
             seeds=tuple(load_seeds()), max_multiple=7, parametrizations=parametrizations
         )
         records = list(run_search(job))
         assert sum("cuboid" in r for r in records) > 0
-        paired = {(r["N"], r["k"], r["m"]) for r in records if (r["k"] - r["m"]) % 2 == 0}
-        assert len(paired) == 4 * 9
-        assert len(roots) == pairs_per_multiples * len(paired)
+        # 4 seeds of 7 elements per chain, the first two of a chain with r = |a|.
+        assert len(roots) == 4 * chains * (7 - 2)
+
+    def test_planted_bad_chain_element_fails_the_class_check(self, monkeypatch):
+        # (45, 300) is on the N = 5 curve but is not 3P: its x is not in the
+        # square class of P's, so the element of 3P fails r^2 = a c.
+        curve5 = CongruentCurve(5)
+        real_chain = search._chain
+
+        def planted(seed, length):
+            multiples = real_chain(seed, length)
+            if seed.curve.N == 5:
+                multiples[2] = curve5.point(45, 300)
+            return multiples
+
+        monkeypatch.setattr(search, "_chain", planted)
+        job = SearchJob(seeds=tuple(load_seeds()), max_multiple=5)
+        with pytest.raises(SquareCheckFailed, match="chain point 3 .* point 1;"):
+            list(run_search(job))
 
 
 class TestJobConstruction:
