@@ -2,10 +2,20 @@
 
 The kernel of a nonzero rational r is the unique squarefree positive integer
 s such that s*|r| is the square of a rational. It is the squarefree part of
-numerator*denominator. Trial division strips the primes up to 10**4, then up
-to DEFAULT_TRIAL_BOUND, by gcds with cached products of blocks of primes;
-square, primality and odd-power shortcuts and a deterministic Brent-cycle rho
-split finish the cofactor. When the rho iteration budget runs out the
+numerator*denominator. A product of rationals is never multiplied out: each
+factor's |numerator| and denominator is a piece of its own, and the pieces'
+squarefree parts combine into the kernel. An inversion passes r and r^2 - 1
+with r = p/q in lowest terms: the pieces p, q, p^2 - q^2 and q^2, of which
+p, q and p^2 - q^2 are pairwise coprime. By the 2-descent map each piece is
+a square times a divisor of 2N, so a piece without N's large primes ends as
+a square after the cheap first trial stage, and only the pieces that carry
+them are trial-divided further.
+
+Each piece goes through the same stages. Trial division strips the primes up
+to 10**4, then up to DEFAULT_TRIAL_BOUND, by gcds with cached products of
+blocks of primes; square, primality and odd-power shortcuts and a
+deterministic Brent-cycle rho split finish the cofactor. All the pieces of
+one kernel spend from one rho iteration budget. When it runs out the
 computation fails loudly with FactorizationExceeded; a silently wrong kernel
 would corrupt every congruent number recovered downstream.
 """
@@ -182,9 +192,13 @@ def _odd_power_root(n: int) -> int:
     return n
 
 
-def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
+def squarefree_part(n: int, rho_budget: int | _RhoBudget = DEFAULT_RHO_BUDGET) -> int:
     """Squarefree part of a positive integer: the product of the primes
-    occurring in n with odd exponent."""
+    occurring in n with odd exponent.
+
+    rho_budget is an iteration count, or the _RhoBudget that the pieces of
+    one squarefree_kernel call spend from together.
+    """
     if n <= 0:
         raise ValueError("squarefree part requires a positive integer")
     n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
@@ -192,7 +206,7 @@ def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
         # Every exponent in n is even regardless of how its root factors.
         return result
     n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
-    budget = _RhoBudget(rho_budget)
+    budget = rho_budget if isinstance(rho_budget, _RhoBudget) else _RhoBudget(rho_budget)
     while n > 1:
         if is_square_int(n):
             return result
@@ -206,13 +220,28 @@ def squarefree_part(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
     return result
 
 
-def squarefree_kernel(r: Fraction | int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """The squarefree positive integer s with s*|r| a rational square.
+def squarefree_kernel(
+    r: Fraction | int | tuple[Fraction | int, ...], rho_budget: int = DEFAULT_RHO_BUDGET
+) -> int:
+    """The squarefree positive integer s with s*|r| a rational square, where
+    r is one rational or a tuple of rationals standing for their product.
 
-    Since r is stored reduced, s is the squarefree part of
-    |numerator*denominator|.
+    Each factor is stored reduced, so its kernel is the squarefree part of
+    |numerator*denominator|. The |numerator| and the denominator of every
+    factor go through squarefree_part separately, all spending from one rho
+    budget of rho_budget iterations, and two kernels s and k combine as
+    s*k/gcd(s, k)**2. That rule holds for any squarefree s and k, coprime or
+    not, so factors that share primes still give the kernel of the product.
     """
-    r = Fraction(r)
-    if r == 0:
+    factors = [Fraction(f) for f in (r if isinstance(r, tuple) else (r,))]
+    if not all(factors):
         raise ValueError("zero has no squarefree kernel")
-    return squarefree_part(abs(r.numerator * r.denominator), rho_budget)
+    budget = _RhoBudget(rho_budget)
+    kernel = 1
+    for factor in factors:
+        for piece in (abs(factor.numerator), factor.denominator):
+            if piece > 1:
+                part = squarefree_part(piece, budget)
+                g = gcd(kernel, part)
+                kernel = kernel // g * (part // g)
+    return kernel

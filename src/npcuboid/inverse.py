@@ -89,8 +89,11 @@ def _recover(
     # alpha beta and alpha/beta = (d_s + d_bc) d_ac/(a (d_s + b)); beta/alpha
     # = (d_ac + a)(d_s + a)/(c d_bc) and alpha beta = (d_ac + a) d_bc/(c (d_s + a)).
     # A ratio r < -1 or 0 < r < 1 has rhs(N r) = N^3 r (r^2 - 1) < 0, no
-    # square, so _point_from_ratio raises InconsistentKernel.
-    n = squarefree_kernel(x_ratio * (x_ratio * x_ratio - 1), rho_budget)
+    # square, so _point_from_ratio raises InconsistentKernel. With r = p/q
+    # reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3 has pairwise coprime pieces,
+    # and the 2-descent puts N's large primes in one of them; passing the two
+    # factors lets squarefree_kernel strip each piece on its own.
+    n = squarefree_kernel((x_ratio, x_ratio * x_ratio - 1), rho_budget)
     curve = CongruentCurve(n)
     # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only
     # when z_ratio has the same kernel n; no second factoring is needed.

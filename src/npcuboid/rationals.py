@@ -14,15 +14,26 @@ from typing import Iterable, Sequence
 from .errors import NotASquare
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a reduced rational.
 
-    Unreduced input such as "6/4" is accepted and canonicalized.
+    Only an optional sign, ASCII digits and optionally "/" and more digits
+    are read, with surrounding whitespace ignored: decimal points, exponents
+    and underscores, which Fraction itself accepts, are refused, as is a zero
+    denominator. Unreduced input such as "6/4" is accepted and canonicalized.
     """
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    numerator, slash, denominator = text.strip().partition("/")
+    unsigned = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    if _is_digits(unsigned) and (_is_digits(denominator) or not slash):
+        try:
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"not a rational: {text!r}")
 
 
 def format_rational(value: Fraction) -> str:

@@ -183,6 +183,33 @@ class TestNpcCommands:
         assert f"{name} must be an integer or a rational, got {value!r}" in err
 
 
+    # Fraction reads each of these; the flags and JSON fields take "p/q" text.
+    NOT_RATIONAL_TEXT = ["672.0", "1.53e2", "1_000", ".5", "1e-3", "abc"]
+
+    @pytest.mark.parametrize("text", NOT_RATIONAL_TEXT)
+    def test_non_rational_flag_is_domain_error(self, capsys, text):
+        code, out, err = run(
+            capsys, "npc", "verify", "--a", text, "--b", "153", "--c", "104",
+            "--dac", "680", "--dbc", "185", "--ds", "697",
+        )
+        assert code == 1 and out == ""
+        assert f"not a rational: {text!r}" in err
+
+    @pytest.mark.parametrize("text", NOT_RATIONAL_TEXT)
+    @pytest.mark.parametrize("field", ["a", "source.X"])
+    def test_non_rational_json_text_is_domain_error(self, capsys, tmp_path, field, text):
+        record = {**GOLDEN_RECORD, "source": dict(GOLDEN_SOURCE)}
+        if field.startswith("source."):
+            record["source"][field.split(".")[1]] = text
+        else:
+            record[field] = text
+        path = tmp_path / "cuboid.json"
+        path.write_text(json.dumps(record))
+        code, out, err = run(capsys, "npc", "verify", "--in", str(path))
+        assert code == 1 and out == ""
+        assert f"not a rational: {text!r}" in err
+
+
 class TestInvertCommand:
     GOLDEN = ("--a", "672", "--b", "153", "--c", "104",
               "--dac", "680", "--dbc", "185", "--ds", "697")
@@ -235,6 +262,26 @@ class TestInvertCommand:
         )
         assert payload["N"] == 5
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("family", ["invariant", "first", "second"])
+    def test_kernel_with_a_prime_past_the_first_trial_stage(self, capsys, family):
+        # The triangle (u, v) = (10010, 1), with legs a = u^2 - v^2, b = 2uv
+        # and hypotenuse c, gives the point (c^2/4, c(b^2 - a^2)/8) of the
+        # curve N = uv(u - v)(u + v). That N is squarefree and has the prime
+        # u - v = 10009, so its kernel passes the trial stage up to 10^4.
+        n, x, y = "1003002990990", "10040060240410201/4", "-1006014969814705299949501/8"
+        three = run_json(capsys, "point", "mul", "-k", "3", "--N", n, f"--x={x}", f"--y={y}")
+        record = run_json(
+            capsys, "npc", "generate", "--N", n, "--X", x, "--Z", three["x"], "--param", family
+        )
+        flags = [
+            value
+            for flag, field in (("a", "a"), ("b", "b"), ("c", "c"),
+                                ("dac", "d_ac"), ("dbc", "d_bc"), ("ds", "d_s"))
+            for value in (f"--{flag}", str(record[field]))
+        ]
+        payload = run_json(capsys, "invert", "--family", family, *flags)
+        assert payload["N"] == int(n) and payload["N"] % 10009 == 0
 
     def test_malformed_sides(self, capsys):
         code, _, err = run(

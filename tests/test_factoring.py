@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -16,6 +18,10 @@ from npcuboid.factoring import _prime_blocks, _strip_trial, squarefree_part
 # Primes on either side of the trial stages' bounds 10**4 and 10**6.
 _EDGE_PRIMES = (9973, 10007, 999983, 1000003)
 _BIG_SQUARE = (1000000007 * 1000000009) ** 2
+# Two primes that rho cannot split apart within 10**4 iterations once
+# multiplied, and a prime past the deterministic Miller-Rabin range.
+_P1, _P2 = 10**20 + 39, 10**20 + 129
+_P25 = 10**25 + 13
 
 
 def _planted(e):
@@ -51,6 +57,50 @@ class TestSquarefreeKernel:
 
     def test_sign_ignored(self):
         assert squarefree_kernel(Fraction(-17, 2)) == 34
+
+    def test_rejects_zero_factor(self):
+        with pytest.raises(ValueError):
+            squarefree_kernel((Fraction(3, 2), 0))
+
+    def test_factor_tuple_is_their_product(self):
+        r = Fraction(49, 32)
+        assert squarefree_kernel((r, r * r - 1)) == 34
+        # Shared primes: 12/5 * 18/25 = 2^3 3^3 / 5^3.
+        assert squarefree_kernel((Fraction(12, 5), Fraction(18, 25))) == 30
+        assert squarefree_kernel((6, Fraction(-6, 49))) == 1
+
+    def test_prime_pieces_need_no_rho(self):
+        # Numerator and denominator are primes on their own; multiplied, they
+        # make a semiprime that 10**4 rho iterations cannot split.
+        assert squarefree_kernel(Fraction(_P1, _P2), 10**4) == _P1 * _P2
+        with pytest.raises(FactorizationExceeded):
+            squarefree_part(_P1 * _P2, 10**4)
+
+    def test_pieces_share_one_rho_budget(self):
+        a, b = 1000000007 * 1000000009, 100000007 * 100000037
+        budget = 60_000
+        # Each piece fits the budget alone ...
+        assert squarefree_kernel(a, budget) == a
+        assert squarefree_kernel(Fraction(1, b), budget) == b
+        # ... but the two together do not.
+        with pytest.raises(FactorizationExceeded):
+            squarefree_kernel(Fraction(a, b), budget)
+        with pytest.raises(FactorizationExceeded):
+            squarefree_kernel((a, b), budget)
+
+    def test_each_piece_is_one_squarefree_part_call(self, monkeypatch):
+        pieces = []
+        original = factoring.squarefree_part
+
+        def recording(n, *args):
+            pieces.append(n)
+            return original(n, *args)
+
+        monkeypatch.setattr(factoring, "squarefree_part", recording)
+        r = Fraction(49, 32)
+        assert squarefree_kernel((r, r * r - 1)) == 34
+        # 49, 32, 49^2 - 32^2 and 32^2; no piece of 1 is factored.
+        assert pieces == [49, 32, 49**2 - 32**2, 32**2]
 
     @given(
         st.fractions(min_value=-5000, max_value=5000, max_denominator=300).filter(
@@ -122,6 +172,14 @@ class TestSquarefreePart:
         assert remaining == 61 ** 2 and odd_part == n
 
 
+def _sympy_kernel(sympy, factors):
+    """The squarefree kernel of the product of factors, from factorint."""
+    product = prod(Fraction(f) for f in factors)
+    exponents = Counter(sympy.factorint(abs(product.numerator)))
+    exponents.update(sympy.factorint(product.denominator))
+    return prod(p for p, k in exponents.items() if k % 2)
+
+
 class TestAgainstSympy:
     @pytest.mark.parametrize("e", range(1, 8))
     def test_planted_inputs_match_factorint(self, e):
@@ -129,6 +187,48 @@ class TestAgainstSympy:
         for n in _planted(e):
             odd = prod(p for p, k in sympy.factorint(n).items() if k % 2)
             assert squarefree_part(n, rho_budget=0) == odd
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (Fraction(49, 32), Fraction(49, 32) ** 2 - 1),
+            # Factors sharing primes, small and large.
+            (Fraction(12, 5), Fraction(18, 25)),
+            (_P1 * 1000003, Fraction(_P1, 10007)),
+            (Fraction(999983**3, 10**4), 999983 * 10**3),
+            # Squares and negative factors.
+            (Fraction(49, 4), Fraction(1000003**2, 9)),
+            (_P1**2, 3, Fraction(-1, 4)),
+            (Fraction(-3, 7), -5, Fraction(-1000003, 10007**3)),
+            # Cofactors above 3.3e24 made of two primes, alone and shared.
+            (1000003 * _P25,),
+            (Fraction(7, 1000033 * _P25),),
+            (Fraction(10000019 * _P25, 7), 3 * _P25),
+            (Fraction(-(999983**2) * 1000003 * _P25, 2**5), _P25**2),
+        ],
+    )
+    def test_factor_tuples_match_factorint_of_their_product(self, factors):
+        sympy = pytest.importorskip("sympy")
+        assert squarefree_kernel(factors) == _sympy_kernel(sympy, factors)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_factor_tuples_match_factorint(self, seed):
+        sympy = pytest.importorskip("sympy")
+        draw = random.Random(seed)
+        pool = (2, 3, 5, 7, *_EDGE_PRIMES, 1000037, 10000019)
+        for _ in range(10):
+            # At most one prime past 10**8 per tuple keeps factorint fast.
+            big = draw.choice((1, _P1, _P25))
+            factors = []
+            for _ in range(draw.randint(1, 3)):
+                num, den = (
+                    prod(draw.choice(pool) ** draw.randint(1, 3) for _ in range(draw.randint(0, 3)))
+                    * big ** draw.randint(0, 2)
+                    for _ in range(2)
+                )
+                factors.append(Fraction(draw.choice((1, -1)) * num, den))
+            factors = tuple(factors)
+            assert squarefree_kernel(factors) == _sympy_kernel(sympy, factors), factors
 
     @pytest.mark.parametrize("lo, hi", [(1, 10**4), (10**4, 10**6), (4, 60), (10008, 20000)])
     def test_prime_blocks_are_products_of_consecutive_primes(self, lo, hi):

@@ -159,16 +159,24 @@ class TestSerialization:
             ("42", Fraction(42)),
             ("6/4", Fraction(3, 2)),
             (" 75/8 ", Fraction(75, 8)),
+            ("+7/3", Fraction(7, 3)),
+            ("-0", Fraction(0)),
         ],
     )
     def test_parse(self, text, expected):
         assert parse_rational(text) == expected
 
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            parse_rational("25//4")
-        with pytest.raises(ValueError):
-            parse_rational("1/0")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "25//4", "1/0", "", "-", "/4", "4/", "1/-2", "--3", "3 / 4", "1/2/3",
+            # Fraction reads each of these; none is "p/q" text.
+            "672.0", "1.53e2", "1_000", ".5", "1e-3", "1/2_0", "inf", "nan", "\u0663",
+        ],
+    )
+    def test_parse_rejects_junk(self, text):
+        with pytest.raises(ValueError, match="^not a rational: "):
+            parse_rational(text)
 
     @given(nonzero_fractions)
     def test_round_trip(self, r):
