@@ -307,6 +307,17 @@ def _cuboid_arguments(parser):
     parser.add_argument("--dabsq", help="exact square of the a-b diagonal (default a^2+b^2)")
 
 
+def _worker_count(text: str) -> int:
+    """A --workers value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="npcuboid", description=__doc__)
@@ -362,7 +373,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     search = commands.add_parser("search", help="run a sweep job, emitting JSONL records")
     search.add_argument("job", help="job description JSON file")
-    search.add_argument("--workers", type=int, default=1)
+    search.add_argument("--workers", type=_worker_count, default=1,
+                        help="worker processes, at least 1 (default 1)")
     search.add_argument("--out", help="output JSONL path (default stdout)")
     search.add_argument("--resume", action="store_true", help="append after the last completed record")
     search.add_argument("--seeds", help="seed file for jobs without inline seeds")

@@ -15,11 +15,12 @@ unit circle, the second and third (invariant) families the hyperbola
 x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
 the parameters and the gamma condition are read off the integer elements
 (a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c for a c
-the two share; see curve) as reduced integer fractions, each conic point is
-an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
+the two share; see curve) as unreduced integer fractions, each conic point
+is an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
 and 2|p|q of its parameter p/q, and the six entries are those integers over
-the least common denominator of the two points and the gamma condition,
-divided by their one gcd. The sweep passes the elements of its chain, whose
+a common denominator of the two points and the gamma condition that the
+elements give in closed form, divided by their one gcd, the only gcd of the
+build. The sweep passes the elements of its chain, whose
 class roots r it took once per point; a standalone pair's elements take
 their root from the pair's own root of XZ (see SolutionPair). The
 first_reflected and second_reflected cuboids are the first and second
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .curve import SolutionPair, _integer_coordinates, kummer_map
-from .errors import DegeneratePair, TrivialParameter
+from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
 from .rationals import (
     _integer_field,
     _rational_field,
@@ -73,8 +74,9 @@ _CONIC_OF_FAMILY = {
 
 
 def _conic_point(family: str, p: int, q: int) -> tuple[int, int, int]:
-    """The family's conic point at t = p/q in lowest terms (q > 0). Its terms
-    p^2 + q^2, |q^2 - p^2| and 2|p|q are 1 + t^2, |1 - t^2| and |2t| times q^2."""
+    """The family's conic point at t = p/q for q > 0, p/q in lowest terms or
+    not: the point is projective in (p, q). Its terms p^2 + q^2, |q^2 - p^2|
+    and 2|p|q are 1 + t^2, |1 - t^2| and |2t| times q^2."""
     conic, point = _CONIC_OF_FAMILY[family]
     if p == 0 or abs(p) == q:
         raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
@@ -181,18 +183,16 @@ def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
     return (a1, d1, b1, root, a2), (a2, d2, b2, abs(a2), a2)
 
 
-def _family_parameters(
-    n: int, first: tuple, second: tuple, family: str
-) -> tuple[tuple[int, int], ...]:
-    """The family's alpha, beta and gamma condition as integer fractions in
-    lowest terms, read off the elements (a, d, b, r, c) of the two points,
-    which share c.
+def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tuple[int, int], ...]:
+    """The family's alpha, beta and gamma condition as unreduced integer
+    fractions, read off the elements (a, d, b, r, c) of the two points, which
+    share c.
 
     With X = a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is
-    r1 r2/(|c| d1 d2) and sqrt(X/Z) is r1 d2/(r2 d1), and the gamma
-    condition's (d1 d2)^3 cancels before any gcd. alpha and beta are
-    positive; the gamma condition keeps its sign. Each is reduced by one
-    gcd. See variables_from_pair for the algebra and the degenerate cases.
+    R/(d1 d2) for R = r1 r2/|c| = sqrt(a1 a2), and sqrt(X/Z) is r1 d2/(r2 d1);
+    the gamma condition's (d1 d2)^3 cancels. alpha and beta are positive over
+    positive denominators; the gamma condition keeps its sign. See
+    variables_from_pair for the algebra and the degenerate cases.
     """
     a1, d1, b1, r1, c = first
     a2, d2, b2, r2, _ = second
@@ -211,15 +211,25 @@ def _family_parameters(
     whole = r1 * r2  # sqrt(a1 a2) |c|
     if whole == 0:
         raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
-    over_n = _lowest_terms(whole // abs(c), dd * n)  # sqrt(XZ)/N
+    root, rest = divmod(whole, abs(c))
+    if rest:
+        raise SquareCheckFailed("r1 r2 is no multiple of c: an element fails r^2 = a c")
+    over_n = root, dd * n  # sqrt(XZ)/N
     yw = b1 * b2
     if family == "first":
-        over_z = _lowest_terms(r1 * d2, r2 * d1)  # sqrt(X/Z)
-        return over_n, over_z, _lowest_terms(yw * dd, (a1 * a2 + n * n * dd * dd) * total)
-    over_x = _lowest_terms(r2 * d1, r1 * d2)  # sqrt(Z/X)
+        over_z = r1 * d2, r2 * d1  # sqrt(X/Z)
+        return over_n, over_z, (yw * dd, (a1 * a2 + n * n * dd * dd) * total)
+    over_x = r2 * d1, r1 * d2  # sqrt(Z/X)
     if family == "second":
-        return over_x, over_n, _lowest_terms(yw * dd, difference * gap)
-    return over_n, over_x, _lowest_terms(yw, dd * a1 * a2 * n)
+        return over_x, over_n, (yw * dd, difference * gap)
+    return over_n, over_x, (yw, dd * a1 * a2 * n)
+
+
+def _family_parameters(
+    n: int, first: tuple, second: tuple, family: str
+) -> tuple[tuple[int, int], ...]:
+    """_family_terms in lowest terms, each reduced by one gcd."""
+    return tuple(_lowest_terms(*term) for term in _family_terms(n, first, second, family))
 
 
 def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
@@ -311,8 +321,9 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     (a, b, c, d_bc, d_ac, d_s) are then (ay, bx, 2g, ax, by, 1) for the first
     family, (1, 2g, by, ay, bx, ax) for the second and (1, g/2, by, ay, bx,
     ax) for the third, the invariant cuboid. They are formed in integers over
-    the least common denominator of the conic points and g, and divided by
-    their gcd to coprime positive integers; d_ab_sq is a^2 + b^2 of those. The reflected
+    a common denominator of the conic points and g that the pair's elements
+    give in closed form, and divided by their gcd to coprime positive
+    integers; d_ab_sq is a^2 + b^2 of those. The reflected
     parametrizations are the first and second cuboids of the pair's image
     under the second reflected transformation; the source still records the
     caller's abscissae. A pair holding a trivial point, a vanishing family
@@ -342,18 +353,33 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
     coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
     points must be nontrivial: a reflected parametrization passes the
     elements of the reflected pair."""
-    alpha, beta, (gn, gd) = _family_parameters(n, first, second, family)
+    alpha, beta, (gn, _) = _family_terms(n, first, second, family)
     try:
         ax, ay, a_den = _conic_point(family, *alpha)
         bx, by, b_den = _conic_point(family, *beta)
     except TrivialParameter as exc:
         raise DegeneratePair(str(exc)) from exc
-    # Every entry times the least common denominator of the two conic points
-    # and g; the denominators share most of their factors.
-    one = lcm(a_den, b_den, gd)
-    g = abs(gn) * (one // gd)
-    ax, ay = ax * (one // a_den), ay * (one // a_den)
-    bx, by = bx * (one // b_den), by * (one // b_den)
+    # Every entry times a common denominator one of the two conic points and
+    # g, known in closed form, so the final gcd is the build's only one. Write
+    # R = r1 r2/|c| = sqrt(a1 a2), D = d1 d2, total = a1 d2^2 + a2 d1^2,
+    # difference = a1 d2^2 - a2 d1^2 and gap = N^2 D^2 - a1 a2. As r^2 = a c
+    # for both points, the conic denominators (a_den, b_den) are
+    #   first:  (a1 a2 + N^2 D^2, |c| |total|),  g's denominator a_den total;
+    #   second: (|c| |difference|, |gap|),       g's denominator difference gap;
+    #   third:  (2 R D N, 2 |c| R D),            g's denominator D R^2 N.
+    # So one = a_den b_den and g = |c| |gn| in the first two families, and
+    # one = a_den b_den/(2D) = a_den |c| R = b_den R N and g = 2 |c| |gn| in
+    # the third.
+    c = abs(first[4])
+    if family == "third":
+        a_scale, b_scale = c * alpha[0], alpha[0] * n  # alpha = R/(D N)
+        g = 2 * c * abs(gn)
+    else:
+        a_scale, b_scale = b_den, a_den
+        g = c * abs(gn)
+    one = a_den * a_scale
+    ax, ay = ax * a_scale, ay * a_scale
+    bx, by = bx * b_scale, by * b_scale
     if family == "first":
         entries = (ay, bx, 2 * g, ax, by, one)
     elif family == "second":

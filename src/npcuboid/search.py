@@ -208,11 +208,17 @@ def run_search(
         yield from chain.from_iterable(pool.map(unit, seeds))
 
 
+# One compact encoder for every record; json.dumps with separators builds a
+# new encoder per call.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_records(records: Iterator[dict], stream: IO[str]) -> int:
     """Append records as one compact JSON object per line; returns the count."""
+    encode = _RECORD_ENCODER.encode
     count = 0
     for record in records:
-        stream.write(json.dumps(record, separators=(",", ":")) + "\n")
+        stream.write(encode(record) + "\n")
         count += 1
     return count
 

@@ -482,6 +482,13 @@ class TestSearchCommand:
         assert max(r.get("digits", 0) for r in records) > 4300
         assert sys.get_int_max_str_digits() == limit
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_workers_not_a_positive_integer_is_usage_error(self, capsys, tmp_path, workers):
+        # A count below 1 is refused, not run serially.
+        job = self.write_job(tmp_path)
+        code, out, err = run(capsys, "search", str(job), "--workers", workers)
+        assert code == 2 and out == "" and "error: argument --workers" in err
+
     def test_resume_requires_out(self, capsys, tmp_path):
         job = self.write_job(tmp_path)
         code, _, err = run(capsys, "search", str(job), "--resume")

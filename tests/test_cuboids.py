@@ -15,6 +15,7 @@ from npcuboid import (
     DegeneratePair,
     NpcuboidError,
     SolutionPair,
+    SquareCheckFailed,
     TrivialParameter,
     build_npc,
     circle_point,
@@ -36,7 +37,7 @@ from npcuboid import (
 from npcuboid.cuboids import _conic_point, _family_parameters, _npc_entries, _pair_elements
 from npcuboid.curve import _chain_elements
 
-from helpers import generated_pairs
+from helpers import generated_pairs, triangle_seeds
 
 # The five integer cuboids produced by the N=5 pair (25/4, 1681/144), in
 # field order (a, b, c, d_bc, d_ac, d_s).
@@ -664,19 +665,24 @@ class TestFractionReference:
 class TestElementReference:
     """The element path against the pair-root construction it replaced."""
 
-    @pytest.mark.parametrize("seed", PACKAGED_SEEDS, ids=lambda seed: f"N{seed.curve.N}")
-    def test_chain_elements_match_the_reference(self, seed):
-        # Every pair k < m <= 17 of equal parity, and its second-reflected
+    @pytest.mark.parametrize(
+        "seed, length",
+        [pytest.param(seed, 17, id=f"N{seed.curve.N}") for seed in PACKAGED_SEEDS]
+        + [pytest.param(seed, 6, id=f"triangle-N{seed.curve.N}") for seed in triangle_seeds(8)],
+    )
+    def test_chain_elements_match_the_reference(self, seed, length):
+        # Every pair k < m <= length of equal parity, and its second-reflected
         # image, in each family: from the chains' elements as the sweep
-        # reads them, and from the standalone pair's own elements.
+        # reads them, and from the standalone pair's own elements. The
+        # triangle curves have composite N, as the sweep's wide sets do.
         n = seed.curve.N
         chain = [seed]
-        while len(chain) < 17:
+        while len(chain) < length:
             chain.append(chain[-1].add(seed))
         images = [point.reflect_second() for point in chain]
         by_chain = ((chain, _chain_elements(chain)), (images, _chain_elements(images)))
-        for k in range(1, 17):
-            for m in range(k + 2, 18, 2):
+        for k in range(1, length):
+            for m in range(k + 2, length + 1, 2):
                 for points, elements in by_chain:
                     pair = SolutionPair.trusted(points[k - 1], points[m - 1])
                     standalone = _pair_elements(pair)
@@ -706,6 +712,13 @@ class TestElementReference:
         assert outcome(lambda: _npc_entries(5, *_pair_elements(pair), family)) == (
             outcome(reference_npc_entries, pair, family)
         )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_roots_off_their_square_class_fail_the_square_check(self, family):
+        # r1 r2 = 9 is no multiple of c = 2: the element (2, 1, 1, 3, 2) has
+        # r^2 = 9 where a c = 4, so sqrt(a1 a2) cannot be read off the roots.
+        with pytest.raises(SquareCheckFailed, match=r"r\^2 = a c"):
+            _npc_entries(5, (2, 1, 1, 3, 2), (8, 1, 1, 3, 2), family)
 
 
 class TestReflectionBehaviour:
