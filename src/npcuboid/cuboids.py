@@ -397,27 +397,29 @@ def _entry_to_json(value: Fraction):
     return int(value) if value.denominator == 1 else format_rational(value)
 
 
-def _cuboid_payload(a, b, c, d_bc, d_ac, d_s, d_ab_sq, pc: bool,
-                    source: CuboidSource | None) -> dict:
-    """The JSON form of a cuboid from its entries as they are written: ints,
-    or "p/q" text."""
+def _cuboid_payload(a, b, c, d_bc, d_ac, d_s, d_ab_sq, pc: bool, source: dict | None) -> dict:
+    """The JSON form of a cuboid from its entries and its source as they are
+    written: ints, or "p/q" text."""
     record = {
         "a": a, "b": b, "c": c, "d_ac": d_ac, "d_bc": d_bc, "d_s": d_s, "d_ab_sq": d_ab_sq,
         "pc": pc,
     }
     if source is not None:
-        record["source"] = {
-            "N": source.N,
-            "X": format_rational(source.X),
-            "Z": format_rational(source.Z),
-            "parametrization": source.parametrization,
-        }
+        record["source"] = source
     return record
 
 
 def cuboid_to_json(cuboid: Cuboid) -> dict:
     entries = cuboid.rational_entries() + (cuboid.d_ab_sq,)
-    return _cuboid_payload(*map(_entry_to_json, entries), pc_condition(cuboid), cuboid.source)
+    source = cuboid.source
+    if source is not None:
+        source = {
+            "N": source.N,
+            "X": format_rational(source.X),
+            "Z": format_rational(source.Z),
+            "parametrization": source.parametrization,
+        }
+    return _cuboid_payload(*map(_entry_to_json, entries), pc_condition(cuboid), source)
 
 
 def cuboid_from_json(record: dict) -> Cuboid:

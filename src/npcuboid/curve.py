@@ -21,6 +21,13 @@ Equal-parity multiples of one point share that class, the image of the
 chain's elements take c from its first point of their parity and one isqrt
 each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
 of their own.
+
+The sweep's chain P, 2P, ..., and its second-reflected image never become
+points: from the seed's (a, d, b), the tangent and chord laws and the secant
+map run on integer Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and
+each new triple is reduced to (a, d, b) by the root s of its content
+gcd(X, Z^2) = s^2. The CurvePoint law stays the public one and the tests'
+oracle for these elements.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 from typing import Sequence
 
@@ -280,16 +287,85 @@ def _integer_coordinates(point: CurvePoint) -> tuple[int, int, int]:
     return x.numerator * (d * d // xd), d, y.numerator * (d * d * d // yd)
 
 
-def _chain_elements(points: Sequence[CurvePoint]) -> list[tuple[int, int, int, int, int]]:
-    """The element (a, d, b, r, c) of each point of a chain P, 2P, 3P, ...,
-    or of its image under one reflection: c is the a of the chain's first
-    point of the same parity and r = isqrt(a c), at most one root per
-    element (the first two have r = |a|). Equal parity means one square
-    class of x, so a failed r^2 = a c check raises SquareCheckFailed (an
-    internal bug)."""
+def _reduced(x: int, y: int, z: int, content: int, j: int) -> tuple[int, int, int]:
+    """The element (a, d, b) of chain point j (counted from 1), given as the
+    Jacobian triple (x, y, z) of the point (x/z^2, y/z^3) and its content
+    gcd(x, z^2). The triple is (s^2 a, s^3 b, s d) for an integer s and the
+    point's own coprime (a, d), so the content is s^2. A content that is no
+    square, or z = 0, the point at infinity, raises SquareCheckFailed (an
+    internal bug): no nontrivial point of a congruent curve has finite
+    order."""
+    s = isqrt(content)
+    if not z or s * s != content:
+        raise SquareCheckFailed(
+            f"chain point {j} has no integer element (a, d, b); group law is broken"
+        )
+    if z < 0:
+        s = -s
+    return x // (s * s), z // s, y // (s * s * s)
+
+
+def _multiples(seed: CurvePoint, length: int) -> list[tuple[int, int, int]]:
+    """The elements (a, d, b) of P, 2P, ..., length*P: 2P by the tangent and
+    each (k+1)P = kP + P by the chord, both on integer Jacobian triples
+    (Cohen, Miyaji and Ono, ASIACRYPT 1998), each reduced by its content."""
+    n2 = seed.curve.N ** 2
+    a1, d1, b1 = _integer_coordinates(seed)
+    elements = [(a1, d1, b1)]
+    if length < 2:
+        return elements
+    # Tangent: M = 3X^2 - N^2 Z^4, S = 4 X Y^2, X' = M^2 - 2S,
+    # Y' = M (S - X') - 8 Y^4, Z' = 2 Y Z.
+    dd1 = d1 * d1
+    m = 3 * a1 * a1 - n2 * dd1 * dd1
+    b1b1 = b1 * b1
+    s = 4 * a1 * b1b1
+    x = m * m - 2 * s
+    z = 2 * b1 * d1
+    elements.append(_reduced(x, m * (s - x) - 8 * b1b1 * b1b1, z, gcd(x, z * z), 2))
+    # Chord with P: U1 = X d1^2, S1 = Y d1^3, H = a1 Z^2 - U1,
+    # R = b1 Z^3 - S1, X' = R^2 - H^3 - 2 U1 H^2, Y' = R (U1 H^2 - X') - S1 H^3,
+    # Z' = H Z d1.
+    ddd1 = dd1 * d1
+    while len(elements) < length:
+        a2, d2, b2 = elements[-1]
+        u1, s1 = a2 * dd1, b2 * ddd1
+        dd2 = d2 * d2
+        h, r = a1 * dd2 - u1, b1 * dd2 * d2 - s1
+        hh = h * h
+        u1hh = u1 * hh
+        x = r * r - hh * h - 2 * u1hh
+        z = h * d2 * d1
+        elements.append(
+            _reduced(x, r * (u1hh - x) - s1 * hh * h, z, gcd(x, z * z), len(elements) + 1)
+        )
+    return elements
+
+
+def _second_image(n: int, element: tuple[int, int, int], j: int) -> tuple[int, int, int]:
+    """The element (a', d', b') of the second reflection of chain point j with
+    element (a, d, b): x' = N(a + N d^2)/g and y' = 2 N^2 b d/g^2 for
+    g = a - N d^2, the Jacobian triple (N(a + N d^2) g, 2 N^2 b d g, g)."""
+    a, d, b = element
+    nd2 = n * d * d
+    g = a - nd2
+    x = n * (a + nd2)
+    # The content gcd(x g, g^2) is |g| gcd(x, g), and gcd(x, g) divides
+    # 2 N^2: it divides N gcd(a + N d^2, g), and gcd(a + N d^2, g) divides
+    # the sum 2a and the difference 2 N d^2, so 2 gcd(a, N) as gcd(a, d) = 1.
+    n2 = n * n
+    return _reduced(x * g, 2 * n2 * b * d * g, g, abs(g) * gcd(2 * n2, x, g), j)
+
+
+def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, int]]:
+    """The element (a, d, b, r, c) of each element (a, d, b) of a chain P,
+    2P, 3P, ..., or of its image under one reflection: c is the a of the
+    chain's first point of the same parity and r = isqrt(a c), at most one
+    root per element (the first two have r = |a|). Equal parity means one
+    square class of x, so a failed r^2 = a c check raises SquareCheckFailed
+    (an internal bug)."""
     elements = []
-    for j, point in enumerate(points):
-        a, d, b = _integer_coordinates(point)
+    for j, (a, d, b) in enumerate(points):
         if j < 2:
             elements.append((a, d, b, abs(a), a))
             continue
@@ -304,23 +380,39 @@ def _chain_elements(points: Sequence[CurvePoint]) -> list[tuple[int, int, int, i
     return elements
 
 
-def _same_parity_multiples(
-    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
-) -> tuple[CurvePoint, CurvePoint]:
-    """(kP, mP) for k, m of equal parity, read from chain where it covers
-    them; violated preconditions raise DegeneratePair."""
+def _check_multipliers(p: CurvePoint, k: int, m: int) -> None:
     if k == m or k == 0 or m == 0:
         raise DegeneratePair("multipliers must be distinct and nonzero")
     if (k - m) % 2 != 0:
         raise DegeneratePair(f"multipliers {k} and {m} have different parity")
     if p.is_trivial:
         raise DegeneratePair("base point must be nontrivial")
+
+
+def _same_parity_multiples(
+    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
+) -> tuple[CurvePoint, CurvePoint]:
+    """(kP, mP) for k, m of equal parity, read from chain where it covers
+    them; violated preconditions raise DegeneratePair."""
+    _check_multipliers(p, k, m)
     kp, mp = (chain[j - 1] if 0 < j <= len(chain) else p.mul(j) for j in (k, m))
     if kp.is_trivial or mp.is_trivial:
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if kp.x == mp.x:
         raise DegeneratePair(f"{k}P and {m}P share an abscissa")
     return kp, mp
+
+
+def _same_parity_elements(p: CurvePoint, k: int, m: int, multiples: Sequence[tuple]) -> None:
+    """The preconditions of _same_parity_multiples on the elements (a, d, b)
+    of P, 2P, ..., which cover k and m: a trivial multiple has b = 0, and two
+    points share an abscissa when they share (a, d)."""
+    _check_multipliers(p, k, m)
+    first, second = multiples[k - 1], multiples[m - 1]
+    if first[2] == 0 or second[2] == 0:
+        raise DegeneratePair(f"a multiple of {p} is trivial")
+    if first[:2] == second[:2]:
+        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
 
 
 def same_parity_pair(

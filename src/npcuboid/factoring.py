@@ -11,13 +11,14 @@ a square times a divisor of 2N, so a piece without N's large primes ends as
 a square after the cheap first trial stage, and only the pieces that carry
 them are trial-divided further.
 
-Each piece goes through the same stages. Trial division strips the primes up
-to 10**4, then up to DEFAULT_TRIAL_BOUND, by gcds with cached products of
-blocks of primes; square, primality and odd-power shortcuts and a
-deterministic Brent-cycle rho split finish the cofactor. All the pieces of
-one kernel spend from one rho iteration budget. When it runs out the
-computation fails loudly with FactorizationExceeded; a silently wrong kernel
-would corrupt every congruent number recovered downstream.
+Each piece goes through the same stages. A square piece ends at once. Trial
+division strips the primes up to 10**4, then up to DEFAULT_TRIAL_BOUND, by
+gcds with cached products of blocks of primes; square, primality and
+odd-power shortcuts and a deterministic Brent-cycle rho split finish the
+cofactor. All the pieces of one kernel spend from one rho iteration budget.
+When it runs out the computation fails loudly with FactorizationExceeded; a
+silently wrong kernel would corrupt every congruent number recovered
+downstream.
 """
 
 from __future__ import annotations
@@ -201,9 +202,12 @@ def squarefree_part(n: int, rho_budget: int | _RhoBudget = DEFAULT_RHO_BUDGET) -
     """
     if n <= 0:
         raise ValueError("squarefree part requires a positive integer")
+    # Every exponent of a square is even regardless of how its root factors,
+    # so a square piece, such as the q^2 of every inversion, costs no gcd.
+    if is_square_int(n):
+        return 1
     n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
     if is_square_int(n):
-        # Every exponent in n is even regardless of how its root factors.
         return result
     n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
     budget = rho_budget if isinstance(rho_budget, _RhoBudget) else _RhoBudget(rho_budget)

@@ -1,13 +1,15 @@
 """Bounded deterministic sweep over seed curves, multiples and parametrizations.
 
 The unit of work is one seed. Its multiples P, 2P, ..., MP are computed once,
-as a chain of successive additions, and every (k, m, parametrization) record
-of that seed is built from the chain; the reflected parametrizations read
-their image pairs off the chain's second reflection, also computed once.
-Each point of both chains is read once as an integer element (a, d, b, r, c)
-with x = a/d^2, y = b/d^3 and r^2 = a c for the x numerator c of the chain's
-first point of its parity (see curve); the builds take sqrt(XZ) of a pair
-from the two class roots r, so no pair takes a square root of its own.
+as a chain of integer elements (a, d, b) with x = a/d^2 and y = b/d^3, by the
+tangent and chord laws on integer triples (see curve), and every (k, m,
+parametrization) record of that seed is built from the chain; the reflected
+parametrizations read their image pairs off the chain's second reflection,
+also computed once, in the same integers. Each element of both chains takes
+one class root r, with r^2 = a c for the x numerator c of the chain's first
+point of its parity; the builds take sqrt(XZ) of a pair from the two class
+roots r, so no pair takes a square root of its own. The pair checks and the
+source abscissae a/d^2 of the records read the elements too.
 Seed units are pure functions of the job, so they can run on any number of
 worker processes, but never on more processes than there are seeds: a
 one-seed job runs in one process whatever the worker count. Records come
@@ -28,14 +30,16 @@ from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterator
 
-from .cuboids import (
-    FAMILY_OF_PARAMETRIZATION,
-    PARAMETRIZATIONS,
-    CuboidSource,
-    _cuboid_payload,
-    _npc_entries,
+from .cuboids import FAMILY_OF_PARAMETRIZATION, PARAMETRIZATIONS, _cuboid_payload, _npc_entries
+from .curve import (
+    CurvePoint,
+    _chain_elements,
+    _multiples,
+    _same_parity_elements,
+    _second_image,
+    load_seeds,
+    point_from_json,
 )
-from .curve import CurvePoint, _chain_elements, _same_parity_multiples, load_seeds, point_from_json
 from .errors import DegeneratePair, InvalidSeed
 from .rationals import _integer_field, is_square_int, max_decimal_digits
 
@@ -97,17 +101,23 @@ def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
 
     A field of the wrong JSON type raises TypeError."""
     if "seeds" in record:
-        seeds = tuple(point_from_json(entry) for entry in record["seeds"])
+        seeds = record["seeds"]
+        if not isinstance(seeds, list):
+            raise TypeError(f"seeds must be a list, got {seeds!r}")
+        seeds = tuple(point_from_json(entry) for entry in seeds)
     else:
         seeds = tuple(load_seeds(seed_path))
     max_multiple = _integer_field(record, "max_multiple")
     parametrizations = record.get("parametrizations", list(PARAMETRIZATIONS))
     if not isinstance(parametrizations, list):
         raise TypeError(f"parametrizations must be a list, got {parametrizations!r}")
+    parity = record.get("parity", "both")
+    if not isinstance(parity, str):
+        raise TypeError(f"parity must be a string, got {parity!r}")
     return SearchJob(
         seeds=seeds,
         max_multiple=max_multiple,
-        parity=record.get("parity", "both"),
+        parity=parity,
         parametrizations=tuple(parametrizations),
         height_limit=_integer_field(record, "height_limit", DEFAULT_HEIGHT_LIMIT),
     )
@@ -123,22 +133,18 @@ def task_key(record: dict) -> tuple[int, int, int, int]:
     return record["N"], record["k"], record["m"], _PARAM_INDEX[record["parametrization"]]
 
 
-def _chain(seed: CurvePoint, length: int) -> list[CurvePoint]:
-    """The multiples P, 2P, ..., length*P, by length - 1 successive additions."""
-    multiples = [seed]
-    while len(multiples) < length:
-        multiples.append(multiples[-1].add(seed))
-    return multiples
-
-
 def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) -> list[dict]:
     """Every record of one seed after skip_through, in task_key order."""
     n = seed.curve.N
-    multiples = _chain(seed, job.max_multiple)
+    multiples = _multiples(seed, job.max_multiple)
     elements = _chain_elements(multiples)
     images = None
     if any(param.endswith("_reflected") for param in job.parametrizations):
-        images = _chain_elements([p.reflect_second() for p in multiples])
+        images = _chain_elements(
+            [_second_image(n, element, j) for j, element in enumerate(multiples, 1)]
+        )
+    # Each chain point's abscissa a/d^2 as source text, in lowest terms.
+    abscissae = [str(a) if d == 1 else f"{a}/{d * d}" for a, d, _ in multiples]
     records = []
     for k, m in _multiple_pairs(job):
         pending = [
@@ -150,7 +156,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             continue
         records += pending
         try:
-            kp, mp = _same_parity_multiples(seed, k, m, multiples)
+            _same_parity_elements(seed, k, m, multiples)
         except DegeneratePair as exc:
             for record in pending:
                 record["skipped"] = str(exc)
@@ -173,7 +179,9 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             a, b = entries[0], entries[1]
             d_ab_sq = a * a + b * b
             pc = is_square_int(d_ab_sq)
-            source = CuboidSource(n, kp.x, mp.x, param)
+            source = {
+                "N": n, "X": abscissae[k - 1], "Z": abscissae[m - 1], "parametrization": param
+            }
             record["pc"] = pc
             record["cuboid"] = _cuboid_payload(*entries, d_ab_sq, pc, source)
     return records

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 from npcuboid import CongruentCurve, same_parity_pair, sqrt_exact
+from npcuboid.curve import _integer_coordinates
 
 
 def generated_pairs(seeds, max_multiple=6):
@@ -33,3 +34,21 @@ def triangle_seeds(count):
                 seeds.append(point_above(CongruentCurve(a * b // 2), Fraction(c * c, 4)))
         u += 1
     return tuple(seeds)
+
+
+# The sweep's chain as it was built before the integer elements, kept as
+# their oracle: the multiples by successive additions of the Fraction-backed
+# group law, and each point read back as its element (a, d, b).
+
+
+def reference_chain(seed, length):
+    """The multiples P, 2P, ..., length*P, by length - 1 successive additions."""
+    multiples = [seed]
+    while len(multiples) < length:
+        multiples.append(multiples[-1].add(seed))
+    return multiples
+
+
+def reference_elements(points):
+    """The element (a, d, b) of each point: x = a/d^2 and y = b/d^3."""
+    return [_integer_coordinates(point) for point in points]

@@ -444,11 +444,22 @@ class TestSearchCommand:
                  "parametrizations": "invariant"},
                 "parametrizations must be a list, got 'invariant'",
             ),
+            ({"seeds": {}, "max_multiple": 4}, "seeds must be a list, got {}"),
+            (
+                {"seeds": {"N": 5}, "max_multiple": 4},
+                "seeds must be a list, got {'N': 5}",
+            ),
+            (
+                {"seeds": [{"N": 5, "x": "-4", "y": "6"}], "max_multiple": 4,
+                 "parity": ["odd"]},
+                "parity must be a string, got ['odd']",
+            ),
         ],
         ids=[
             "no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object",
             "float-N", "string-N", "float-max-multiple", "boolean-max-multiple",
-            "float-height-limit", "parametrizations-not-a-list",
+            "float-height-limit", "parametrizations-not-a-list", "seeds-empty-object",
+            "seeds-an-object", "parity-a-list",
         ],
     )
     def test_malformed_job_record_is_usage_error(self, capsys, tmp_path, record, message):

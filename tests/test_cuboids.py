@@ -35,9 +35,9 @@ from npcuboid import (
 )
 
 from npcuboid.cuboids import _conic_point, _family_parameters, _npc_entries, _pair_elements
-from npcuboid.curve import _chain_elements
+from npcuboid.curve import _chain_elements, _multiples, _second_image
 
-from helpers import generated_pairs, triangle_seeds
+from helpers import generated_pairs, reference_chain, triangle_seeds
 
 # The five integer cuboids produced by the N=5 pair (25/4, 1681/144), in
 # field order (a, b, c, d_bc, d_ac, d_s).
@@ -676,11 +676,15 @@ class TestElementReference:
         # reads them, and from the standalone pair's own elements. The
         # triangle curves have composite N, as the sweep's wide sets do.
         n = seed.curve.N
-        chain = [seed]
-        while len(chain) < length:
-            chain.append(chain[-1].add(seed))
+        chain = reference_chain(seed, length)
         images = [point.reflect_second() for point in chain]
-        by_chain = ((chain, _chain_elements(chain)), (images, _chain_elements(images)))
+        multiples = _multiples(seed, length)
+        by_chain = (
+            (chain, _chain_elements(multiples)),
+            (images, _chain_elements(
+                [_second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+            )),
+        )
         for k in range(1, length):
             for m in range(k + 2, length + 1, 2):
                 for points, elements in by_chain:

@@ -29,9 +29,15 @@ from npcuboid import (
     sqrt_exact,
 )
 
-from npcuboid.curve import _chain_elements, _integer_coordinates
+from npcuboid.curve import (
+    _chain_elements,
+    _integer_coordinates,
+    _multiples,
+    _reduced,
+    _second_image,
+)
 
-from helpers import generated_pairs, point_above, triangle_seeds
+from helpers import generated_pairs, point_above, reference_elements, triangle_seeds
 
 
 @pytest.fixture
@@ -157,9 +163,12 @@ class TestAgainstSympy:
             n = seed.curve.N
             base = elliptic.EllipticCurve(-n * n, 0)(seed.x, seed.y)
             added, expected = seed, base
+            multiples = _multiples(seed, 12)
             for k in range(1, 13):
                 assert (added.x, added.y) == self.as_fractions(expected)
                 assert seed.mul(k) == added
+                a, d, b = multiples[k - 1]
+                assert (Fraction(a, d * d), Fraction(b, d ** 3)) == self.as_fractions(expected)
                 added, expected = added.add(seed), expected + base
 
 
@@ -343,9 +352,13 @@ class TestChainElements:
     def test_elements_of_the_packaged_chains(self, seeds):
         for seed in seeds:
             chain = [seed.mul(j) for j in range(1, 10)]
-            for images in (chain, [p.reflect_second() for p in chain]):
-                elements = _chain_elements(images)
-                for j, (point, (a, d, b, r, c)) in enumerate(zip(images, elements)):
+            multiples = _multiples(seed, 9)
+            images = [_second_image(seed.curve.N, e, j) for j, e in enumerate(multiples, 1)]
+            for points, triples in (
+                (chain, multiples), ([p.reflect_second() for p in chain], images)
+            ):
+                elements = _chain_elements(triples)
+                for j, (point, (a, d, b, r, c)) in enumerate(zip(points, elements)):
                     # A curve point's own numerators, over d^2 and d^3.
                     assert (a, d * d, b, d ** 3) == (
                         point.x.numerator, point.x.denominator,
@@ -362,9 +375,26 @@ class TestChainElements:
 
     def test_planted_point_fails_the_class_check(self, curve5, p5):
         # (45, 300) is on the curve but is not 3P: 45 * (-4) is no square.
-        chain = [p5, p5.double(), curve5.point(45, 300)]
+        chain = reference_elements([p5, p5.double(), curve5.point(45, 300)])
         with pytest.raises(SquareCheckFailed, match="^x of chain point 3 is not in the square"):
             _chain_elements(chain)
+
+    @pytest.mark.parametrize(
+        "triple, content, element",
+        [((1681, 62279, 12), 1, (1681, 12, 62279)),
+         # (2^2 a, 2^3 b, 2 d) and (a, -b, -d) stand for the point (a, d, b).
+         ((4 * 1681, 8 * 62279, 24), 4, (1681, 12, 62279)),
+         ((1681, -62279, -12), 1, (1681, 12, 62279))],
+    )
+    def test_reduction_divides_out_the_content(self, triple, content, element):
+        assert _reduced(*triple, content, 2) == element
+
+    @pytest.mark.parametrize(
+        "triple, content", [((2, 1, 4), 2), ((9, 1, 0), 9)], ids=["content-2", "infinity"]
+    )
+    def test_reduction_refuses_a_broken_triple(self, triple, content):
+        with pytest.raises(SquareCheckFailed, match="^chain point 4 has no integer element"):
+            _reduced(*triple, content, 4)
 
 
 class TestPairRoot:

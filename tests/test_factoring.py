@@ -137,6 +137,16 @@ class TestSquarefreePart:
         p = 1000000007
         assert squarefree_part(34 * p ** 2, rho_budget=0) == 34
 
+    @pytest.mark.parametrize("n", [32**2, 2**200 * _BIG_SQUARE, (2 * 3 * 9973) ** 6])
+    def test_square_piece_is_stripped_by_no_gcd(self, monkeypatch, n):
+        # The q^2 piece of r^2 - 1 in every inversion is a square: its part
+        # is 1 before any block of trial primes is stripped.
+        def no_strip(*args):
+            raise AssertionError("a square piece went through trial division")
+
+        monkeypatch.setattr(factoring, "_strip", no_strip)
+        assert squarefree_part(n, rho_budget=0) == 1
+
     def test_odd_power_cofactor(self):
         p = 1000003
         assert squarefree_part(p ** 3, rho_budget=0) == p

@@ -47,7 +47,7 @@ from npcuboid.search import (
     write_records,
 )
 
-from helpers import point_above, triangle_seeds
+from helpers import point_above, reference_chain, reference_elements, triangle_seeds
 
 
 def render(job, workers=1, skip_through=None):
@@ -189,13 +189,29 @@ class TestWorkerCap:
 
 class TestSeedChain:
     def test_chain_entries_match_mul(self, seeds):
+        # The elements of P, ..., 17P and of their second reflections against
+        # the Fraction chain that successive additions built, and against mul.
         for seed in seeds:
-            assert search._chain(seed, 17) == [seed.mul(k) for k in range(1, 18)]
+            n, chain = seed.curve.N, reference_chain(seed, 17)
+            assert chain == [seed.mul(k) for k in range(1, 18)]
+            multiples = curve_module._multiples(seed, 17)
+            assert multiples == reference_elements(chain)
+            images = [curve_module._second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+            assert images == reference_elements(p.reflect_second() for p in chain)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_chains_of_multiple_seeds_match_the_reference(self, seeds, j):
+        # Seeds jP have larger denominators d than the packaged seeds (d = 1).
+        for seed in seeds:
+            base = seed.mul(j)
+            assert curve_module._multiples(base, 8) == reference_elements(
+                reference_chain(base, 8)
+            )
 
     @pytest.mark.parametrize("parity", ["both", "odd", "even"])
     def test_each_seed_chain_is_built_once(self, seeds, monkeypatch, parity):
-        adds, muls = [], []
-        add, mul = CurvePoint.add, CurvePoint.mul
+        adds, muls, chains = [], [], []
+        add, mul, multiples = CurvePoint.add, CurvePoint.mul, search._multiples
 
         def counting_add(self, other):
             adds.append(self.curve.N)
@@ -205,15 +221,19 @@ class TestSeedChain:
             muls.append(k)
             return mul(self, k)
 
+        def counting_multiples(seed, length):
+            chains.append(seed.curve.N)
+            return multiples(seed, length)
+
         monkeypatch.setattr(CurvePoint, "add", counting_add)
         monkeypatch.setattr(CurvePoint, "mul", counting_mul)
+        monkeypatch.setattr(search, "_multiples", counting_multiples)
         job = SearchJob(seeds=tuple(seeds), max_multiple=7, parity=parity)
         records = list(run_search(job))
         assert records and any("cuboid" in r for r in records)
-        assert muls == []
-        for seed in seeds:
-            assert adds.count(seed.curve.N) <= job.max_multiple - 1
-
+        # The chain is integer elements only: no point is added or multiplied.
+        assert muls == [] and adds == []
+        assert chains == [seed.curve.N for seed in seeds]
 
     @pytest.mark.parametrize(
         "parametrizations, reflections",
@@ -222,19 +242,43 @@ class TestSeedChain:
     def test_each_chain_element_is_reflected_once(
         self, seeds, monkeypatch, parametrizations, reflections
     ):
-        calls = []
-        reflect_second = CurvePoint.reflect_second
+        calls, points = [], []
+        second_image, reflect_second = search._second_image, CurvePoint.reflect_second
+
+        def counting_second_image(n, element, j):
+            calls.append(n)
+            return second_image(n, element, j)
 
         def counting_reflect_second(self):
-            calls.append(self.curve.N)
+            points.append(self.curve.N)
             return reflect_second(self)
 
+        monkeypatch.setattr(search, "_second_image", counting_second_image)
         monkeypatch.setattr(CurvePoint, "reflect_second", counting_reflect_second)
         job = SearchJob(seeds=tuple(seeds), max_multiple=7, parametrizations=parametrizations)
         records = list(run_search(job))
         assert sum("cuboid" in r for r in records) >= 8 * len(seeds)
+        assert points == []
         for seed in seeds:
             assert calls.count(seed.curve.N) == reflections
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_multiple_seed_emits_the_cuboids_of_the_multiplied_pair(self, seeds, j):
+        # An oracle independent of the chain: the seed jP at (k, m) is the
+        # pair (jkP, jmP), so each of its cuboids is the seed P's at
+        # (jk, jm), source included. The two chains share no element after
+        # the first. No record is truncated at this height limit.
+        for seed in seeds:
+            multiple = SearchJob(seeds=(seed.mul(j),), max_multiple=5, height_limit=2000)
+            base = SearchJob(seeds=(seed,), max_multiple=5 * j, height_limit=2000)
+            of_base = {(r["k"], r["m"], r["parametrization"]): r for r in run_search(base)}
+            emitted = [r for r in run_search(multiple) if "cuboid" in r]
+            # The four same-parity pairs of 1..5 in each parametrization.
+            assert len(emitted) == 4 * len(PARAMETRIZATIONS)
+            for record in emitted:
+                expected = of_base[(j * record["k"], j * record["m"], record["parametrization"])]
+                for field in ("digits", "pc", "cuboid"):
+                    assert record[field] == expected[field], record
 
 
 class TestRecordsMatchThePublicBuild:
@@ -475,7 +519,9 @@ class TestOneRootPerChainElement:
     """A sweep takes one x-product root per chain element, and one per
     element of the chain's second-reflected image when a reflected
     parametrization is asked for, and none per pair: every pair reads
-    sqrt(XZ) off the class roots of its two elements."""
+    sqrt(XZ) off the class roots of its two elements. Apart from those,
+    each element but the seed's takes one root of its content when it is
+    reduced."""
 
     @pytest.mark.parametrize(
         "parametrizations, chains",
@@ -483,16 +529,25 @@ class TestOneRootPerChainElement:
         ids=["unreflected", "with-reflected-images"],
     )
     def test_roots_per_element(self, monkeypatch, parametrizations, chains):
-        roots = []
+        roots, content_roots, reducing = [], [], []
+        reduced = curve_module._reduced
 
         def counting_isqrt(n):
-            roots.append(n)
+            (content_roots if reducing else roots).append(n)
             return math.isqrt(n)
+
+        def counting_reduced(*args):
+            reducing.append(True)
+            try:
+                return reduced(*args)
+            finally:
+                reducing.pop()
 
         def no_pair_root(pair):
             raise AssertionError("the sweep took a pair's own root")
 
         monkeypatch.setattr(curve_module, "isqrt", counting_isqrt)
+        monkeypatch.setattr(curve_module, "_reduced", counting_reduced)
         monkeypatch.setattr(curve_module.SolutionPair, "_xz_root", property(no_pair_root))
         job = SearchJob(
             seeds=tuple(load_seeds()), max_multiple=7, parametrizations=parametrizations
@@ -501,20 +556,21 @@ class TestOneRootPerChainElement:
         assert sum("cuboid" in r for r in records) > 0
         # 4 seeds of 7 elements per chain, the first two of a chain with r = |a|.
         assert len(roots) == 4 * chains * (7 - 2)
+        # 2P, ..., 7P of each seed, and all 7 images when they are asked for.
+        assert len(content_roots) == 4 * (6 + 7 * (chains - 1))
 
     def test_planted_bad_chain_element_fails_the_class_check(self, monkeypatch):
         # (45, 300) is on the N = 5 curve but is not 3P: its x is not in the
         # square class of P's, so the element of 3P fails r^2 = a c.
-        curve5 = CongruentCurve(5)
-        real_chain = search._chain
+        real_multiples = search._multiples
 
         def planted(seed, length):
-            multiples = real_chain(seed, length)
+            multiples = real_multiples(seed, length)
             if seed.curve.N == 5:
-                multiples[2] = curve5.point(45, 300)
+                multiples[2] = (45, 1, 300)
             return multiples
 
-        monkeypatch.setattr(search, "_chain", planted)
+        monkeypatch.setattr(search, "_multiples", planted)
         job = SearchJob(seeds=tuple(load_seeds()), max_multiple=5)
         with pytest.raises(SquareCheckFailed, match="chain point 3 .* point 1;"):
             list(run_search(job))
