@@ -16,11 +16,14 @@ x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
 the parameters and the gamma condition are read off the integer elements
 (a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c for a c
 the two share; see curve) as unreduced integer fractions, each conic point
-is an integer triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2|
-and 2|p|q of its parameter p/q, and the six entries are those integers over
-a common denominator of the two points and the gamma condition that the
-elements give in closed form, divided by their one gcd, the only gcd of the
-build. The sweep passes the elements of its chain, whose
+is a primitive integer triple (x, y, denominator) of the terms p^2 + q^2,
+|q^2 - p^2| and 2|p|q of its parameter p/q in lowest terms (halved when p and
+q are both odd), and the six entries are those integers over a common
+denominator of the two points and the gamma condition that the elements give
+in closed form. Their content is known in closed form too, from gcds of the
+parameters and of small factors, so it is divided out of the factors before
+they are multiplied and no gcd of the build takes a finished entry. The
+sweep passes the elements of its chain, whose
 class roots r it took once per point; a standalone pair's elements take
 their root from the pair's own root of XZ (see SolutionPair). The
 first_reflected and second_reflected cuboids are the first and second
@@ -41,14 +44,11 @@ from math import gcd
 
 from .curve import SolutionPair, _integer_coordinates, kummer_map
 from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
-from .rationals import (
-    _integer_field,
-    _rational_field,
-    format_rational,
-    is_square,
-    primitive_integer_scaling,
-    sqrt_exact,
-)
+from .rationals import _integer_field, _rational_field, format_rational, is_square, sqrt_exact
+
+# The build divides out its content in closed form; the scaling stays
+# importable here, where perfbench/tracing.py wraps it.
+from .rationals import primitive_integer_scaling  # noqa: F401
 
 PARAMETRIZATIONS = ("invariant", "first", "first_reflected", "second", "second_reflected")
 FAMILIES = ("first", "second", "third")
@@ -322,8 +322,9 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     family, (1, 2g, by, ay, bx, ax) for the second and (1, g/2, by, ay, bx,
     ax) for the third, the invariant cuboid. They are formed in integers over
     a common denominator of the conic points and g that the pair's elements
-    give in closed form, and divided by their gcd to coprime positive
-    integers; d_ab_sq is a^2 + b^2 of those. The reflected
+    give in closed form, with their content, known in closed form too,
+    divided out of the factors first, as coprime positive integers; d_ab_sq
+    is a^2 + b^2 of those. The reflected
     parametrizations are the first and second cuboids of the pair's image
     under the second reflected transformation; the source still records the
     caller's abscissae. A pair holding a trivial point, a vanishing family
@@ -348,6 +349,23 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
 _ENTRY_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
 
 
+def _primitive_conic_point(family: str, p: int, q: int) -> tuple[int, ...]:
+    """The family's conic point at t = p/q as a primitive triple (x, y,
+    denominator), and the factor u^2 e by which _conic_point(family, p, q)
+    exceeds it. With u = gcd(p, q), the terms of p and q are u^2 times those
+    of p/u and q/u. Any common divisor of p^2 + q^2 and q^2 - p^2 divides
+    2p^2 and 2q^2, so it divides 2 for coprime p and q. When both are odd,
+    p^2 + q^2 and 2|p|q are 2 mod 4 and q^2 - p^2 is 0 mod 8, so halving
+    leaves p^2 + q^2 odd and the triple coprime, and e = 2; otherwise p^2 +
+    q^2 is odd and the triple is coprime as it is, and e = 1."""
+    u = gcd(p, q)
+    p, q = p // u, q // u
+    x, y, denominator = _conic_point(family, p, q)
+    if p & q & 1:
+        return x >> 1, y >> 1, denominator >> 1, 2 * u * u
+    return x, y, denominator, u * u
+
+
 def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int, ...]:
     """The family's cuboid of the pair with elements first and second as six
     coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
@@ -355,38 +373,66 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
     elements of the reflected pair."""
     alpha, beta, (gn, _) = _family_terms(n, first, second, family)
     try:
-        ax, ay, a_den = _conic_point(family, *alpha)
-        bx, by, b_den = _conic_point(family, *beta)
+        ax, ay, a_den, a_content = _primitive_conic_point(family, *alpha)
+        bx, by, b_den, b_content = _primitive_conic_point(family, *beta)
     except TrivialParameter as exc:
         raise DegeneratePair(str(exc)) from exc
-    # Every entry times a common denominator one of the two conic points and
-    # g, known in closed form, so the final gcd is the build's only one. Write
-    # R = r1 r2/|c| = sqrt(a1 a2), D = d1 d2, total = a1 d2^2 + a2 d1^2,
-    # difference = a1 d2^2 - a2 d1^2 and gap = N^2 D^2 - a1 a2. As r^2 = a c
-    # for both points, the conic denominators (a_den, b_den) are
-    #   first:  (a1 a2 + N^2 D^2, |c| |total|),  g's denominator a_den total;
+    # Every entry times a common denominator of the two conic points and g,
+    # known in closed form. Write R = r1 r2/|c| = sqrt(a1 a2), D = d1 d2,
+    # total = a1 d2^2 + a2 d1^2, difference = a1 d2^2 - a2 d1^2 and gap =
+    # N^2 D^2 - a1 a2. As r^2 = a c for both points, the denominators
+    # (den1, den2) of the conic points at the unreduced alpha and beta are
+    #   first:  (a1 a2 + N^2 D^2, |c| |total|),  g's denominator den1 total;
     #   second: (|c| |difference|, |gap|),       g's denominator difference gap;
     #   third:  (2 R D N, 2 |c| R D),            g's denominator D R^2 N.
-    # So one = a_den b_den and g = |c| |gn| in the first two families, and
-    # one = a_den b_den/(2D) = a_den |c| R = b_den R N and g = 2 |c| |gn| in
-    # the third.
+    # So one = den1 den2 and g = |c| |gn| in the first two families, and
+    # one = den1 den2/(2D) = den1 |c| R = den2 R N and g = 2 |c| |gn| in the
+    # third.
+    #
+    # The content of those entries is known in closed form too, so it is
+    # divided out of their factors and no gcd takes an entry. The point at
+    # the unreduced alpha is U1 = u1^2 e1 times the primitive triple (ax, ay,
+    # a_den), and the one at beta U2 times (bx, by, b_den) (see
+    # _primitive_conic_point). In the first two families the entries are 2g
+    # and U = U1 U2 times the five products ay b_den, bx a_den, ax b_den,
+    # by a_den and a_den b_den. The three with a factor b_den have gcd b_den,
+    # as ax, ay and a_den are coprime, and the three with a factor a_den have
+    # gcd a_den, so the five have gcd G = gcd(a_den, b_den) and the content
+    # is gcd(U G, 2g). For h = gcd(U, 2g), U/h and 2g/h are coprime, so that
+    # content is h r with r = gcd(G, 2g/h): the products take U/h and a_den/r
+    # or b_den/r in place of U and a_den or b_den, and 2g is divided by h r.
+    # In the third the entries are g; 2R A times a_den, ay and ax for A =
+    # |c| U1; and 2R B times by and bx for B = N U2. by and bx are the terms
+    # |q^2 - p^2| and p^2 + q^2 of a primitive triple, which are coprime by
+    # themselves, so the five have gcd 2R gcd(A, B) and the content is
+    # K = gcd(2R gcd(A, B), g).
     c = abs(first[4])
     if family == "third":
-        a_scale, b_scale = c * alpha[0], alpha[0] * n  # alpha = R/(D N)
+        twice_root = 2 * alpha[0]  # alpha = R/(D N)
+        a_side, b_side = c * a_content, n * b_content  # A and B
         g = 2 * c * abs(gn)
+        content = gcd(twice_root * gcd(a_side, b_side), g)
+        a_scale = twice_root * a_side // content
+        b_scale = twice_root * b_side // content
+        g //= content
     else:
-        a_scale, b_scale = b_den, a_den
-        g = c * abs(gn)
+        twice_g = 2 * c * abs(gn)
+        scale = a_content * b_content
+        h = gcd(scale, twice_g)
+        twice_g //= h
+        r = gcd(gcd(a_den, b_den), twice_g)
+        twice_g //= r
+        scale //= h
+        a_scale, b_scale = scale * (b_den // r), scale * (a_den // r)
     one = a_den * a_scale
     ax, ay = ax * a_scale, ay * a_scale
     bx, by = bx * b_scale, by * b_scale
     if family == "first":
-        entries = (ay, bx, 2 * g, ax, by, one)
+        entries = (ay, bx, twice_g, ax, by, one)
     elif family == "second":
-        entries = (one, 2 * g, by, ay, bx, ax)
+        entries = (one, twice_g, by, ay, bx, ax)
     else:
-        entries = (2 * one, g, 2 * by, 2 * ay, 2 * bx, 2 * ax)
-    entries = tuple(primitive_integer_scaling(entries))
+        entries = (one, g, by, ay, bx, ax)
     for name, value in zip(_ENTRY_NAMES, entries):
         if value <= 0:
             raise ValueError(f"cuboid entry {name} must be positive")

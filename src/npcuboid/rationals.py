@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotASquare
 
@@ -115,9 +115,23 @@ def primitive_integer_scaling(values: Sequence[Fraction | int]) -> list[int]:
     return [v // g for v in values]
 
 
-def max_decimal_digits(values: Iterable[int]) -> int:
-    """Length of the longest entry written in base 10 (sign ignored).
+# ceil(log10(2) 2^64): log10(2) = 0.30102999566398119521373889..., so this
+# exceeds 2^64 log10(2) by less than 1.
+_LOG10_2_CEILING = 5553023288523357133
 
-    Only the entry of largest magnitude is converted to a string.
+
+def decimal_digits(n: int) -> int:
+    """Length of a positive integer written in base 10, counted in integers
+    with no conversion to text, so it holds past the int <-> str limit.
+
+    For n of bit length b, 2^(b-1) <= n < 2^b, so its length is f0 + 1 or
+    f1 + 1 for f0 = floor((b - 1) log10 2) and f1 = floor(b log10 2), and f1
+    - f0 is 0 or 1. For log10 2 <= L <= log10 2 + (1 - log10 2)/b, e =
+    floor(b L) lies between f1 and floor(b log10 2 + 1 - log10 2) = f0 + 1.
+    So if f1 = f0 + 1, e = f1 and the length is e or e + 1; if f1 = f0, the
+    length is f1 + 1 and e is f1 or f1 + 1. Either way the length is e + 1
+    exactly when n >= 10^e. L = _LOG10_2_CEILING/2^64 exceeds log10 2 by
+    less than 2^-64, so it is in range for every b below 10^19.
     """
-    return len(str(max(abs(v) for v in values)))
+    e = n.bit_length() * _LOG10_2_CEILING >> 64
+    return e + (n >= 10**e)

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations
 from pathlib import Path
 from typing import IO, Iterator
@@ -41,7 +41,7 @@ from .curve import (
     point_from_json,
 )
 from .errors import DegeneratePair, InvalidSeed
-from .rationals import _integer_field, is_square_int, max_decimal_digits
+from .rationals import _integer_field, decimal_digits, is_square_int
 
 # Every emitted record equals
 # cuboid_to_json(build_npc(same_parity_pair(seed, k, m), parametrization)); the
@@ -143,8 +143,14 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         images = _chain_elements(
             [_second_image(n, element, j) for j, element in enumerate(multiples, 1)]
         )
-    # Each chain point's abscissa a/d^2 as source text, in lowest terms.
-    abscissae = [str(a) if d == 1 else f"{a}/{d * d}" for a, d, _ in multiples]
+    @cache
+    def abscissa(j: int) -> str:
+        """jP's abscissa a/d^2 as source text, in lowest terms, formatted
+        only for an emitted record: a truncated record's points can run
+        past the int <-> str digit limit."""
+        a, d, _ = multiples[j - 1]
+        return str(a) if d == 1 else f"{a}/{d * d}"
+
     records = []
     for k, m in _multiple_pairs(job):
         pending = [
@@ -171,7 +177,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             except DegeneratePair as exc:
                 record["skipped"] = str(exc)
                 continue
-            digits = max_decimal_digits(entries)
+            digits = decimal_digits(entries[5])  # d_s, the largest entry
             record["digits"] = digits
             if digits > job.height_limit:
                 record["truncated"] = True
@@ -180,7 +186,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             d_ab_sq = a * a + b * b
             pc = is_square_int(d_ab_sq)
             source = {
-                "N": n, "X": abscissae[k - 1], "Z": abscissae[m - 1], "parametrization": param
+                "N": n, "X": abscissa(k), "Z": abscissa(m), "parametrization": param
             }
             record["pc"] = pc
             record["cuboid"] = _cuboid_payload(*entries, d_ab_sq, pc, source)

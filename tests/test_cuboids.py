@@ -34,7 +34,14 @@ from npcuboid import (
     verify_npc,
 )
 
-from npcuboid.cuboids import _conic_point, _family_parameters, _npc_entries, _pair_elements
+from npcuboid.cuboids import (
+    _conic_point,
+    _family_parameters,
+    _family_terms,
+    _npc_entries,
+    _pair_elements,
+    _primitive_conic_point,
+)
 from npcuboid.curve import _chain_elements, _multiples, _second_image
 
 from helpers import generated_pairs, reference_chain, triangle_seeds
@@ -265,6 +272,29 @@ def reference_npc_entries(pair, family):
     return entries
 
 
+def content_factors(n, first, second, family):
+    """The factors of _npc_entries' closed-form content, recomputed from the
+    unreduced parameters: u = gcd(p, q) and e (2 when p/u and q/u are both
+    odd) of alpha (u1, e1) and beta (u2, e2), then h and r in the first two
+    families, and gcd(A, B) in the third."""
+    alpha, beta, (gn, _) = _family_terms(n, first, second, family)
+    factors, denominators = {}, []
+    for side, (p, q) in (("1", alpha), ("2", beta)):
+        u = gcd(p, q)
+        e = 2 if (p // u) % 2 and (q // u) % 2 else 1
+        factors["u" + side], factors["e" + side] = u, e
+        denominators.append(_conic_point(family, p // u, q // u)[2] // e)
+    scales = [factors[f"u{side}"] ** 2 * factors[f"e{side}"] for side in "12"]
+    c = abs(first[4])
+    if family == "third":
+        factors["gcd(A, B)"] = gcd(c * scales[0], n * scales[1])
+    else:
+        twice_g = 2 * c * abs(gn)
+        factors["h"] = gcd(scales[0] * scales[1], twice_g)
+        factors["r"] = gcd(*denominators, twice_g // factors["h"])
+    return factors
+
+
 def outcome(function, *args):
     """function(*args), or the type and message of the error it raises."""
     try:
@@ -323,6 +353,29 @@ class TestConicPoints:
             (1 + t * t) / abs(1 - t * t), abs(2 * t) / abs(1 - t * t)
         )
         assert hyperbola_point_b(t) == ((1 + t * t) / abs(2 * t), abs(1 - t * t) / abs(2 * t))
+
+    @given(
+        st.sampled_from(FAMILIES),
+        st.integers(1, 10**6),
+        st.integers(1, 10**6),
+        st.integers(1, 10**4),
+    )
+    @settings(max_examples=200)
+    def test_primitive_point_times_its_factor_is_the_unreduced_point(self, family, p, q, u):
+        # u^2 e with u = gcd(p, q), and e = 2 when p/u and q/u are both odd.
+        p, q = p * u, q * u
+        assume(p != q)
+        x, y, denominator, factor = _primitive_conic_point(family, p, q)
+        assert gcd(x, y, denominator) == 1
+        assert tuple(factor * v for v in (x, y, denominator)) == _conic_point(family, p, q)
+        u = gcd(p, q)
+        assert factor == (2 if (p // u) % 2 and (q // u) % 2 else 1) * u * u
+
+    @pytest.mark.parametrize("p, q", [(0, 6), (6, 6), (-4, 4)])
+    def test_primitive_point_keeps_the_degeneracy_message(self, p, q):
+        expected = outcome(_conic_point, "first", p, q)
+        assert expected[0] is TrivialParameter
+        assert outcome(_primitive_conic_point, "first", p, q) == expected
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(7, 5), Fraction(-9, 2)])
     def test_points_satisfy_their_conics(self, t):
@@ -697,6 +750,44 @@ class TestElementReference:
                         assert _family_parameters(n, *standalone, family) == (
                             reference_family_parameters(pair, family)
                         )
+
+    @pytest.mark.parametrize(
+        "n, points, k, m, family, factor",
+        [
+            # One pair per family and factor of the content formula that the
+            # factor exceeds 1 on; dropping the factor changes its entries.
+            (5, "chain", 2, 4, "first", "u1"),
+            (5, "chain", 1, 3, "first", "u2"),
+            (5, "image", 1, 3, "first", "e1"),
+            (5, "chain", 1, 3, "first", "e2"),
+            (5, "chain", 1, 3, "first", "h"),
+            (5, "image", 2, 4, "first", "r"),
+            (5, "chain", 1, 3, "second", "u1"),
+            (5, "chain", 2, 4, "second", "u2"),
+            (5, "chain", 1, 3, "second", "e1"),
+            (5, "image", 1, 3, "second", "e2"),
+            (5, "chain", 1, 3, "second", "h"),
+            (5, "chain", 1, 3, "second", "r"),
+            (6, "chain", 1, 3, "second", "r"),
+            (5, "chain", 2, 4, "third", "u1"),
+            (5, "chain", 1, 3, "third", "u2"),
+            (5, "image", 1, 3, "third", "e1"),
+            (5, "chain", 1, 3, "third", "e2"),
+            (5, "chain", 1, 3, "third", "gcd(A, B)"),
+            (34, "chain", 1, 3, "third", "gcd(A, B)"),
+        ],
+    )
+    def test_each_content_factor_against_the_reference(self, n, points, k, m, family, factor):
+        seed = next(s for s in PACKAGED_SEEDS if s.curve.N == n)
+        chain, elements = reference_chain(seed, m), _multiples(seed, m)
+        if points == "image":
+            chain = [point.reflect_second() for point in chain]
+            elements = [_second_image(n, e, j) for j, e in enumerate(elements, 1)]
+        elements = _chain_elements(elements)
+        first, second = elements[k - 1], elements[m - 1]
+        assert content_factors(n, first, second, family)[factor] > 1
+        pair = SolutionPair.trusted(chain[k - 1], chain[m - 1])
+        assert _npc_entries(n, first, second, family) == reference_npc_entries(pair, family)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npcuboid import (
@@ -12,6 +13,7 @@ from npcuboid import (
     primitive_integer_scaling,
     sqrt_exact,
 )
+from npcuboid.rationals import decimal_digits
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-10_000), max_value=Fraction(10_000), max_denominator=500
@@ -148,6 +150,59 @@ class TestPrimitiveIntegerScaling:
         base = next(i for i, v in enumerate(values) if v > 0)
         for i, v in enumerate(values):
             assert Fraction(ints[i], ints[base]) == v / values[base]
+
+
+def str_length(n):
+    """len(str(n)), with the int <-> str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(n))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestDecimalDigits:
+    @given(st.integers(1, 20_000).flatmap(lambda b: st.integers(1 << (b - 1), (1 << b) - 1)))
+    @example(1)
+    @settings(max_examples=300)
+    def test_matches_str_length(self, n):
+        assert decimal_digits(n) == str_length(n)
+
+    @given(st.integers(1, 5000), st.sampled_from((-1, 0, 1)))
+    @example(1, -1)
+    @example(5000, -1)
+    @example(5000, 0)
+    @example(5000, 1)
+    def test_powers_of_ten_and_their_neighbours_match_str_length(self, k, offset):
+        assert decimal_digits(10**k + offset) == str_length(10**k + offset)
+
+    def test_every_power_of_ten_to_5000_and_its_neighbours(self):
+        assert decimal_digits(1) == 1
+        for k in range(1, 5001):
+            power = 10**k
+            assert decimal_digits(power - 1) == k
+            assert decimal_digits(power) == decimal_digits(power + 1) == k + 1
+
+    def test_every_bit_length_to_4000_at_both_ends(self):
+        # The estimate changes with the bit length; both ends of each length
+        # must land between the powers of ten that bound their length.
+        for b in range(1, 4001):
+            for n in ((1 << (b - 1)), (1 << b) - 1):
+                digits = decimal_digits(n)
+                assert 10 ** (digits - 1) <= n < 10**digits
+
+    def test_counts_past_the_int_str_limit_without_lifting_it(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            n = 7 * 10**5000 + 3
+            with pytest.raises(ValueError, match="4300"):
+                str(n)
+            assert decimal_digits(n) == 5001
+            assert decimal_digits(10**4300) == 4301
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestSerialization:

@@ -164,12 +164,14 @@ class TestWorkerCap:
         reason="needs the int <-> str digit limit and the forkserver start method",
     )
     def test_forkserver_workers_keep_the_callers_digit_limit(self, monkeypatch):
-        # At max_multiple 46 the N = 34 seed has entries past the default
-        # 4300-digit limit. Forkserver workers do not inherit a lifted limit
-        # from the parent's memory; the pool must hand it over.
+        # At max_multiple 66 the N = 34 seed has abscissae past the default
+        # 4300-digit limit, which the emitted records' sources write as text
+        # (the digit counts need none). Forkserver workers do not inherit a
+        # lifted limit from the parent's memory; the pool must hand it over.
         seeds = tuple(s for s in load_seeds() if s.curve.N in (6, 34))
         job = SearchJob(
-            seeds=seeds, max_multiple=46, parity="even", parametrizations=("invariant",)
+            seeds=seeds, max_multiple=66, parity="even", parametrizations=("invariant",),
+            height_limit=10**6,
         )
         forkserver = partial(
             concurrent.futures.ProcessPoolExecutor,
@@ -183,8 +185,9 @@ class TestWorkerCap:
             records = list(run_search(job, workers=2))
         finally:
             sys.set_int_max_str_digits(limit)
-        assert len(records) == 2 * 253
-        assert max(r["digits"] for r in records) > 4300
+        assert len(records) == 2 * 528
+        abscissae = (r["cuboid"]["source"]["Z"] for r in records if "cuboid" in r)
+        assert max(len(text.partition("/")[0]) for text in abscissae) > 4300
 
 
 class TestSeedChain:
@@ -351,6 +354,36 @@ class TestRecordContents:
         for record in truncated:
             assert "cuboid" not in record and "pc" not in record
             assert record["digits"] > 1
+
+    def test_library_run_needs_no_raised_digit_limit(self):
+        # At max_multiple 80 the N = 34 seed's entries reach 13,625 digits
+        # and its abscissae 6,985, past the default limit of 4300 digits on
+        # int <-> str conversion. Records beyond the height limit carry only
+        # their digit count, so run_search as a library completes at that
+        # limit, and each count is d_s's length, checked against powers of
+        # ten with no str.
+        seed = next(s for s in load_seeds() if s.curve.N == 34)
+        job = SearchJob(
+            seeds=(seed,), max_multiple=80, parametrizations=("invariant",), height_limit=200
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            records = list(run_search(job))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        built = [r for r in records if "digits" in r]
+        assert len(records) == 3160 and len(built) == 1560
+        truncated = [r for r in built if r.get("truncated")]
+        assert truncated == [r for r in built if r["digits"] > 200]
+        assert all("cuboid" in r for r in built if r["digits"] <= 200)
+        deepest = max(truncated, key=lambda r: r["digits"])
+        assert deepest["digits"] > 4300
+        elements = curve_module._chain_elements(curve_module._multiples(seed, 80))
+        for record in truncated[::50] + [deepest]:
+            first, second = elements[record["k"] - 1], elements[record["m"] - 1]
+            d_s = search._npc_entries(34, first, second, "third")[5]
+            assert 10 ** (record["digits"] - 1) <= d_s < 10 ** record["digits"]
 
     def test_parity_classes_restrict_enumeration(self):
         seeds = tuple(s for s in load_seeds() if s.curve.N == 5)
