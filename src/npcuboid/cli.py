@@ -214,7 +214,8 @@ def _cmd_invert(args) -> tuple[dict, int]:
     cuboid = _cuboid_from_args(args)
     if args.classify:
         cuboid = classify_labeling(
-            cuboid.a, cuboid.b, cuboid.c, cuboid.d_ac, cuboid.d_bc, cuboid.d_s
+            cuboid.a, cuboid.b, cuboid.c, cuboid.d_ac, cuboid.d_bc, cuboid.d_s,
+            d_ab_sq=None if args.dabsq is None else cuboid.d_ab_sq,
         )
     budget = _rho_budget()
     if args.family == "invariant":

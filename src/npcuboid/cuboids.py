@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .curve import SolutionPair, _integer_coordinates, kummer_map
 from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
@@ -293,16 +293,25 @@ class Cuboid:
 
 
 def verify_npc(cuboid: Cuboid) -> list[str]:
-    """Names of the violated defining relations; empty means a valid NPC."""
-    a, b, c = cuboid.a, cuboid.b, cuboid.c
+    """Names of the violated defining relations; empty means a valid NPC.
+
+    The relations are tested in integers: the six entries are scaled to
+    their common denominator L, and d_ab_sq = p/q is compared with a^2 + b^2
+    as p L^2 = q (aL)^2 + q (bL)^2."""
+    entries = cuboid.rational_entries()
+    common = lcm(*(v.denominator for v in entries))
+    a, b, c, d_bc, d_ac, d_s = (v.numerator * (common // v.denominator) for v in entries)
+    aa, bb, cc = a * a, b * b, c * c
+    ab = aa + bb
+    d_ab_sq = cuboid.d_ab_sq
     violations = []
-    if a * a + b * b != cuboid.d_ab_sq:
+    if ab * d_ab_sq.denominator != d_ab_sq.numerator * common * common:
         violations.append("ab_diagonal")
-    if b * b + c * c != cuboid.d_bc ** 2:
+    if bb + cc != d_bc * d_bc:
         violations.append("bc_diagonal")
-    if a * a + c * c != cuboid.d_ac ** 2:
+    if aa + cc != d_ac * d_ac:
         violations.append("ac_diagonal")
-    if a * a + b * b + c * c != cuboid.d_s ** 2:
+    if ab + cc != d_s * d_s:
         violations.append("space_diagonal")
     return violations
 

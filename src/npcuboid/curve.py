@@ -6,11 +6,15 @@ solution pairs whose x-product is a rational square, and the Kummer-surface
 change of variables. All values are exact rationals; every type is frozen
 and safe to share between threads or worker processes.
 
-Points hold reduced Fractions, but the group law, the secant map, the curve
-equation and the square check compute on their numerators and denominators:
-with x = a/e and y = b/f, each new coordinate is one integer quotient,
-reduced by one gcd, in place of a chain of Fraction operations that would
-reduce every intermediate value.
+Points hold reduced Fractions, but the group law and the curve equation
+compute on their numerators and denominators: with x = a/e and y = b/f, each
+new coordinate is one integer quotient, reduced by one gcd, in place of a
+chain of Fraction operations that would reduce every intermediate value.
+The secant map and the checks of a solution pair are stated once, on
+integer elements (below): _secant gives the Jacobian triple of the secant
+image through any 2-torsion point (e, 0), and _pair_root runs a pair's four
+checks, for the points' own elements or for elements given to
+SolutionPair._from_elements, which builds each point once.
 
 The cuboid build reads each point as an integer element (a, d, b, r, c):
 x = a/d^2 and y = b/d^3, which a curve point satisfies with its own
@@ -23,11 +27,12 @@ each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
 of their own.
 
 The sweep's chain P, 2P, ..., and its second-reflected image never become
-points: from the seed's (a, d, b), the tangent and chord laws and the secant
-map run on integer Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and
-each new triple is reduced to (a, d, b) by the root s of its content
-gcd(X, Z^2) = s^2. The CurvePoint law stays the public one and the tests'
-oracle for these elements.
+points, nor do the inversion's reflected pairs until they are checked: from
+an (a, d, b), the tangent and chord laws and the secant map run on integer
+Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and each new triple is
+reduced to (a, d, b) by the root s of its content gcd(X, Z^2) = s^2. The
+CurvePoint group law stays the public one and the tests' oracle for these
+elements.
 """
 
 from __future__ import annotations
@@ -166,17 +171,14 @@ class CurvePoint:
 
     def _secant_image(self, e: int, pole: str) -> CurvePoint:
         """Third intersection -(P + (e, 0)) of the secant through P and the
-        2-torsion point (e, 0), since x(P + (e, 0)) = e + f'(e)/(x - e) for
-        f(x) = x^3 - N^2 x."""
+        2-torsion point (e, 0), by the element map _secant. Fraction reduces
+        the image, so a point off the curve, whose element need not be
+        coprime, maps to the same value as well."""
         if self.is_infinity or self.x == e:
             raise TrivialInput(pole)
-        n2 = self.curve.N ** 2
-        a, d, b, f = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
-        # x - e = (a - e d)/d, so x' = (e a + (2e^2 - N^2) d)/(a - e d) and
-        # y' = (3e^2 - N^2) b d^2 / (f (a - e d)^2).
-        gap = a - e * d
-        x = Fraction(e * a + (2 * e * e - n2) * d, gap)
-        return CurvePoint(self.curve, x, Fraction((3 * e * e - n2) * b * d * d, f * gap * gap))
+        x, y, z, _ = _secant(self.curve.N, e, _integer_coordinates(self))
+        zz = z * z
+        return CurvePoint(self.curve, Fraction(x, zz), Fraction(y, zz * z))
 
     def reflect_first(self) -> CurvePoint:
         """Secant image through (0, 0): (x, y) -> (-N^2/x, -N^2 y/x^2)."""
@@ -239,14 +241,20 @@ class SolutionPair:
         p, q = self.P, self.Q
         if p.curve != q.curve:
             raise CurveMismatch("solution pair must live on one curve")
-        if p.is_trivial or q.is_trivial:
-            raise DegeneratePair("solution pair requires points with y != 0")
-        if p.x == q.x:
-            raise DegeneratePair("solution pair requires distinct abscissae")
-        if not p.on_curve() or not q.on_curve():
-            raise DegeneratePair("solution pair points must satisfy the curve equation")
-        if self._xz_root is None:
-            raise DegeneratePair(f"x-product {p.x * q.x} is not a rational square")
+        if p.is_infinity or q.is_infinity:
+            raise DegeneratePair(_TRIVIAL_PAIR)
+        root = _pair_root(p.curve.N, _integer_coordinates(p), _integer_coordinates(q))
+        object.__setattr__(self, "_xz_root", root)
+
+    @classmethod
+    def _from_elements(cls, curve: CongruentCurve, first: tuple, second: tuple) -> SolutionPair:
+        """The pair of the points of curve with elements first and second,
+        (a, d, b) with coprime a and d, checked as __post_init__ checks its
+        points; each point is then built once, as (a/d^2, b/d^3)."""
+        root = _pair_root(curve.N, first, second)
+        pair = cls.trusted(_element_point(curve, first), _element_point(curve, second))
+        object.__setattr__(pair, "_xz_root", root)
+        return pair
 
     @classmethod
     def trusted(cls, p: CurvePoint, q: CurvePoint) -> SolutionPair:
@@ -267,12 +275,51 @@ class SolutionPair:
     def _xz_root(self) -> int | None:
         """isqrt(xn zn xd zd) for X = xn/xd and Z = zn/zd, so that sqrt(XZ) =
         root/(xd zd); None when XZ is no square, as p/q is a square iff p*q is.
-        Taken on first use, at most once; no field, so equality, hash and repr
-        ignore it."""
+        Taken on first use, at most once, or by the pair checks of a validated
+        pair; no field, so equality, hash and repr ignore it."""
         x, z = self.P.x, self.Q.x
         product = x.numerator * z.numerator * x.denominator * z.denominator
         root = isqrt(max(product, 0))
         return root if root * root == product else None
+
+
+_TRIVIAL_PAIR = "solution pair requires points with y != 0"
+
+
+def _pair_root(n: int, first: tuple, second: tuple) -> int:
+    """The checks of a solution pair of the curve N, in order, on the
+    elements (a, d, b) of its points, x = a/d^2 and y = b/d^3: both points
+    nontrivial (b != 0), their abscissae distinct, both on the curve (b^2 =
+    a(a^2 - N^2 d^4)) and the x-product a square (a1 a2, an integer, is one).
+    Each failure raises DegeneratePair. The abscissae are compared cross-
+    multiplied, as the element of a point off the curve need not be coprime.
+
+    Returns the pair's _xz_root, isqrt(a1 a2) d1 d2: a curve point's element
+    has coprime a and d, so a and d^2 are x's reduced numerator and
+    denominator."""
+    (a1, d1, b1), (a2, d2, b2) = first, second
+    if b1 == 0 or b2 == 0:
+        raise DegeneratePair(_TRIVIAL_PAIR)
+    dd1, dd2 = d1 * d1, d2 * d2
+    if a1 * dd2 == a2 * dd1:
+        raise DegeneratePair("solution pair requires distinct abscissae")
+    n2 = n * n
+    if b1 * b1 != a1 * (a1 * a1 - n2 * dd1 * dd1) or b2 * b2 != a2 * (a2 * a2 - n2 * dd2 * dd2):
+        raise DegeneratePair("solution pair points must satisfy the curve equation")
+    product = a1 * a2
+    root = isqrt(max(product, 0))
+    if root * root != product:
+        raise DegeneratePair(
+            f"x-product {Fraction(product, dd1 * dd2)} is not a rational square"
+        )
+    return root * d1 * d2
+
+
+def _element_point(curve: CongruentCurve, element: tuple) -> CurvePoint:
+    """The point (a/d^2, b/d^3) of the element (a, d, b)."""
+    a, d, b = element
+    dd = d * d
+    return CurvePoint(curve, Fraction(a, dd), Fraction(b, dd * d))
 
 
 def _integer_coordinates(point: CurvePoint) -> tuple[int, int, int]:
@@ -342,19 +389,31 @@ def _multiples(seed: CurvePoint, length: int) -> list[tuple[int, int, int]]:
     return elements
 
 
+def _secant(n: int, e: int, element: tuple) -> tuple[int, int, int, int]:
+    """The Jacobian triple (X g, (3e^2 - N^2) b d g, g) of the third
+    intersection -(P + (e, 0)) of the secant through the 2-torsion point
+    (e, 0) and the point P with element (a, d, b), for g = a - e d^2 and X =
+    e a + (2e^2 - N^2) d^2, and the content |g| gcd(2N^2, X, g) of the triple.
+
+    x(P + (e, 0)) = e + f'(e)/(x - e) for f(x) = x^3 - N^2 x, so with x =
+    a/d^2 and y = b/d^3 the image is x' = X/g and y' = (3e^2 - N^2) b d/g^2.
+    The content gcd(X g, g^2) is |g| gcd(X, g), and gcd(X, g) divides 2 N^2
+    for e in {0, N, -N} when gcd(a, d) = 1, as for a curve point: for e = 0
+    it is gcd(N^2 d^2, a) = gcd(N^2, a); for e = +-N it divides N gcd(a + N
+    d^2, a - N d^2), and gcd(a + N d^2, a - N d^2) divides the sum 2a and the
+    difference 2 N d^2, so 2 gcd(a, N)."""
+    a, d, b = element
+    n2 = n * n
+    dd = d * d
+    g = a - e * dd
+    x = e * a + (2 * e * e - n2) * dd
+    return x * g, (3 * e * e - n2) * b * d * g, g, abs(g) * gcd(2 * n2, x, g)
+
+
 def _second_image(n: int, element: tuple[int, int, int], j: int) -> tuple[int, int, int]:
     """The element (a', d', b') of the second reflection of chain point j with
-    element (a, d, b): x' = N(a + N d^2)/g and y' = 2 N^2 b d/g^2 for
-    g = a - N d^2, the Jacobian triple (N(a + N d^2) g, 2 N^2 b d g, g)."""
-    a, d, b = element
-    nd2 = n * d * d
-    g = a - nd2
-    x = n * (a + nd2)
-    # The content gcd(x g, g^2) is |g| gcd(x, g), and gcd(x, g) divides
-    # 2 N^2: it divides N gcd(a + N d^2, g), and gcd(a + N d^2, g) divides
-    # the sum 2a and the difference 2 N d^2, so 2 gcd(a, N) as gcd(a, d) = 1.
-    n2 = n * n
-    return _reduced(x * g, 2 * n2 * b * d * g, g, abs(g) * gcd(2 * n2, x, g), j)
+    element (a, d, b): the secant image through (N, 0)."""
+    return _reduced(*_secant(n, n, element), j)
 
 
 def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, int]]:

@@ -7,6 +7,13 @@ curve inequality (-1 < X/N < 0 or X/N > 1). N is the squarefree kernel of
 (X/N)((X/N)^2 - 1), and the abscissae follow by scaling. The other pairs
 are images of pair I under the reflected transformations: II under the
 first, and for the invariant family III and IV under the second.
+
+The points are computed on integer elements (a, d, b), x = a/d^2 and y =
+b/d^3 (see curve): pair I's from the ratios with one integer square root
+each, the others by the one secant map on elements, through (0, 0) for the
+first reflection and (N, 0) for the second. Each pair is checked on its
+elements, pair I before any reflection, and its points are then built
+once; no rational square root or Fraction secant is taken.
 """
 
 from __future__ import annotations
@@ -14,12 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, isqrt
 
-from .curve import CongruentCurve, CurvePoint, SolutionPair
+from .curve import CongruentCurve, SolutionPair, _reduced, _secant
 from .cuboids import Cuboid, pc_condition, verify_npc
-from .errors import InconsistentKernel, NotASquare, NotAnNPC
+from .errors import InconsistentKernel, NotAnNPC
 from .factoring import DEFAULT_RHO_BUDGET, squarefree_kernel
-from .rationals import format_rational, sqrt_exact
+from .rationals import format_rational
+
+# The inversion takes no rational square root; sqrt_exact stays importable
+# here, where perfbench/tracing.py wraps it.
+from .rationals import sqrt_exact  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -56,23 +68,35 @@ def _require_npc(cuboid: Cuboid) -> None:
         raise NotAnNPC(f"violated relations: {', '.join(violations)}")
 
 
-def _point_from_ratio(curve: CongruentCurve, ratio: Fraction) -> CurvePoint:
-    x = curve.N * ratio
-    try:
-        y = sqrt_exact(curve.rhs(x))
-    except NotASquare as exc:
+def _point_from_ratio(n: int, ratio: Fraction) -> tuple[int, int, int]:
+    """The element (a, d, b) of the point above x = N p/q, for ratio = p/q
+    reduced, with b >= 0.
+
+    y^2 = x^3 - N^2 x = N^2 W/q^4 for W = N p (p^2 - q^2) q, so y = N s/q^2
+    with s = isqrt(W); a negative or non-square W has no point above x and
+    raises InconsistentKernel. For squarefree N, the pieces p, p^2 - q^2 and
+    q being pairwise coprime, W is a square only if q = h d^2 for h = gcd(N,
+    q), and then gcd(s, q) = h d. So x = (N/h) p/d^2 with d = isqrt(q/h), and
+    y = ((N/h) s/(h d))/d^3.
+    """
+    p, q = ratio.numerator, ratio.denominator
+    w = n * p * (p * p - q * q) * q
+    s = isqrt(max(w, 0))
+    if s * s != w:
         raise InconsistentKernel(
-            f"recovered abscissa {format_rational(x)} is not a curve point of N={curve.N}"
-        ) from exc
-    return curve.point(x, y)
+            f"recovered abscissa {format_rational(Fraction(n * p, q))} is not a curve point"
+            f" of N={n}"
+        )
+    h = gcd(n, q)
+    d = isqrt(q // h)
+    return n // h * p, d, n // h * s // (h * d)
 
 
-def _abs_y(point: CurvePoint) -> CurvePoint:
-    return point if point.y >= 0 else point.neg()
-
-
-def _image(pair: SolutionPair, reflect) -> SolutionPair:
-    return SolutionPair(_abs_y(reflect(pair.P)), _abs_y(reflect(pair.Q)))
+def _image(n: int, e: int, pair: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
+    """The elements of a pair's image under the secant map through (e, 0),
+    each taken with y >= 0."""
+    images = (_reduced(*_secant(n, e, element), 0) for element in pair)
+    return tuple((a, d, abs(b)) for a, d, b in images)
 
 
 def _recover(
@@ -96,12 +120,19 @@ def _recover(
     n = squarefree_kernel((x_ratio, x_ratio * x_ratio - 1), rho_budget)
     curve = CongruentCurve(n)
     # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only
-    # when z_ratio has the same kernel n; no second factoring is needed.
-    first = SolutionPair(_point_from_ratio(curve, x_ratio), _point_from_ratio(curve, z_ratio))
-    pairs = {"I": first, "II": _image(first, CurvePoint.reflect_first)}
+    # when z_ratio has the same kernel n; no second factoring is needed. The
+    # pairs are checked and built on elements (a, d, b): pair I before any
+    # reflection, II its image through (0, 0), and III and IV the images of
+    # I and II through (N, 0).
+    first = (_point_from_ratio(n, x_ratio), _point_from_ratio(n, z_ratio))
+    elements = {"I": first}
+    pairs = {"I": SolutionPair._from_elements(curve, *first)}
+    images = [("II", 0, "I")]
     if family == "invariant":
-        pairs["III"] = _image(first, CurvePoint.reflect_second)
-        pairs["IV"] = _image(pairs["II"], CurvePoint.reflect_second)
+        images += [("III", n, "I"), ("IV", n, "II")]
+    for which, e, preimage in images:
+        elements[which] = _image(n, e, elements[preimage])
+        pairs[which] = SolutionPair._from_elements(curve, *elements[which])
     return RecoveredSolutions(
         N=n,
         pairs=tuple(RecoveredPair(which, pair) for which, pair in pairs.items()),
@@ -162,17 +193,26 @@ def recover_second(
 
 
 def classify_labeling(
-    s1: Fraction, s2: Fraction, s3: Fraction, d1: Fraction, d2: Fraction, d_s: Fraction
+    s1: Fraction,
+    s2: Fraction,
+    s3: Fraction,
+    d1: Fraction,
+    d2: Fraction,
+    d_s: Fraction,
+    d_ab_sq: Fraction | None = None,
 ) -> Cuboid:
     """Relabel loose cuboid data so the missing diagonal spans sides a and b.
 
     Tries every assignment of the three sides and the two known face
     diagonals and returns the first labeling whose exact relations all hold.
+    A given d_ab_sq must hold for the labeling's sides a and b; with none,
+    it is a^2 + b^2 of each labeling.
     """
     for a, b, c in permutations((s1, s2, s3)):
+        ab_square = a * a + b * b if d_ab_sq is None else d_ab_sq
         for d_bc, d_ac in ((d1, d2), (d2, d1)):
             try:
-                candidate = Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b)
+                candidate = Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=ab_square)
             except ValueError:
                 continue
             if not verify_npc(candidate):

@@ -237,6 +237,19 @@ class TestInvertCommand:
         assert payload["N"] == 34
         assert payload["cuboid"]["c"] == 104
 
+    def test_classify_keeps_a_given_d_ab_sq(self, capsys):
+        payload = run_json(capsys, "invert", "--classify", *self.GOLDEN, "--dabsq", "474993")
+        assert payload["N"] == 34
+        assert payload["cuboid"]["d_ab_sq"] == 474993
+
+    def test_classify_refuses_a_wrong_d_ab_sq(self, capsys):
+        # As the inversion without --classify does: no labeling has a^2 + b^2 = 7.
+        code, out, err = run(capsys, "invert", *self.GOLDEN, "--dabsq", "7")
+        assert code == 1 and out == "" and "violated relations: ab_diagonal" in err
+        code, out, err = run(capsys, "invert", "--classify", *self.GOLDEN, "--dabsq", "7")
+        assert code == 1 and out == ""
+        assert "no labeling of the given values satisfies the cuboid relations" in err
+
     def test_classify_missing_value_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, "invert", "--classify", "--a", "672", "--b", "153", "--c", "104",

@@ -44,7 +44,7 @@ from npcuboid.cuboids import (
 )
 from npcuboid.curve import _chain_elements, _multiples, _second_image
 
-from helpers import generated_pairs, reference_chain, triangle_seeds
+from helpers import generated_pairs, reference_chain, reference_verify_npc, triangle_seeds
 
 # The five integer cuboids produced by the N=5 pair (25/4, 1681/144), in
 # field order (a, b, c, d_bc, d_ac, d_s).
@@ -877,6 +877,61 @@ class TestVerifyAndCondition:
             Cuboid(*(Fraction(v) for v in (0, 4, 5, 1, 1, 1, 1)))
         with pytest.raises(ValueError):
             Cuboid(*(Fraction(v) for v in (3, 4, 5, 1, 1, -1, 1)))
+
+
+ENTRY_FIELDS = ("a", "b", "c", "d_bc", "d_ac", "d_s", "d_ab_sq")
+
+
+def moved(cuboid, **changes):
+    fields = {name: getattr(cuboid, name) for name in ENTRY_FIELDS}
+    return Cuboid(**{**fields, **changes})
+
+
+class TestIntegerVerifyNpc:
+    """verify_npc over the entries' common denominator against the Fraction
+    relations it replaced."""
+
+    def candidates(self, cuboid):
+        """The cuboid and each entry moved by +-1 and by +-1/3."""
+        yield cuboid
+        for name in ENTRY_FIELDS:
+            for step in (1, -1, Fraction(1, 3), Fraction(-1, 3)):
+                value = getattr(cuboid, name) + step
+                if value > 0:
+                    yield moved(cuboid, **{name: value})
+
+    @pytest.mark.parametrize(
+        "factor", [1, Fraction(3, 7), Fraction(1, 2), Fraction(10, 3), 5, Fraction(1, 697)]
+    )
+    def test_golden_npc_moved_and_rescaled(self, golden_npc, factor):
+        scaled = Cuboid(
+            *(v * factor for v in golden_npc.rational_entries()),
+            d_ab_sq=golden_npc.d_ab_sq * factor * factor,
+        )
+        assert verify_npc(scaled) == []
+        seen = set()
+        for cuboid in self.candidates(scaled):
+            expected = reference_verify_npc(cuboid)
+            assert verify_npc(cuboid) == expected
+            seen.add(tuple(expected))
+        # Each relation fails alone when its own entry moves.
+        assert {("ab_diagonal",), ("space_diagonal",)} <= seen
+
+    def test_non_integer_d_ab_sq(self, golden_npc):
+        for d_ab_sq in (golden_npc.d_ab_sq / 4, golden_npc.d_ab_sq + Fraction(1, 2)):
+            cuboid = moved(golden_npc, d_ab_sq=d_ab_sq)
+            assert verify_npc(cuboid) == reference_verify_npc(cuboid) == ["ab_diagonal"]
+        halved = Cuboid(
+            *(v / 2 for v in golden_npc.rational_entries()), d_ab_sq=golden_npc.d_ab_sq / 4
+        )
+        assert halved.d_ab_sq.denominator == 4 and verify_npc(halved) == []
+
+    def test_generated_cuboids(self, seeds):
+        for pair in generated_pairs(seeds, max_multiple=4):
+            for parametrization in PARAMETRIZATIONS:
+                cuboid = build_npc(pair, parametrization)
+                for candidate in (cuboid, moved(cuboid, c=cuboid.c + 1)):
+                    assert verify_npc(candidate) == reference_verify_npc(candidate)
 
 
 class TestSerialization:

@@ -34,10 +34,18 @@ from npcuboid.curve import (
     _integer_coordinates,
     _multiples,
     _reduced,
+    _secant,
     _second_image,
 )
 
-from helpers import generated_pairs, point_above, reference_elements, triangle_seeds
+from helpers import (
+    generated_pairs,
+    point_above,
+    reference_elements,
+    reference_pair_checks,
+    reference_secant_image,
+    triangle_seeds,
+)
 
 
 @pytest.fixture
@@ -486,9 +494,10 @@ class TestSerialization:
             load_seeds(path)
 
 
-# The Fraction group law, secant map and curve equation that the integer
-# forms in curve.py replaced, kept as oracles: each new coordinate was built
-# from Fraction operations, every intermediate value reduced.
+# The Fraction group law and curve equation that the integer forms in
+# curve.py replaced, kept as oracles: each new coordinate was built from
+# Fraction operations, every intermediate value reduced. The Fraction secant
+# map, reference_secant_image, is in helpers.
 
 
 def reference_add(p, q):
@@ -507,15 +516,6 @@ def reference_add(p, q):
     x3 = slope * slope - p.x - q.x
     y3 = slope * (p.x - x3) - p.y
     return CurvePoint(p.curve, x3, y3)
-
-
-def reference_secant_image(p, e, pole):
-    if p.is_infinity or p.x == e:
-        raise TrivialInput(pole)
-    n2 = p.curve.N ** 2
-    denom = p.x - e
-    x = (e * p.x + (2 * e * e - n2)) / denom
-    return CurvePoint(p.curve, x, (3 * e * e - n2) * p.y / denom ** 2)
 
 
 def reference_contains(curve, x, y):
@@ -604,3 +604,88 @@ class TestIntegerGroupLawAgainstFractionReference:
     def test_contains_takes_integers(self, curve5):
         for x, y in ((-4, 6), (-4, -6), (0, 0), (5, 0), (1, 1), (45, 300), (45, 301)):
             assert curve5.contains(x, y) == reference_contains(curve5, Fraction(x), Fraction(y))
+
+
+class TestSecantMapOnElements:
+    """The one secant map, _secant on elements (a, d, b), against the three
+    reflections and against the Fraction secant map."""
+
+    @pytest.mark.parametrize("seed", range(len(ORACLE_SEEDS)))
+    @pytest.mark.parametrize("reflect, sign, message", REFLECTIONS)
+    def test_element_image_of_each_multiple(self, seed, reflect, sign, message):
+        # +-kP for k = 1, ..., 8.
+        for point in oracle_operands(seed)[4:]:
+            e = sign * point.curve.N
+            image = _reduced(*_secant(point.curve.N, e, _integer_coordinates(point)), 1)
+            assert image == _integer_coordinates(getattr(point, reflect)())
+            assert image == _integer_coordinates(reference_secant_image(point, e, message))
+
+    @given(
+        seed_indices,
+        st.integers(1, 19),
+        st.sampled_from(REFLECTIONS),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_points_off_the_curve_map_as_the_reference_does(
+        self, seed, i, reflection, dx, dy
+    ):
+        # Their elements need not be coprime; the reflections reduce by Fraction.
+        reflect, sign, message = reflection
+        p = oracle_operands(seed)[i]
+        e = sign * p.curve.N
+        for q in (p.curve.point(p.x + dx, p.y), p.curve.point(p.x, p.y + dy)):
+            assert outcome(getattr(q, reflect)) == outcome(reference_secant_image, q, e, message)
+
+
+def pair_outcome(construct, *args):
+    """The pair and its root, or the error's type and message."""
+    try:
+        pair = construct(*args)
+    except (NpcuboidError, ValueError) as exc:
+        return type(exc), str(exc)
+    return pair, pair._xz_root
+
+
+class TestPairChecksOnElements:
+    """SolutionPair's checks, run on elements, against the Fraction checks;
+    the element constructor raises what SolutionPair(...) raises."""
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            ((5, 0), (45, 300), "requires points with y != 0"),
+            ((-4, 6), (0, 0), "requires points with y != 0"),
+            ((-4, 6), (-4, -6), "requires distinct abscissae"),
+            # Off the curve, with elements (2, 1, 1) and (8, 2, 4): x = 2 twice.
+            ((2, 1), (2, Fraction(1, 2)), "requires distinct abscissae"),
+            ((1, 1), (4, 2), "must satisfy the curve equation"),
+            ((-4, 6), (Fraction(25, 4), 1), "must satisfy the curve equation"),
+            ((-4, 6), (45, 300), "x-product -180 is not a rational square"),
+            ((-4, 6), (Fraction(1681, 144), Fraction(-62279, 1728)), "x-product -1681/36 is"),
+            ((Fraction(25, 4), Fraction(75, 8)), (Fraction(1681, 144), Fraction(62279, 1728)),
+             None),
+        ],
+    )
+    def test_failing_cases_keep_their_messages(self, curve5, p, q, message):
+        p, q = curve5.point(*p), curve5.point(*q)
+        if message is None:
+            reference_pair_checks(p, q)
+            expected = pair_outcome(SolutionPair, p, q)
+            assert expected[1] == sqrt_exact(p.x * q.x) * p.x.denominator * q.x.denominator
+        else:
+            expected = pair_outcome(reference_pair_checks, p, q)
+            assert expected[0] is DegeneratePair and message in expected[1]
+            assert pair_outcome(SolutionPair, p, q) == expected
+        elements = _integer_coordinates(p), _integer_coordinates(q)
+        assert pair_outcome(SolutionPair._from_elements, curve5, *elements) == expected
+
+    def test_element_pairs_of_generated_pairs(self, seeds):
+        for pair in generated_pairs(list(seeds) + list(triangle_seeds(8)), max_multiple=6):
+            elements = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
+            built = SolutionPair._from_elements(pair.curve, *elements)
+            assert built == pair and built._xz_root == pair._xz_root
+            for point, twin in ((built.P, pair.P), (built.Q, pair.Q)):
+                assert (point.x, point.y) == (twin.x, twin.y)
+                assert type(point.x) is type(point.y) is Fraction

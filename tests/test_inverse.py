@@ -2,9 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+import npcuboid.cuboids as cuboids
 import npcuboid.inverse as inverse
+import npcuboid.rationals as rationals
 from npcuboid import (
+    CongruentCurve,
     Cuboid,
+    CurvePoint,
     InconsistentKernel,
     NotAnNPC,
     build_npc,
@@ -14,10 +18,11 @@ from npcuboid import (
     recover_invariant,
     recover_second,
     recovery_to_json,
+    same_parity_pair,
     verify_npc,
 )
 
-from helpers import generated_pairs
+from helpers import generated_pairs, reference_recover, triangle_seeds
 
 
 class TestRecoverInvariant:
@@ -294,3 +299,65 @@ class TestWireFormat:
         assert payload["family"] == "first"
         assert payload["pairs"][0] == {"X": "452025/64", "Z": "18081/4", "which": "I"}
         assert payload["pairs"][1] == {"X": "-2624", "Z": "-4100", "which": "II"}
+
+
+RECOVER = {
+    "invariant": recover_invariant,
+    "first": recover_first,
+    "first_reflected": recover_first,
+    "second": recover_second,
+    "second_reflected": recover_second,
+}
+
+
+def rescaled(cuboid, factor):
+    """The cuboid with each entry times factor: its ratios, so its inversion,
+    stay the same."""
+    return Cuboid(
+        *(v * factor for v in cuboid.rational_entries()), d_ab_sq=cuboid.d_ab_sq * factor ** 2
+    )
+
+
+class TestAgainstFractionReference:
+    """The inversion on integer elements against the Fraction point stage it
+    replaced, on the ratios each cuboid gives."""
+
+    @pytest.mark.parametrize("parametrization", sorted(RECOVER))
+    def test_recovery_matches_reference(self, seeds, monkeypatch, parametrization):
+        ratios = []
+        original = inverse._recover
+
+        def recording(*args):
+            ratios.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(inverse, "_recover", recording)
+        recover = RECOVER[parametrization]
+        checked = 0
+        for seed in list(seeds) + list(triangle_seeds(8)):
+            for k in range(1, 9):
+                cuboid = build_npc(same_parity_pair(seed, k, k + 2), parametrization)
+                result = recover(cuboid)
+                expected = reference_recover(*ratios[-1])
+                assert result == expected
+                assert recovery_to_json(result) == recovery_to_json(expected)
+                assert recover(rescaled(cuboid, Fraction(3, 7))) == expected
+                checked += 1
+        assert checked == 8 * 12
+
+    def test_inversion_takes_no_fraction_point_work(self, seeds, monkeypatch):
+        cases = [
+            (RECOVER[parametrization], build_npc(pair, parametrization))
+            for pair in generated_pairs(seeds, max_multiple=5)
+            for parametrization in RECOVER
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("the inversion took Fraction point work")
+
+        monkeypatch.setattr(CurvePoint, "_secant_image", forbidden)
+        monkeypatch.setattr(CongruentCurve, "rhs", forbidden)
+        for module in (rationals, cuboids, inverse):
+            monkeypatch.setattr(module, "sqrt_exact", forbidden)
+        for recover, cuboid in cases:
+            assert recover(cuboid).pairs
