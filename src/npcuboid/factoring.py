@@ -12,13 +12,15 @@ a square after the cheap first trial stage, and only the pieces that carry
 them are trial-divided further.
 
 Each piece goes through the same stages. A square piece ends at once. Trial
-division strips the primes up to 10**4, then up to DEFAULT_TRIAL_BOUND, by
-gcds with cached products of blocks of primes; square, primality and
-odd-power shortcuts and a deterministic Brent-cycle rho split finish the
-cofactor. All the pieces of one kernel spend from one rho iteration budget.
-When it runs out the computation fails loudly with FactorizationExceeded; a
-silently wrong kernel would corrupt every congruent number recovered
-downstream.
+division strips the primes up to 10**4; a cofactor below 10**8 is then 1 or
+a prime, and a larger one is stripped of the primes up to
+DEFAULT_TRIAL_BOUND, by gcds with cached products of blocks of primes;
+square, primality and odd-power shortcuts and a deterministic Brent-cycle
+rho split finish the cofactor. Primality is proven by fixed Miller-Rabin
+bases below about 3.3e24 and tested by Baillie-PSW above. All the pieces of
+one kernel spend from one rho iteration budget. When it runs out the
+computation fails loudly with FactorizationExceeded; a silently wrong
+kernel would corrupt every congruent number recovered downstream.
 """
 
 from __future__ import annotations
@@ -44,13 +46,79 @@ _SIEVE_SEGMENT = 1 << 16
 # Witnesses proving primality for every n < 3317044064679887385961981.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
-# Beyond the deterministic range these extra fixed bases make a composite
-# surviving all rounds astronomically unlikely (but not impossible).
-_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _is_strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
+    """The strong (Miller-Rabin) test of odd n to one base, n - 1 = d 2^s."""
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 1 with Selfridge's parameters: D the
+    first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4
+    (Baillie and Wagstaff, "Lucas pseudoprimes", 1980).
+
+    With n + 1 = k 2^s, k odd, n passes if U_k = 0 or V_(k 2^r) = 0 for some
+    0 <= r < s, all mod n. U_k, V_k and Q^k are built along the bits of k by
+    U_2j = U_j V_j, V_2j = V_j^2 - 2 Q^j, and by U_(j+1) = (U_j + V_j)/2,
+    V_(j+1) = (D U_j + V_j)/2 for a set bit. A square n has (D/n) = -1 for
+    no D, so it is refused first."""
+    if is_square_int(n):
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and D % n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+    u, v, qk = 1, 1, Q % n
+    for i in range(k.bit_length() - 2, -1, -1):
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if k >> i & 1:
+            u, v = (u + v) % n, (D * u + v) % n
+            u, v = (u + n * (u & 1)) // 2, (v + n * (v & 1)) // 2
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic below ~3.3e24."""
+    """Primality test: Miller-Rabin to the bases _MR_BASES, a proof below
+    ~3.3e24; above, Baillie-PSW, the strong test to base 2 and the strong
+    Lucas test, which no composite is known to pass. Fixed bases would not
+    do there: F. Arnault built composites that pass the strong test to
+    every prime base below 200 (1993) and below 307 (1995)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -61,18 +129,9 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_LIMIT else _MR_BASES + _MR_EXTRA_BASES
-    for a in bases:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _MR_DETERMINISTIC_LIMIT:
+        return all(_is_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    return _is_strong_probable_prime(n, 2, d, s) and _is_strong_lucas_probable_prime(n)
 
 
 class _RhoBudget:
@@ -209,6 +268,10 @@ def squarefree_part(n: int, rho_budget: int | _RhoBudget = DEFAULT_RHO_BUDGET) -
     n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
     if is_square_int(n):
         return result
+    # n has no prime factor up to 10**4, and a composite n has one up to
+    # sqrt(n); so 1 < n < 10**8 is prime.
+    if n < _SMALL_TRIAL_BOUND**2:
+        return result * n
     n, result = _strip_trial(n, _SMALL_TRIAL_BOUND, DEFAULT_TRIAL_BOUND, result)
     budget = rho_budget if isinstance(rho_budget, _RhoBudget) else _RhoBudget(rho_budget)
     while n > 1:

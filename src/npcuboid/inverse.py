@@ -4,7 +4,8 @@ Every family inverts the same way. Its circle or hyperbola parameters are
 diagonal-sum ratios of the cuboid, and they give the two abscissa ratios
 X/N and Z/N of pair I; for a verified NPC both exceed 1, so they meet the
 curve inequality (-1 < X/N < 0 or X/N > 1). N is the squarefree kernel of
-(X/N)((X/N)^2 - 1), and the abscissae follow by scaling. The other pairs
+r(r^2 - 1) for r = X/N and for r = Z/N alike; it is taken once, from the
+ratio of lower height, and the abscissae follow by scaling. The other pairs
 are images of pair I under the reflected transformations: II under the
 first, and for the invariant family III and IV under the second.
 
@@ -25,7 +26,7 @@ from math import gcd, isqrt
 
 from .curve import CongruentCurve, SolutionPair, _reduced, _secant
 from .cuboids import Cuboid, pc_condition, verify_npc
-from .errors import InconsistentKernel, NotAnNPC
+from .errors import FactorizationExceeded, InconsistentKernel, NotAnNPC
 from .factoring import DEFAULT_RHO_BUDGET, squarefree_kernel
 from .rationals import format_rational
 
@@ -99,6 +100,21 @@ def _image(n: int, e: int, pair: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
     return tuple((a, d, abs(b)) for a, d, b in images)
 
 
+def _height(ratio: Fraction) -> int:
+    return ratio.numerator.bit_length() + ratio.denominator.bit_length()
+
+
+def _first_pair(
+    ratio: Fraction, x_ratio: Fraction, z_ratio: Fraction, rho_budget: int
+) -> tuple[int, tuple[tuple, tuple]]:
+    """N as the kernel of ratio (ratio^2 - 1), and pair I's elements on its curve."""
+    # With r = p/q reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3 has pairwise
+    # coprime pieces, and the 2-descent puts N's large primes in one of them;
+    # passing the two factors lets squarefree_kernel strip each piece on its own.
+    n = squarefree_kernel((ratio, ratio * ratio - 1), rho_budget)
+    return n, (_point_from_ratio(n, x_ratio), _point_from_ratio(n, z_ratio))
+
+
 def _recover(
     cuboid: Cuboid,
     x_ratio: Fraction,
@@ -113,18 +129,28 @@ def _recover(
     # alpha beta and alpha/beta = (d_s + d_bc) d_ac/(a (d_s + b)); beta/alpha
     # = (d_ac + a)(d_s + a)/(c d_bc) and alpha beta = (d_ac + a) d_bc/(c (d_s + a)).
     # A ratio r < -1 or 0 < r < 1 has rhs(N r) = N^3 r (r^2 - 1) < 0, no
-    # square, so _point_from_ratio raises InconsistentKernel. With r = p/q
-    # reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3 has pairwise coprime pieces,
-    # and the 2-descent puts N's large primes in one of them; passing the two
-    # factors lets squarefree_kernel strip each piece on its own.
-    n = squarefree_kernel((x_ratio, x_ratio * x_ratio - 1), rho_budget)
+    # square, so _point_from_ratio raises InconsistentKernel.
+    #
+    # rhs(N r) = N^3 r (r^2 - 1), so for squarefree n the point above n r
+    # exists only when r has the kernel n. N is therefore taken from the
+    # ratio of lower height, whose pieces are smaller to factor (a tie keeps
+    # x_ratio); the two points then prove that the other ratio has the same
+    # kernel, so N and every point are those of x_ratio's kernel. If that
+    # ratio's kernel exceeds the budget or its points fail, the inversion
+    # reruns from x_ratio with the full budget, so that the error raised is
+    # the one x_ratio gives; a valid input inverts when the kernel of
+    # x_ratio, or of a lower z_ratio, fits the budget.
+    ratio = z_ratio if _height(z_ratio) < _height(x_ratio) else x_ratio
+    try:
+        n, first = _first_pair(ratio, x_ratio, z_ratio, rho_budget)
+    except (FactorizationExceeded, InconsistentKernel):
+        if ratio is x_ratio:
+            raise
+        n, first = _first_pair(x_ratio, x_ratio, z_ratio, rho_budget)
     curve = CongruentCurve(n)
-    # rhs(N r) = N^3 r (r^2 - 1), so the point above N * z_ratio exists only
-    # when z_ratio has the same kernel n; no second factoring is needed. The
-    # pairs are checked and built on elements (a, d, b): pair I before any
-    # reflection, II its image through (0, 0), and III and IV the images of
-    # I and II through (N, 0).
-    first = (_point_from_ratio(n, x_ratio), _point_from_ratio(n, z_ratio))
+    # The pairs are checked and built on elements (a, d, b): pair I before
+    # any reflection, II its image through (0, 0), and III and IV the images
+    # of I and II through (N, 0).
     elements = {"I": first}
     pairs = {"I": SolutionPair._from_elements(curve, *first)}
     images = [("II", 0, "I")]

@@ -22,6 +22,23 @@ _BIG_SQUARE = (1000000007 * 1000000009) ** 2
 # multiplied, and a prime past the deterministic Miller-Rabin range.
 _P1, _P2 = 10**20 + 39, 10**20 + 129
 _P25 = 10**25 + 13
+# F. Arnault's composites of 337 digits (1993) and 397 digits (1995), strong
+# pseudoprimes to every prime base below 200 and below 307.
+_ARNAULT_1993 = int(
+    "803837457453639491257079614341942108138837688287558145837488917522297"
+    "427376533365218650233616396004545791504202360320876656996676098728404"
+    "396540823292873879185086916685732826776177102938969773947016708230428"
+    "687109997439976544144845341155872450633409279022275296229414984230688"
+    "1685404326457534018329786111298960644845216191652872597534901"
+)
+_ARNAULT_1995 = int(
+    "288714823805077121267142959713039399197760945927972270092651602419743"
+    "230379915273311632898314463922594197780311092934965557841894944174093"
+    "380561511397999942154241693397290542371100275104208013496673175515285"
+    "922696291677532547504444585610194940420003990443211677661994962953925"
+    "045269871932907037356403227370127845389912612030924484149472897688540"
+    "6024976768122077071687938121709811322297802059565867"
+)
 
 
 def _planted(e):
@@ -146,6 +163,13 @@ class TestSquarefreePart:
 
         monkeypatch.setattr(factoring, "_strip", no_strip)
         assert squarefree_part(n, rho_budget=0) == 1
+
+    def test_cofactor_below_10_to_the_8_is_prime(self):
+        # 10009 is left after the 10**4 stage; no prime block past 10**4 is built.
+        _prime_blocks.cache_clear()
+        assert squarefree_part(2 * 3**2 * 10009, rho_budget=0) == 2 * 10009
+        assert _prime_blocks.cache_info().currsize == 1
+        assert _prime_blocks(1, 10**4) and _prime_blocks.cache_info().misses == 1
 
     def test_odd_power_cofactor(self):
         p = 1000003
@@ -275,3 +299,37 @@ class TestPrimality:
     def test_large_prime(self):
         assert is_probable_prime(2 ** 61 - 1)
         assert not is_probable_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+    @pytest.mark.parametrize("n", [_ARNAULT_1993, _ARNAULT_1995])
+    def test_strong_pseudoprimes_to_many_bases_rejected(self, n):
+        assert n > factoring._MR_DETERMINISTIC_LIMIT
+        assert not is_probable_prime(n)
+
+    def test_primes_past_the_deterministic_range(self):
+        for n in (_P25, 2**89 - 1, 2**127 - 1, 2**521 - 1):
+            assert is_probable_prime(n)
+        for n in (_P25 * _P1, (2**89 - 1) ** 2, (2**61 - 1) ** 3):
+            assert not is_probable_prime(n)
+
+
+class TestPrimalityAgainstSympy:
+    def test_strong_lucas_matches_sympy(self):
+        primetest = pytest.importorskip("sympy.ntheory.primetest")
+        # Includes the strong Lucas pseudoprimes 5459, 5777, 10877, 16109 and 18971.
+        for n in range(3, 20000, 2):
+            expected = primetest.is_strong_lucas_prp(n)
+            assert factoring._is_strong_lucas_probable_prime(n) == expected, n
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bpsw_matches_sympy_past_the_deterministic_range(self, seed):
+        sympy = pytest.importorskip("sympy")
+        primetest = pytest.importorskip("sympy.ntheory.primetest")
+        draw = random.Random(seed)
+        limit = factoring._MR_DETERMINISTIC_LIMIT
+        odd = [draw.randrange(limit, limit << draw.randrange(1, 400)) | 1 for _ in range(100)]
+        primes = [sympy.nextprime(n) for n in odd[:12]]
+        candidates = [_ARNAULT_1993, _ARNAULT_1995, *odd, *(n * n for n in odd), *primes]
+        # Products of primes, which pass the trial divisions of both tests.
+        candidates += [p * q for p, q in zip(primes, primes[1:])]
+        for n in candidates:
+            assert is_probable_prime(n) == primetest.is_strong_bpsw_prp(n), n

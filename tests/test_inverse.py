@@ -9,6 +9,7 @@ from npcuboid import (
     CongruentCurve,
     Cuboid,
     CurvePoint,
+    FactorizationExceeded,
     InconsistentKernel,
     NotAnNPC,
     build_npc,
@@ -22,7 +23,7 @@ from npcuboid import (
     verify_npc,
 )
 
-from helpers import generated_pairs, reference_recover, triangle_seeds
+from helpers import generated_pairs, point_above, reference_recover, triangle_seeds
 
 
 class TestRecoverInvariant:
@@ -361,3 +362,98 @@ class TestAgainstFractionReference:
             monkeypatch.setattr(module, "sqrt_exact", forbidden)
         for recover, cuboid in cases:
             assert recover(cuboid).pairs
+
+
+def _lower_height_cases(seeds):
+    """(parametrization, cuboid) on the curve of the triangle (u, v) = (10010,
+    1), whose N has the prime u - v = 10009, at (P, 3P), and on the packaged
+    seeds at (kP, (k + 2)P), k <= 8."""
+    u, v = 10010, 1
+    big = point_above(CongruentCurve(u * v * (u * u - v * v)), Fraction((u * u + v * v) ** 2, 4))
+    pairs = [same_parity_pair(big, 1, 3)]
+    pairs += [same_parity_pair(seed, k, k + 2) for seed in seeds for k in range(1, 9)]
+    return [(name, build_npc(pair, name)) for pair in pairs for name in sorted(RECOVER)]
+
+
+class TestLowerHeightRatio:
+    """The kernel is taken from whichever pair-I ratio has the lower height,
+    numerator and denominator bit lengths summed, x_ratio on a tie."""
+
+    @staticmethod
+    def _spies(monkeypatch):
+        ratios, kernels = [], []
+        recover, kernel = inverse._recover, inverse.squarefree_kernel
+
+        def recording_recover(*args):
+            ratios.append(args)
+            return recover(*args)
+
+        def recording_kernel(factors, rho_budget):
+            kernels.append((factors, rho_budget))
+            return kernel(factors, rho_budget)
+
+        monkeypatch.setattr(inverse, "_recover", recording_recover)
+        monkeypatch.setattr(inverse, "squarefree_kernel", recording_kernel)
+        return ratios, kernels
+
+    @staticmethod
+    def _lower(x_ratio, z_ratio):
+        height = [r.numerator.bit_length() + r.denominator.bit_length() for r in (x_ratio, z_ratio)]
+        return z_ratio if height[1] < height[0] else x_ratio
+
+    def test_one_kernel_of_the_lower_height_ratio(self, seeds, monkeypatch):
+        ratios, kernels = self._spies(monkeypatch)
+        factored = set()
+        for name, cuboid in _lower_height_cases(seeds):
+            before = len(kernels)
+            RECOVER[name](cuboid)
+            assert len(kernels) == before + 1
+            _, x_ratio, z_ratio, _, budget = ratios[-1]
+            lower = self._lower(x_ratio, z_ratio)
+            assert kernels[-1] == ((lower, lower * lower - 1), budget)
+            factored.add(lower is z_ratio)
+        assert factored == {False, True}
+
+    def test_z_ratio_kernel_matches_reference(self, seeds, monkeypatch):
+        ratios, _ = self._spies(monkeypatch)
+        checked = set()
+        for name, cuboid in _lower_height_cases(seeds):
+            result = RECOVER[name](cuboid)
+            _, x_ratio, z_ratio, _, _ = ratios[-1]
+            if self._lower(x_ratio, z_ratio) is z_ratio:
+                expected = reference_recover(*ratios[-1])
+                assert result == expected
+                assert recovery_to_json(result) == recovery_to_json(expected)
+                checked.add(name)
+        assert checked == set(RECOVER)
+
+    def test_fallback_after_the_lower_ratio_exceeds_the_budget(self, seeds, monkeypatch):
+        ratios, kernels = self._spies(monkeypatch)
+        recording = inverse.squarefree_kernel
+
+        def first_call_exceeds(factors, rho_budget):
+            if not kernels:
+                kernels.append((factors, rho_budget))
+                raise FactorizationExceeded("rho iteration budget exhausted")
+            return recording(factors, rho_budget)
+
+        monkeypatch.setattr(inverse, "squarefree_kernel", first_call_exceeds)
+        fell_back = 0
+        for name, cuboid in _lower_height_cases(seeds):
+            kernels.clear()
+            try:
+                result = RECOVER[name](cuboid)
+            except FactorizationExceeded:
+                # The lower ratio was x_ratio: there is nothing to fall back to.
+                _, x_ratio, z_ratio, _, _ = ratios[-1]
+                assert self._lower(x_ratio, z_ratio) is x_ratio
+                assert len(kernels) == 1
+                continue
+            _, x_ratio, z_ratio, _, budget = ratios[-1]
+            assert self._lower(x_ratio, z_ratio) is z_ratio
+            assert kernels[1:] == [((x_ratio, x_ratio * x_ratio - 1), budget)]
+            expected = reference_recover(*ratios[-1])
+            assert result == expected
+            assert recovery_to_json(result) == recovery_to_json(expected)
+            fell_back += 1
+        assert fell_back
