@@ -6,14 +6,14 @@ solution pairs whose x-product is a rational square, and the Kummer-surface
 change of variables. All values are exact rationals; every type is frozen
 and safe to share between threads or worker processes.
 
-Points hold reduced Fractions, but the group law and the curve equation
-compute on their numerators and denominators: with x = a/e and y = b/f, each
-new coordinate is one integer quotient, reduced by one gcd, in place of a
-chain of Fraction operations that would reduce every intermediate value.
-The secant map and the checks of a solution pair are stated once, on
-integer elements (below): _secant gives the Jacobian triple of the secant
-image through any 2-torsion point (e, 0), and _pair_root runs a pair's four
-checks, for the points' own elements or for elements given to
+Points hold reduced Fractions, but the group law, the secant map, the
+curve equation and the checks of a solution pair compute on integers, each
+stated once: each new coordinate is one integer quotient, reduced once, in
+place of a chain of Fraction operations that would reduce every
+intermediate value. On integer elements (below), _sum gives the Jacobian
+triple of a chord-and-tangent sum, _secant that of the secant image through
+any 2-torsion point (e, 0), and _pair_root runs a pair's four checks, for
+the points' own elements or for elements given to
 SolutionPair._from_elements, which builds each point once.
 
 The cuboid build reads each point as an integer element (a, d, b, r, c):
@@ -30,9 +30,9 @@ The sweep's chain P, 2P, ..., and its second-reflected image never become
 points, nor do the inversion's reflected pairs until they are checked: from
 an (a, d, b), the tangent and chord laws and the secant map run on integer
 Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and each new triple is
-reduced to (a, d, b) by the root s of its content gcd(X, Z^2) = s^2. The
-CurvePoint group law stays the public one and the tests' oracle for these
-elements.
+reduced to (a, d, b) by the root s of its content gcd(X, Z^2) = s^2. One
+Jacobian sum, _sum, serves the public law CurvePoint.add, which reads its
+triple back as (X/Z^2, Y/Z^3), and the chain.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from functools import cached_property
 from importlib import resources
 from math import gcd, isqrt
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     CurveMismatch,
@@ -120,7 +120,11 @@ class CurvePoint:
         """Group sum with the standard chord-and-tangent law.
 
         The sum is the reflection (x, -y) of the third intersection of the
-        line through both points; infinity is the identity.
+        line through both points, the tangent at self where the abscissae
+        match; infinity is the identity. The law is _sum on the points'
+        elements, read back as (X/Z^2, Y/Z^3): Z = 0 is P + (-P), or else a
+        vertical tangent at (x, 0) off the curve, which raises
+        ZeroDivisionError as the slope (3x^2 - N^2)/(2y) would.
         """
         if self.curve != other.curve:
             raise CurveMismatch(f"cannot add points on {self.curve} and {other.curve}")
@@ -128,25 +132,11 @@ class CurvePoint:
             return other
         if other.is_infinity:
             return self
-        # x1 = a1/e1, y1 = b1/f1 and x2 = a2/e2, y2 = b2/f2, all reduced.
-        a1, e1, b1, f1 = self.x.numerator, self.x.denominator, self.y.numerator, self.y.denominator
-        a2, e2, b2, f2 = (
-            other.x.numerator, other.x.denominator, other.y.numerator, other.y.denominator
-        )
-        if a1 == a2 and e1 == e2:
-            if b1 == -b2 and f1 == f2:
-                return self.curve.infinity()
-            # Equal points: tangent slope (3x^2 - N^2)/(2y). y != 0 here
-            # since y == -y was handled.
-            slope = Fraction((3 * a1 * a1 - self.curve.N ** 2 * e1 * e1) * f1, 2 * b1 * e1 * e1)
-        else:
-            slope = Fraction((b2 * f1 - b1 * f2) * e1 * e2, (a2 * e1 - a1 * e2) * f1 * f2)
-        s, t = slope.numerator, slope.denominator
-        # x3 = s^2/t^2 - x1 - x2 and y3 = (s/t)(x1 - x3) - y1.
-        x3 = Fraction(s * s * e1 * e2 - t * t * (a1 * e2 + a2 * e1), t * t * e1 * e2)
-        a3, e3 = x3.numerator, x3.denominator
-        y3 = Fraction(s * (a1 * e3 - a3 * e1) * f1 - b1 * t * e1 * e3, t * e1 * e3 * f1)
-        return CurvePoint(self.curve, x3, y3)
+        x, y, z = _sum(self.curve.N, _integer_coordinates(self), _integer_coordinates(other))
+        if not z and self.y == -other.y:
+            return self.curve.infinity()
+        zz = z * z
+        return CurvePoint(self.curve, Fraction(x, zz), Fraction(y, zz * z))
 
     def double(self) -> CurvePoint:
         """Tangent doubling; 2-torsion points double to infinity.
@@ -352,40 +342,43 @@ def _reduced(x: int, y: int, z: int, content: int, j: int) -> tuple[int, int, in
     return x // (s * s), z // s, y // (s * s * s)
 
 
-def _multiples(seed: CurvePoint, length: int) -> list[tuple[int, int, int]]:
-    """The elements (a, d, b) of P, 2P, ..., length*P: 2P by the tangent and
-    each (k+1)P = kP + P by the chord, both on integer Jacobian triples
-    (Cohen, Miyaji and Ono, ASIACRYPT 1998), each reduced by its content."""
-    n2 = seed.curve.N ** 2
-    a1, d1, b1 = _integer_coordinates(seed)
-    elements = [(a1, d1, b1)]
-    if length < 2:
-        return elements
-    # Tangent: M = 3X^2 - N^2 Z^4, S = 4 X Y^2, X' = M^2 - 2S,
-    # Y' = M (S - X') - 8 Y^4, Z' = 2 Y Z.
-    dd1 = d1 * d1
-    m = 3 * a1 * a1 - n2 * dd1 * dd1
-    b1b1 = b1 * b1
-    s = 4 * a1 * b1b1
-    x = m * m - 2 * s
-    z = 2 * b1 * d1
-    elements.append(_reduced(x, m * (s - x) - 8 * b1b1 * b1b1, z, gcd(x, z * z), 2))
-    # Chord with P: U1 = X d1^2, S1 = Y d1^3, H = a1 Z^2 - U1,
-    # R = b1 Z^3 - S1, X' = R^2 - H^3 - 2 U1 H^2, Y' = R (U1 H^2 - X') - S1 H^3,
-    # Z' = H Z d1.
-    ddd1 = dd1 * d1
-    while len(elements) < length:
-        a2, d2, b2 = elements[-1]
-        u1, s1 = a2 * dd1, b2 * ddd1
-        dd2 = d2 * d2
-        h, r = a1 * dd2 - u1, b1 * dd2 * d2 - s1
+def _sum(n: int, first: tuple, second: tuple) -> tuple[int, int, int]:
+    """The Jacobian triple (X, Y, Z) of P + Q, x = X/Z^2 and y = Y/Z^3, on
+    the curve N for the elements (a, d, b) of P and Q (Cohen, Miyaji and
+    Ono, ASIACRYPT 1998): the chord through P and Q, the tangent at P where
+    their abscissae match, and Z = 0 for P + (-P). The formulas hold for any
+    element with x = a/d^2 and y = b/d^3, coprime or not."""
+    (a1, d1, b1), (a2, d2, b2) = first, second
+    dd1, dd2 = d1 * d1, d2 * d2
+    u1, s1 = a1 * dd2, b1 * dd2 * d2
+    h, s2 = a2 * dd1 - u1, b2 * dd1 * d1
+    if h or s1 == -s2:
+        # Chord: R = S2 - S1, X' = R^2 - H^3 - 2 U1 H^2,
+        # Y' = R (U1 H^2 - X') - S1 H^3, Z' = H d1 d2; H = 0 only for P + (-P).
+        r = s2 - s1
         hh = h * h
         u1hh = u1 * hh
         x = r * r - hh * h - 2 * u1hh
-        z = h * d2 * d1
-        elements.append(
-            _reduced(x, r * (u1hh - x) - s1 * hh * h, z, gcd(x, z * z), len(elements) + 1)
-        )
+        return x, r * (u1hh - x) - s1 * hh * h, h * d1 * d2
+    # Tangent: M = 3 a^2 - N^2 d^4, S = 4 a b^2, X' = M^2 - 2S,
+    # Y' = M (S - X') - 8 b^4, Z' = 2 b d.
+    m = 3 * a1 * a1 - n * n * dd1 * dd1
+    bb = b1 * b1
+    s = 4 * a1 * bb
+    x = m * m - 2 * s
+    return x, m * (s - x) - 8 * bb * bb, 2 * b1 * d1
+
+
+def _multiples(seed: CurvePoint, length: int) -> list[tuple[int, int, int]]:
+    """The elements (a, d, b) of P, 2P, ..., length*P: each (k+1)P = kP + P
+    by _sum, the tangent for 2P and the chord after it, reduced by its
+    content."""
+    n = seed.curve.N
+    first = _integer_coordinates(seed)
+    elements = [first]
+    while len(elements) < length:
+        x, y, z = _sum(n, elements[-1], first)
+        elements.append(_reduced(x, y, z, gcd(x, z * z), len(elements) + 1))
     return elements
 
 
@@ -439,54 +432,41 @@ def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, i
     return elements
 
 
-def _check_multipliers(p: CurvePoint, k: int, m: int) -> None:
+def _same_parity_elements(p: CurvePoint, k: int, m: int, multiple: Callable) -> None:
+    """The preconditions of the pair (kP, mP) for k and m of equal parity,
+    which raise DegeneratePair: the multipliers first, then the elements
+    multiple(k) and multiple(m), the element (a, d, b) of jP with coprime a
+    and d, or None for the point at infinity. A trivial multiple has none or
+    b = 0, and two multiples share an abscissa when they share (a, d)."""
     if k == m or k == 0 or m == 0:
         raise DegeneratePair("multipliers must be distinct and nonzero")
     if (k - m) % 2 != 0:
         raise DegeneratePair(f"multipliers {k} and {m} have different parity")
     if p.is_trivial:
         raise DegeneratePair("base point must be nontrivial")
-
-
-def _same_parity_multiples(
-    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
-) -> tuple[CurvePoint, CurvePoint]:
-    """(kP, mP) for k, m of equal parity, read from chain where it covers
-    them; violated preconditions raise DegeneratePair."""
-    _check_multipliers(p, k, m)
-    kp, mp = (chain[j - 1] if 0 < j <= len(chain) else p.mul(j) for j in (k, m))
-    if kp.is_trivial or mp.is_trivial:
-        raise DegeneratePair(f"a multiple of {p} is trivial")
-    if kp.x == mp.x:
-        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
-    return kp, mp
-
-
-def _same_parity_elements(p: CurvePoint, k: int, m: int, multiples: Sequence[tuple]) -> None:
-    """The preconditions of _same_parity_multiples on the elements (a, d, b)
-    of P, 2P, ..., which cover k and m: a trivial multiple has b = 0, and two
-    points share an abscissa when they share (a, d)."""
-    _check_multipliers(p, k, m)
-    first, second = multiples[k - 1], multiples[m - 1]
-    if first[2] == 0 or second[2] == 0:
+    first, second = multiple(k), multiple(m)
+    if not (first and second and first[2] and second[2]):
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if first[:2] == second[:2]:
         raise DegeneratePair(f"{k}P and {m}P share an abscissa")
 
 
-def same_parity_pair(
-    p: CurvePoint, k: int, m: int, chain: Sequence[CurvePoint] = ()
-) -> SolutionPair:
-    """Build the pair (kP, mP) for k, m of equal parity.
-
-    chain optionally holds the caller's multiples P, 2P, ...; a multiple it
-    covers is read from it instead of being computed by mul.
+def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
+    """Build the pair (kP, mP) for k, m of equal parity, each multiple by
+    mul, checked by the sweep's precondition routine on its element.
 
     Equal-parity multiples of one point always have a square x-product; a
     failed square check therefore raises SquareCheckFailed (an internal bug),
     while violated preconditions raise DegeneratePair.
     """
-    pair = SolutionPair.trusted(*_same_parity_multiples(p, k, m, chain))
+    points = {}
+
+    def multiple(j: int) -> tuple | None:
+        point = points[j] = p.mul(j)
+        return None if point.is_infinity else _integer_coordinates(point)
+
+    _same_parity_elements(p, k, m, multiple)
+    pair = SolutionPair.trusted(points[k], points[m])
     if pair._xz_root is None:
         raise SquareCheckFailed(
             f"x-product of {k}P and {m}P is not a square; group law is broken"

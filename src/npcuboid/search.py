@@ -162,7 +162,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             continue
         records += pending
         try:
-            _same_parity_elements(seed, k, m, multiples)
+            _same_parity_elements(seed, k, m, lambda j: multiples[j - 1])
         except DegeneratePair as exc:
             for record in pending:
                 record["skipped"] = str(exc)

@@ -5,6 +5,7 @@ from math import gcd
 
 from npcuboid import (
     CongruentCurve,
+    CurveMismatch,
     CurvePoint,
     DegeneratePair,
     InconsistentKernel,
@@ -51,16 +52,37 @@ def triangle_seeds(count):
     return tuple(seeds)
 
 
-# The sweep's chain as it was built before the integer elements, kept as
-# their oracle: the multiples by successive additions of the Fraction-backed
-# group law, and each point read back as its element (a, d, b).
+# The Fraction group law that the integer Jacobian sum in curve.py replaced,
+# kept as the oracle of CurvePoint.add and of the sweep's chain: each new
+# coordinate is built from Fraction operations, every intermediate value
+# reduced. The chain's multiples are successive additions under this law,
+# each point read back as its element (a, d, b).
+
+
+def reference_add(p, q):
+    if p.curve != q.curve:
+        raise CurveMismatch(f"cannot add points on {p.curve} and {q.curve}")
+    if p.is_infinity:
+        return q
+    if q.is_infinity:
+        return p
+    if p.x == q.x:
+        if p.y == -q.y:
+            return p.curve.infinity()
+        slope = (3 * p.x * p.x - p.curve.N ** 2) / (2 * p.y)
+    else:
+        slope = (q.y - p.y) / (q.x - p.x)
+    x3 = slope * slope - p.x - q.x
+    y3 = slope * (p.x - x3) - p.y
+    return CurvePoint(p.curve, x3, y3)
 
 
 def reference_chain(seed, length):
-    """The multiples P, 2P, ..., length*P, by length - 1 successive additions."""
+    """The multiples P, 2P, ..., length*P, by length - 1 successive
+    additions of reference_add."""
     multiples = [seed]
     while len(multiples) < length:
-        multiples.append(multiples[-1].add(seed))
+        multiples.append(reference_add(multiples[-1], seed))
     return multiples
 
 

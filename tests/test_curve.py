@@ -29,6 +29,7 @@ from npcuboid import (
     sqrt_exact,
 )
 
+import npcuboid.curve as curve_module
 from npcuboid.curve import (
     _chain_elements,
     _integer_coordinates,
@@ -41,6 +42,8 @@ from npcuboid.curve import (
 from helpers import (
     generated_pairs,
     point_above,
+    reference_add,
+    reference_chain,
     reference_elements,
     reference_pair_checks,
     reference_secant_image,
@@ -310,11 +313,20 @@ class TestSameParityPair:
         with pytest.raises(DegeneratePair):
             same_parity_pair(curve5.point(0, 0), 1, 3)
 
-    def test_bad_chain_fails_the_square_check(self, curve5, p5):
+    def test_multiple_at_infinity_off_the_curve(self, curve5):
+        # Off the curve, the tangent at (3, 1/3) has slope (27 - 25)/(2/3) = 3,
+        # whose square is 3x: 2P = (3, -1/3) = -P, so 3P is infinity.
+        p = curve5.point(3, Fraction(1, 3))
+        assert p.mul(3) == curve5.infinity()
+        with pytest.raises(DegeneratePair, match=re.escape(f"a multiple of {p} is trivial")):
+            same_parity_pair(p, 1, 3)
+
+    def test_bad_chain_fails_the_square_check(self, monkeypatch, curve5, p5):
         # (45, 300) is on the curve but is not 3P: its x-product with P is -180.
-        chain = (p5, p5.double(), curve5.point(45, 300))
+        planted, mul = curve5.point(45, 300), CurvePoint.mul
+        monkeypatch.setattr(CurvePoint, "mul", lambda p, k: planted if k == 3 else mul(p, k))
         with pytest.raises(SquareCheckFailed):
-            same_parity_pair(p5, 1, 3, chain)
+            same_parity_pair(p5, 1, 3)
 
     def test_square_products_for_all_parity_pairs(self, p5):
         # 1 <= k < m <= 8, same parity: twelve pairs, all square products.
@@ -494,28 +506,9 @@ class TestSerialization:
             load_seeds(path)
 
 
-# The Fraction group law and curve equation that the integer forms in
-# curve.py replaced, kept as oracles: each new coordinate was built from
-# Fraction operations, every intermediate value reduced. The Fraction secant
-# map, reference_secant_image, is in helpers.
-
-
-def reference_add(p, q):
-    if p.curve != q.curve:
-        raise CurveMismatch(f"cannot add points on {p.curve} and {q.curve}")
-    if p.is_infinity:
-        return q
-    if q.is_infinity:
-        return p
-    if p.x == q.x:
-        if p.y == -q.y:
-            return p.curve.infinity()
-        slope = (3 * p.x * p.x - p.curve.N ** 2) / (2 * p.y)
-    else:
-        slope = (q.y - p.y) / (q.x - p.x)
-    x3 = slope * slope - p.x - q.x
-    y3 = slope * (p.x - x3) - p.y
-    return CurvePoint(p.curve, x3, y3)
+# The Fraction curve equation that the integer form in curve.py replaced,
+# kept as its oracle. The Fraction group law, reference_add, and the Fraction
+# secant map, reference_secant_image, are in helpers.
 
 
 def reference_contains(curve, x, y):
@@ -529,6 +522,10 @@ def outcome(operation, *args):
         point = operation(*args)
     except (NpcuboidError, ValueError) as exc:
         return type(exc), str(exc)
+    except ZeroDivisionError:
+        # A Fraction with denominator 0; its message quotes a numerator that
+        # depends on how the quotient was formed.
+        return (ZeroDivisionError,)
     return point, type(point.x), type(point.y)
 
 
@@ -541,9 +538,7 @@ def oracle_operands(index):
     seed, with the multiples taken by the reference group law."""
     seed = ORACLE_SEEDS[index]
     curve = seed.curve
-    multiples = [seed]
-    for _ in range(7):
-        multiples.append(reference_add(multiples[-1], seed))
+    multiples = reference_chain(seed, 8)
     torsion = [curve.point(e, 0) for e in (0, curve.N, -curve.N)]
     return [curve.infinity(), *torsion, *multiples, *(p.neg() for p in multiples)]
 
@@ -604,6 +599,87 @@ class TestIntegerGroupLawAgainstFractionReference:
     def test_contains_takes_integers(self, curve5):
         for x, y in ((-4, 6), (-4, -6), (0, 0), (5, 0), (1, 1), (45, 300), (45, 301)):
             assert curve5.contains(x, y) == reference_contains(curve5, Fraction(x), Fraction(y))
+
+    @given(
+        st.sampled_from([5, 6, 34]),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+        st.sampled_from(["any", "same x", "same", "neg", "zero y", "other curve", "infinity"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_off_curve_operands_match_reference(self, n, x1, y1, x2, y2, relation):
+        # CurvePoint does not validate its points, so the law must agree with
+        # the reference on any rational pair: at a shared abscissa it takes
+        # the tangent at the first point, vertical when that point has y = 0.
+        curve = CongruentCurve(n)
+        p = curve.point(x1, y1)
+        q = {
+            "any": curve.point(x2, y2),
+            "same x": curve.point(x1, y2),
+            "same": p,
+            "neg": p.neg(),
+            "zero y": curve.point(x1, 0),
+            "other curve": CongruentCurve(n + 1).point(x2, y2),
+            "infinity": curve.infinity(),
+        }[relation]
+        for first, second in ((p, q), (q, p)):
+            assert outcome(first.add, second) == outcome(reference_add, first, second)
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5)])
+    def test_vertical_tangent_off_the_curve_divides_by_zero(self, curve5, x):
+        # (x, 0) + (x, 2): the tangent at (x, 0) has slope (3x^2 - N^2)/0.
+        p, q = curve5.point(x, 0), curve5.point(x, 2)
+        assert outcome(p.add, q) == outcome(reference_add, p, q) == (ZeroDivisionError,)
+        sum_ = outcome(q.add, p)
+        assert sum_ == outcome(reference_add, q, p) and sum_[1] is Fraction
+
+
+def reference_same_parity_pair(p, k, m, chain):
+    """same_parity_pair on Fraction points, its checks in order with their
+    messages, for chain = [P, 2P, ...] by reference_add, which covers |k|
+    and |m|."""
+    if k == m or k == 0 or m == 0:
+        raise DegeneratePair("multipliers must be distinct and nonzero")
+    if (k - m) % 2 != 0:
+        raise DegeneratePair(f"multipliers {k} and {m} have different parity")
+    if p.is_trivial:
+        raise DegeneratePair("base point must be nontrivial")
+    kp, mp = (chain[j - 1] if j > 0 else chain[-j - 1].neg() for j in (k, m))
+    if kp.is_trivial or mp.is_trivial:
+        raise DegeneratePair(f"a multiple of {p} is trivial")
+    if kp.x == mp.x:
+        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
+    if not is_square(kp.x * mp.x):
+        raise SquareCheckFailed(
+            f"x-product of {k}P and {m}P is not a square; group law is broken"
+        )
+    return SolutionPair.trusted(kp, mp)
+
+
+class TestSameParityPairAgainstReference:
+    @pytest.mark.parametrize("seed", range(len(ORACLE_SEEDS)))
+    def test_small_multipliers(self, monkeypatch, seed):
+        # -10 <= k, m <= 10 on the seed and on the 2-torsion point (N, 0); one
+        # call of the sweep's precondition routine per pair.
+        calls = []
+        check = curve_module._same_parity_elements
+
+        def counting_check(*args):
+            calls.append(args[1:3])
+            return check(*args)
+
+        monkeypatch.setattr(curve_module, "_same_parity_elements", counting_check)
+        seed = ORACLE_SEEDS[seed]
+        multipliers = range(-10, 11)
+        for p in (seed, seed.curve.point(seed.curve.N, 0)):
+            chain = reference_chain(p, 10)
+            for k in multipliers:
+                for m in multipliers:
+                    expected = pair_outcome(reference_same_parity_pair, p, k, m, chain)
+                    assert pair_outcome(same_parity_pair, p, k, m) == expected
+        assert calls == [(k, m) for k in multipliers for m in multipliers] * 2
 
 
 class TestSecantMapOnElements:
