@@ -407,14 +407,39 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
     # by a_den and a_den b_den. The three with a factor b_den have gcd b_den,
     # as ax, ay and a_den are coprime, and the three with a factor a_den have
     # gcd a_den, so the five have gcd G = gcd(a_den, b_den) and the content
-    # is gcd(U G, 2g). For h = gcd(U, 2g), U/h and 2g/h are coprime, so that
-    # content is h r with r = gcd(G, 2g/h): the products take U/h and a_den/r
-    # or b_den/r in place of U and a_den or b_den, and 2g is divided by h r.
+    # is gcd(U G, 2g). On the curve U divides 2g (proof below), so that
+    # content is U r with r = gcd(G, 2g/U): the products take a_den/r or
+    # b_den/r in place of U a_den or U b_den, and 2g is divided by U r.
     # In the third the entries are g; 2R A times a_den, ay and ax for A =
     # |c| U1; and 2R B times by and bx for B = N U2. by and bx are the terms
     # |q^2 - p^2| and p^2 + q^2 of a primitive triple, which are coprime by
     # themselves, so the five have gcd 2R gcd(A, B) and the content is
     # K = gcd(2R gcd(A, B), g).
+    #
+    # U divides 2g in the first two families, for points on the curve. As r1^2
+    # = a1 c and r2^2 = a2 c, a1, a2 and c share one squarefree class f: a_i =
+    # f v_i^2 and c = f w^2 with v_i, w > 0, so R = |f| v1 v2 and r_i = |f|
+    # v_i w. alpha and beta are (R, D N) and (r1 d2, r2 d1) = |f| w (v1 d2, v2
+    # d1), in some order and orientation, and 2g = 2 |f| w^2 |b1 b2| D. So
+    # with u = gcd(|f| v1 v2, D N) and H = gcd(v1 d2, v2 d1), U = u^2 e f^2
+    # w^2 H^2 e' for e, e' in {1, 2}, and it is enough that |f| u^2 H^2 e e'
+    # divides 2 |b1 b2| D. At a prime p, let phi, t_i, s_i, n and beta_i be
+    # the exponents of p in f, v_i, d_i, N and b_i; s_i > 0 forces phi = t_i =
+    # 0, as a_i and d_i are coprime. When s_i = 0, b_i^2 = a_i (a_i - N
+    # d_i^2)(a_i + N d_i^2) gives 2 beta_i >= x_i + 2 min(x_i, n) for x_i =
+    # phi + 2 t_i. e and e' add to the exponent only at p = 2, where the right
+    # side has one more.
+    # - s1 = s2 = 0: take t1 <= t2, q = phi + t1 + t2 and z = t2 - t1. Then
+    #   beta1 + beta2 >= q + 2 min(q, n) - z = phi + 2 min(q, n) + 2 t1, the
+    #   exponent of |f| u^2 H^2. e' = 2 needs z = 0 and e = 2 needs q = n;
+    #   when both hold, a_i/2^n and N d_i^2/2^n are odd, so a_i - N d_i^2 and
+    #   a_i + N d_i^2 have exponents n + 1 and at least n + 2, and beta1 +
+    #   beta2 >= 3n + 3, two more than that exponent 3n.
+    # - s1 > 0 = s2, or the reverse: e' = 1, and the exponent on the left is
+    #   2 min(t2, s1 + n), plus 1 if e = 2, at most t2 + min(2 t2, n) + s1 + 1
+    #   <= beta2 + s1 + 1.
+    # - s1, s2 > 0: e = 1, and the exponent is 2 min(s1, s2), plus 1 if
+    #   e' = 2, at most s1 + s2 + 1.
     c = abs(first[4])
     if family == "third":
         twice_root = 2 * alpha[0]  # alpha = R/(D N)
@@ -425,13 +450,18 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
         b_scale = twice_root * b_side // content
         g //= content
     else:
-        twice_g = 2 * c * abs(gn)
         scale = a_content * b_content
-        h = gcd(scale, twice_g)
-        twice_g //= h
+        twice_g, rest = divmod(2 * c * abs(gn), scale)
+        if rest:
+            # Off the curve, as in a SolutionPair.trusted of points that are
+            # not on it, U need not divide 2g, and the content is h r for
+            # h = gcd(U, 2g) and r = gcd(G, 2g/h).
+            h = gcd(scale, rest)
+            twice_g, scale = (twice_g * scale + rest) // h, scale // h
+        else:
+            scale = 1
         r = gcd(gcd(a_den, b_den), twice_g)
         twice_g //= r
-        scale //= h
         a_scale, b_scale = scale * (b_den // r), scale * (a_den // r)
     one = a_den * a_scale
     ax, ay = ax * a_scale, ay * a_scale

@@ -432,23 +432,25 @@ def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, i
     return elements
 
 
-def _same_parity_elements(p: CurvePoint, k: int, m: int, multiple: Callable) -> None:
-    """The preconditions of the pair (kP, mP) for k and m of equal parity,
-    which raise DegeneratePair: the multipliers first, then the elements
-    multiple(k) and multiple(m), the element (a, d, b) of jP with coprime a
-    and d, or None for the point at infinity. A trivial multiple has none or
-    b = 0, and two multiples share an abscissa when they share (a, d)."""
+def _same_parity_elements(p: CurvePoint, k: int, m: int, multiple: Callable) -> str | None:
+    """The first defect of the pair (kP, mP) for k and m of equal parity, as
+    the message of its DegeneratePair, or None for an admissible pair: the
+    multipliers are checked first, then the elements multiple(k) and
+    multiple(m), the element (a, d, b) of jP with coprime a and d, or None
+    for the point at infinity. A trivial multiple has none or b = 0, and two
+    multiples share an abscissa when they share (a, d)."""
     if k == m or k == 0 or m == 0:
-        raise DegeneratePair("multipliers must be distinct and nonzero")
+        return "multipliers must be distinct and nonzero"
     if (k - m) % 2 != 0:
-        raise DegeneratePair(f"multipliers {k} and {m} have different parity")
+        return f"multipliers {k} and {m} have different parity"
     if p.is_trivial:
-        raise DegeneratePair("base point must be nontrivial")
+        return "base point must be nontrivial"
     first, second = multiple(k), multiple(m)
     if not (first and second and first[2] and second[2]):
-        raise DegeneratePair(f"a multiple of {p} is trivial")
+        return f"a multiple of {p} is trivial"
     if first[:2] == second[:2]:
-        raise DegeneratePair(f"{k}P and {m}P share an abscissa")
+        return f"{k}P and {m}P share an abscissa"
+    return None
 
 
 def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
@@ -465,7 +467,9 @@ def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
         point = points[j] = p.mul(j)
         return None if point.is_infinity else _integer_coordinates(point)
 
-    _same_parity_elements(p, k, m, multiple)
+    defect = _same_parity_elements(p, k, m, multiple)
+    if defect is not None:
+        raise DegeneratePair(defect)
     pair = SolutionPair.trusted(points[k], points[m])
     if pair._xz_root is None:
         raise SquareCheckFailed(

@@ -16,7 +16,8 @@ one-seed job runs in one process whatever the worker count. Records come
 back in the enumeration order (N, k, m, parametrization index), and two runs
 of one job are byte-identical regardless of the worker count. Output is
 append-only JSONL, which makes interrupted sweeps resumable from the last
-completed record.
+completed record; each line is written from its record's shape, as the
+bytes json.dumps would give.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import chain, combinations
+from json.encoder import encode_basestring_ascii as _json_text
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -151,6 +153,9 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         a, d, _ = multiples[j - 1]
         return str(a) if d == 1 else f"{a}/{d * d}"
 
+    def multiple(j: int) -> tuple:
+        return multiples[j - 1]
+
     records = []
     for k, m in _multiple_pairs(job):
         pending = [
@@ -161,11 +166,10 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         if not pending:
             continue
         records += pending
-        try:
-            _same_parity_elements(seed, k, m, lambda j: multiples[j - 1])
-        except DegeneratePair as exc:
+        defect = _same_parity_elements(seed, k, m, multiple)
+        if defect is not None:
             for record in pending:
-                record["skipped"] = str(exc)
+                record["skipped"] = defect
             continue
         for record in pending:
             param = record["parametrization"]
@@ -222,17 +226,78 @@ def run_search(
         yield from chain.from_iterable(pool.map(unit, seeds))
 
 
-# One compact encoder for every record; json.dumps with separators builds a
-# new encoder per call.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# The keys, in order, of the three record shapes _seed_records writes: a
+# skipped pair, a truncated one and an emitted cuboid, with its payload and
+# the payload's source.
+_KEY_FIELDS = ("N", "k", "m", "parametrization")
+_SKIPPED = _KEY_FIELDS + ("skipped",)
+_TRUNCATED = _KEY_FIELDS + ("digits", "truncated")
+_EMITTED = _KEY_FIELDS + ("digits", "pc", "cuboid")
+_CUBOID = ("a", "b", "c", "d_ac", "d_bc", "d_s", "d_ab_sq", "pc", "source")
+_SOURCE = ("N", "X", "Z", "parametrization")
+
+
+def _shape(value) -> str:
+    """The keys of a dict, each with the shape of its value, or the type
+    name of anything else."""
+    if type(value) is not dict:
+        return type(value).__name__
+    return "{" + ", ".join(f"{key}: {_shape(item)}" for key, item in value.items()) + "}"
+
+
+def _record_line(record: dict) -> str:
+    """json.dumps(record, separators=(",", ":")) + "\n" for a record of one
+    of the three shapes, keys in order and integers of type int: one f-string
+    over str of the integers and encode_basestring_ascii of the texts, the
+    escaping json.dumps applies under ensure_ascii. Any other dict raises
+    ValueError."""
+    fields = tuple(record)
+    if fields == _EMITTED:
+        n, k, m, param, digits, pc, cuboid = record.values()
+        if type(cuboid) is dict and tuple(cuboid) == _CUBOID:
+            a, b, c, d_ac, d_bc, d_s, d_ab_sq, cuboid_pc, source = cuboid.values()
+            if type(source) is dict and tuple(source) == _SOURCE:
+                source_n, x, z, source_param = source.values()
+                if (type(n) is type(k) is type(m) is type(digits) is type(a) is type(b)
+                        is type(c) is type(d_ac) is type(d_bc) is type(d_s) is type(d_ab_sq)
+                        is type(source_n) is int and type(pc) is type(cuboid_pc) is bool
+                        and type(param) is type(x) is type(z) is type(source_param) is str):
+                    return (
+                        f'{{"N":{n},"k":{k},"m":{m},"parametrization":{_json_text(param)},'
+                        f'"digits":{digits},"pc":{"true" if pc else "false"},"cuboid":{{'
+                        f'"a":{a},"b":{b},"c":{c},"d_ac":{d_ac},"d_bc":{d_bc},"d_s":{d_s},'
+                        f'"d_ab_sq":{d_ab_sq},"pc":{"true" if cuboid_pc else "false"},'
+                        f'"source":{{"N":{source_n},"X":{_json_text(x)},"Z":{_json_text(z)},'
+                        f'"parametrization":{_json_text(source_param)}}}}}}}\n'
+                    )
+    elif fields == _SKIPPED:
+        n, k, m, param, skipped = record.values()
+        if type(n) is type(k) is type(m) is int and type(param) is type(skipped) is str:
+            return (
+                f'{{"N":{n},"k":{k},"m":{m},"parametrization":{_json_text(param)},'
+                f'"skipped":{_json_text(skipped)}}}\n'
+            )
+    elif fields == _TRUNCATED:
+        n, k, m, param, digits, truncated = record.values()
+        if (type(n) is type(k) is type(m) is type(digits) is int and type(param) is str
+                and truncated is True):
+            return (
+                f'{{"N":{n},"k":{k},"m":{m},"parametrization":{_json_text(param)},'
+                f'"digits":{digits},"truncated":true}}\n'
+            )
+    raise ValueError(f"not a run_search record: {_shape(record)}")
 
 
 def write_records(records: Iterator[dict], stream: IO[str]) -> int:
-    """Append records as one compact JSON object per line; returns the count."""
-    encode = _RECORD_ENCODER.encode
+    """Append run_search records as one compact JSON object per line;
+    returns the count. Each line is the bytes of json.dumps(record,
+    separators=(",", ":")), written from the record's shape (see
+    _record_line); a record of any other shape raises ValueError, after
+    the lines before it are written."""
+    write = stream.write
     count = 0
     for record in records:
-        stream.write(encode(record) + "\n")
+        write(_record_line(record))
         count += 1
     return count
 

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, isqrt, lcm
 
 import pytest
@@ -23,6 +23,7 @@ from npcuboid import (
     cuboid_to_json,
     hyperbola_point_a,
     hyperbola_point_b,
+    is_square,
     load_seeds,
     pc_condition,
     pc_equation_residual,
@@ -750,6 +751,58 @@ class TestElementReference:
                         assert _family_parameters(n, *standalone, family) == (
                             reference_family_parameters(pair, family)
                         )
+
+    @pytest.mark.parametrize(
+        "seed, length",
+        [pytest.param(seed, 9, id=f"N{seed.curve.N}") for seed in PACKAGED_SEEDS]
+        + [pytest.param(seed, 6, id=f"triangle-N{seed.curve.N}") for seed in triangle_seeds(8)],
+    )
+    def test_on_the_curve_u_divides_twice_g(self, seed, length):
+        # The content's h = gcd(U, 2g) is U = u1^2 e1 u2^2 e2 itself in the
+        # first two families (proof in _npc_entries): on the chain's pairs and
+        # their second-reflected images, and on standalone pairs of +-jP and
+        # its 2-torsion translates.
+        n, curve = seed.curve.N, seed.curve
+        multiples = _multiples(seed, length)
+        images = [_second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+        pairs = [
+            (elements[k - 1], elements[m - 1])
+            for elements in (_chain_elements(multiples), _chain_elements(images))
+            for k in range(1, length)
+            for m in range(k + 2, length + 1, 2)
+        ]
+        torsion = [curve.point(0, 0), curve.point(n, 0), curve.point(-n, 0)]
+        points = [seed.mul(j) for j in range(1, 5)]
+        points += [-p for p in points] + [p + t for p in points for t in torsion]
+        for p, q in permutations(points, 2):
+            if p.x != q.x and is_square(p.x * q.x):
+                pairs.append(_pair_elements(SolutionPair(p, q)))
+        checked = 0
+        for first, second in pairs:
+            for family in ("first", "second"):
+                try:
+                    factors = content_factors(n, first, second, family)
+                except NpcuboidError:
+                    continue
+                u1, e1, u2, e2 = (factors[f] for f in ("u1", "e1", "u2", "e2"))
+                assert factors["h"] == u1 * u1 * e1 * u2 * u2 * e2
+                checked += 1
+        assert checked > len(pairs)
+
+    def test_off_the_curve_u_need_not_divide_twice_g(self, curve5):
+        # The second-reflected image of the trusted pair of (0, 1) and (4, 1),
+        # off the N = 5 curve, has U = 22500 but h = 4500; its build still
+        # divides the content out in full, as the reference does.
+        pair = SolutionPair.trusted(curve5.point(0, 1), curve5.point(4, 1))
+        image = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
+        for family in ("first", "second"):
+            factors = content_factors(5, *_pair_elements(image), family)
+            u1, e1, u2, e2 = (factors[f] for f in ("u1", "e1", "u2", "e2"))
+            assert u1 * u1 * e1 * u2 * u2 * e2 == 22500
+            assert factors["h"] == 4500
+            assert _npc_entries(5, *_pair_elements(image), family) == (
+                reference_npc_entries(image, family)
+            )
 
     @pytest.mark.parametrize(
         "n, points, k, m, family, factor",

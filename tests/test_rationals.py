@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,14 @@ from npcuboid import (
     primitive_integer_scaling,
     sqrt_exact,
 )
-from npcuboid.rationals import decimal_digits
+from npcuboid.rationals import (
+    _FIRST_MODULUS,
+    _SECOND_MODULUS,
+    _SIEVE_PRIMES,
+    _SIEVE_TABLES,
+    decimal_digits,
+    is_square_int,
+)
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-10_000), max_value=Fraction(10_000), max_denominator=500
@@ -49,6 +57,46 @@ class TestIsSquare:
     @given(nonzero_fractions, nonzero_fractions)
     def test_squares_multiply_to_squares(self, r, s):
         assert is_square(r * r * s * s)
+
+
+def reference_is_square_int(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+class TestIsSquareInt:
+    """The residue sieve before isqrt refuses only non-squares."""
+
+    def test_zero_and_negatives(self):
+        assert is_square_int(0)
+        assert not any(is_square_int(n) for n in range(-5000, 0))
+        assert not is_square_int(-(2**400))
+
+    def test_squares_and_their_neighbours(self):
+        # k up to 5000 meets every residue class of every sieve prime.
+        for k in range(5000):
+            for n in (k * k - 1, k * k, k * k + 1):
+                assert is_square_int(n) is reference_is_square_int(n), n
+
+    @given(st.integers(min_value=-(2**10_000), max_value=2**10_000))
+    @settings(max_examples=300)
+    def test_any_integer_up_to_ten_thousand_bits(self, n):
+        assert is_square_int(n) is reference_is_square_int(n)
+
+    @given(st.integers(min_value=0, max_value=2**5000), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300)
+    def test_large_squares_and_their_neighbours(self, k, offset):
+        n = k * k + offset
+        assert is_square_int(n) is reference_is_square_int(n)
+
+    def test_each_table_holds_the_squares_modulo_its_prime(self):
+        assert len(_SIEVE_TABLES) == len(_SIEVE_PRIMES) == 10
+        for p, table in zip(_SIEVE_PRIMES, _SIEVE_TABLES):
+            assert set(table) == {i * i % p for i in range(p)}, p
+
+    def test_the_moduli_are_one_digit_products_of_the_primes(self):
+        assert _FIRST_MODULUS * _SECOND_MODULUS == prod(_SIEVE_PRIMES)
+        assert _FIRST_MODULUS == prod(_SIEVE_PRIMES[:5])
+        assert max(_FIRST_MODULUS, _SECOND_MODULUS) < 2**30
 
 
 class TestSqrtExact:

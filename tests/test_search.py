@@ -15,6 +15,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npcuboid.curve as curve_module
 import npcuboid.search as search
@@ -37,6 +39,7 @@ from npcuboid import (
     squarefree_kernel,
     verify_npc,
 )
+from npcuboid.rationals import is_square_int
 from npcuboid.search import (
     SearchJob,
     drop_torn_tail,
@@ -513,6 +516,131 @@ class TestStreamPins:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "208562cc3e8c3d52e30bc02b58c55a01e30d5ef445e0e3596f38d049ab9ebae0"
         )
+
+
+def compact_line(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def written_lines(records):
+    buffer = io.StringIO()
+    count = write_records(records, buffer)
+    lines = buffer.getvalue().splitlines(keepends=True)
+    assert count == len(lines)
+    return lines
+
+
+# Texts that JSON escapes: quotes, backslashes, control characters and
+# non-ASCII, which ensure_ascii writes as \uXXXX escapes (surrogate pairs
+# beyond the BMP).
+json_texts = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "é", "\U0001f600"])
+json_ints = st.integers() | st.integers(min_value=-(2**2000), max_value=2**2000)
+
+
+@st.composite
+def sweep_records(draw):
+    """A record of one of the three shapes run_search yields, with any
+    integers and texts in its fields."""
+    record = {
+        "N": draw(json_ints), "k": draw(json_ints), "m": draw(json_ints),
+        "parametrization": draw(json_texts),
+    }
+    shape = draw(st.sampled_from(["skipped", "truncated", "cuboid"]))
+    if shape == "skipped":
+        record["skipped"] = draw(json_texts)
+        return record
+    record["digits"] = draw(json_ints)
+    if shape == "truncated":
+        record["truncated"] = True
+        return record
+    record["pc"] = draw(st.booleans())
+    entries = {name: draw(json_ints) for name in ("a", "b", "c", "d_ac", "d_bc", "d_s", "d_ab_sq")}
+    source = {
+        "N": draw(json_ints), "X": draw(json_texts), "Z": draw(json_texts),
+        "parametrization": draw(json_texts),
+    }
+    record["cuboid"] = {**entries, "pc": draw(st.booleans()), "source": source}
+    return record
+
+
+SKIPPED = {"N": 5, "k": 1, "m": 2, "parametrization": "first", "skipped": "why"}
+TRUNCATED = {"N": 5, "k": 1, "m": 5, "parametrization": "first", "digits": 42, "truncated": True}
+EMITTED = {
+    "N": 5, "k": 1, "m": 3, "parametrization": "invariant", "digits": 5, "pc": False,
+    "cuboid": {
+        "a": 9840, "b": 4557, "c": 3124, "d_ac": 10324, "d_bc": 5525, "d_s": 11285,
+        "d_ab_sq": 117591849, "pc": False,
+        "source": {"N": 5, "X": "25/4", "Z": "1681/144", "parametrization": "invariant"},
+    },
+}
+
+
+def with_cuboid(**fields):
+    return {**EMITTED, "cuboid": {**EMITTED["cuboid"], **fields}}
+
+
+def with_source(**fields):
+    return with_cuboid(source={**EMITTED["cuboid"]["source"], **fields})
+
+
+class TestRecordLines:
+    """write_records builds each line from the record's shape; the bytes must
+    stay those of json.dumps with compact separators."""
+
+    @pytest.mark.parametrize("make_job", [packaged_pin_job, triangle_pin_job])
+    def test_every_pin_record_is_written_as_json_dumps(self, make_job):
+        records = list(run_search(make_job()))
+        assert written_lines(records) == [compact_line(record) for record in records]
+
+    @given(st.lists(sweep_records(), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_any_texts_and_integers_are_written_as_json_dumps(self, records):
+        assert written_lines(records) == [compact_line(record) for record in records]
+
+    @pytest.mark.parametrize("record", [SKIPPED, TRUNCATED, EMITTED])
+    def test_each_shape_round_trips(self, record):
+        (line,) = written_lines([record])
+        assert json.loads(line) == record
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {},
+            {"N": 5, "k": 1, "m": 2, "parametrization": "first"},
+            {**SKIPPED, "extra": 1},
+            {"k": 1, "N": 5, "m": 2, "parametrization": "first", "skipped": "why"},
+            {**SKIPPED, "N": True},
+            {**SKIPPED, "k": 1.0},
+            {**SKIPPED, "m": "2"},
+            {**SKIPPED, "parametrization": None},
+            {**SKIPPED, "skipped": 3},
+            {**TRUNCATED, "truncated": False},
+            {**TRUNCATED, "digits": Fraction(42)},
+            {**EMITTED, "pc": 0},
+            {**EMITTED, "cuboid": None},
+            with_cuboid(a=Fraction(1, 2)),
+            with_cuboid(pc=None),
+            {**EMITTED, "cuboid": dict(reversed(EMITTED["cuboid"].items()))},
+            with_source(X=Fraction(25, 4)),
+            with_source(N="5"),
+            with_cuboid(source={"X": "25/4", "Z": "1681/144", "parametrization": "invariant"}),
+        ],
+    )
+    def test_a_foreign_record_raises_value_error_naming_its_keys(self, record):
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match="not a run_search record") as raised:
+            write_records([SKIPPED, record], stream)
+        assert all(repr(key)[1:-1] in str(raised.value) for key in record)
+        assert stream.getvalue() == compact_line(SKIPPED)
+
+    @pytest.mark.parametrize("make_job", [packaged_pin_job, triangle_pin_job])
+    def test_square_test_agrees_with_isqrt_on_every_pin_cuboid(self, make_job):
+        emitted = [r for r in run_search(make_job()) if "cuboid" in r]
+        assert emitted
+        for record in emitted:
+            d_ab_sq = record["cuboid"]["d_ab_sq"]
+            assert is_square_int(d_ab_sq) is (math.isqrt(d_ab_sq) ** 2 == d_ab_sq)
+            assert record["pc"] is is_square_int(d_ab_sq)
 
 
 RECOVER = {"invariant": recover_invariant, "first": recover_first, "second": recover_second}
