@@ -23,17 +23,12 @@ from .cuboids import (
     PARAMETRIZATIONS,
     Cuboid,
     CuboidSource,
-    ParametrizationVariables,
     build_npc,
-    circle_point,
     cuboid_from_json,
     cuboid_to_json,
-    hyperbola_point_a,
-    hyperbola_point_b,
     pc_condition,
     pc_equation_residual,
     second_parameter_from_third,
-    variables_from_pair,
     verify_npc,
 )
 from .errors import (

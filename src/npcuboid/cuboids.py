@@ -22,14 +22,15 @@ q are both odd), and the six entries are those integers over a common
 denominator of the two points and the gamma condition that the elements give
 in closed form. Their content is known in closed form too, from gcds of the
 parameters and of small factors, so it is divided out of the factors before
-they are multiplied and no gcd of the build takes a finished entry. The
-sweep passes the elements of its chain, whose
-class roots r it took once per point; a standalone pair's elements take
-their root from the pair's own root of XZ (see SolutionPair). The
+they are multiplied and no gcd of the build takes a finished entry. So
+each family's parameters and conic points are stated once, in integers, in
+the routines the build runs. The sweep passes the elements of its chain,
+whose class roots r it took once per point; a standalone pair's elements
+take their root from the pair's own root of XZ (see SolutionPair). The
 first_reflected and second_reflected cuboids are the first and second
 cuboids of the pair's image under the second reflected transformation. The
 residual evaluator and the birational map between the two hyperbola-based
-families expose the rest of the parameter algebra.
+families state the paper's perfect-cuboid equations in Fractions.
 
 The public build returns a Cuboid of Fractions; the sweep takes the six
 coprime integers of the same integer core and writes its record through the
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curve import SolutionPair, _integer_coordinates, kummer_map
+from .curve import SolutionPair, _integer_coordinates
 from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
 from .rationals import _integer_field, _rational_field, format_rational, is_square, sqrt_exact
 
@@ -81,27 +82,6 @@ def _conic_point(family: str, p: int, q: int) -> tuple[int, int, int]:
     if p == 0 or abs(p) == q:
         raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
     return point(p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q)
-
-
-def _rational_point(family: str, t: Fraction) -> tuple[Fraction, Fraction]:
-    t = Fraction(t)
-    x, y, denominator = _conic_point(family, t.numerator, t.denominator)
-    return Fraction(x, denominator), Fraction(y, denominator)
-
-
-def circle_point(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Positive rational point (|1-t^2|, |2t|)/(1+t^2) on x^2 + y^2 = 1."""
-    return _rational_point("first", t)
-
-
-def hyperbola_point_a(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Positive rational point (|1+t^2|, |2t|)/|1-t^2| on x^2 - y^2 = 1."""
-    return _rational_point("second", t)
-
-
-def hyperbola_point_b(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Positive rational point (|1+t^2|, |1-t^2|)/|2t| on x^2 - y^2 = 1."""
-    return _rational_point("third", t)
 
 
 def second_parameter_from_third(t: Fraction) -> Fraction:
@@ -146,30 +126,6 @@ def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fr
     return a + g - b if family == "first" else g + b - a
 
 
-@dataclass(frozen=True)
-class ParametrizationVariables:
-    """Exact conic parameters extracted from one solution pair.
-
-    gamma_condition holds the family's always-rational reduced quantity
-    (g/(1+g^2), g/(1-g^2) or (1-g^2)/g); the parameter g itself is rational
-    only if a perfect cuboid exists.
-    """
-
-    alpha: Fraction
-    beta: Fraction
-    gamma_condition: Fraction
-    eta: Fraction
-    family: str
-
-
-def _lowest_terms(p: int, q: int) -> tuple[int, int]:
-    """p/q as (numerator, positive denominator) in lowest terms."""
-    g = gcd(p, q)
-    if q < 0:
-        g = -g
-    return p // g, q // g
-
-
 def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
     """The elements (a, d, b, r, c) of a standalone pair's points (see
     curve._chain_elements), with c the a of Q: r is |c| for Q and
@@ -188,11 +144,17 @@ def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tup
     fractions, read off the elements (a, d, b, r, c) of the two points, which
     share c.
 
-    With X = a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is
-    R/(d1 d2) for R = r1 r2/|c| = sqrt(a1 a2), and sqrt(X/Z) is r1 d2/(r2 d1);
-    the gamma condition's (d1 d2)^3 cancels. alpha and beta are positive over
-    positive denominators; the gamma condition keeps its sign. See
-    variables_from_pair for the algebra and the degenerate cases.
+    alpha and beta are two of sqrt(XZ)/N, sqrt(X/Z) and sqrt(Z/X), one
+    square root serving both. The gamma condition, YW over (XZ + N^2)(X + Z),
+    (X - Z)(N^2 - XZ) or XZN, is the always-rational g/(1+g^2), g/(1-g^2) or
+    (1-g^2)/g; g itself is rational only if a perfect cuboid exists. With X =
+    a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is R/(d1 d2) for
+    R = r1 r2/|c| = sqrt(a1 a2), and sqrt(X/Z) is r1 d2/(r2 d1); the gamma
+    condition's (d1 d2)^3 cancels. alpha and beta are positive over positive
+    denominators; the gamma condition keeps its sign. Only pairs that bypass
+    the pair invariant (SolutionPair.trusted) are degenerate: XZ = 0 and a
+    vanishing condition denominator (X = -Z for the first family, X = Z or
+    XZ = N^2 for the second) raise DegeneratePair, a non-square XZ NotASquare.
     """
     a1, d1, b1, r1, c = first
     a2, d2, b2, r2, _ = second
@@ -223,36 +185,6 @@ def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tup
     if family == "second":
         return over_x, over_n, (yw * dd, difference * gap)
     return over_n, over_x, (yw, dd * a1 * a2 * n)
-
-
-def _family_parameters(
-    n: int, first: tuple, second: tuple, family: str
-) -> tuple[tuple[int, int], ...]:
-    """_family_terms in lowest terms, each reduced by one gcd."""
-    return tuple(_lowest_terms(*term) for term in _family_terms(n, first, second, family))
-
-
-def variables_from_pair(pair: SolutionPair, family: str) -> ParametrizationVariables:
-    """Extract the family's (alpha, beta) square roots and its gamma condition.
-
-    Each of alpha and beta is one of sqrt(XZ)/N, sqrt(X/Z) = sqrt(XZ)/|Z| and
-    sqrt(Z/X) = sqrt(XZ)/|X|, so one exact square root serves both; the pair
-    invariant keeps it rational. The gamma condition is YW over
-    (XZ + N^2)(X + Z), (X - Z)(N^2 - XZ) or XZN. Only pairs that bypass that
-    invariant (SolutionPair.trusted) can be degenerate; XZ = 0 and a
-    vanishing condition denominator (X = -Z for the first family, X = Z or
-    XZ = N^2 for the second) raise DegeneratePair.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    alpha, beta, gamma = _family_parameters(pair.curve.N, *_pair_elements(pair), family)
-    return ParametrizationVariables(
-        alpha=Fraction(*alpha),
-        beta=Fraction(*beta),
-        gamma_condition=Fraction(*gamma),
-        eta=kummer_map(pair)[2],
-        family=family,
-    )
 
 
 @dataclass(frozen=True)
@@ -326,18 +258,18 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     """Construct the canonical integer NPC of one parametrization.
 
     The family's conic gives (ax, ay) at alpha and (bx, by) at beta, and g is
-    the absolute gamma condition (see variables_from_pair). The entries
+    the absolute gamma condition (see _family_terms). The entries
     (a, b, c, d_bc, d_ac, d_s) are then (ay, bx, 2g, ax, by, 1) for the first
     family, (1, 2g, by, ay, bx, ax) for the second and (1, g/2, by, ay, bx,
     ax) for the third, the invariant cuboid. They are formed in integers over
     a common denominator of the conic points and g that the pair's elements
     give in closed form, with their content, known in closed form too,
     divided out of the factors first, as coprime positive integers; d_ab_sq
-    is a^2 + b^2 of those. The reflected
-    parametrizations are the first and second cuboids of the pair's image
-    under the second reflected transformation; the source still records the
-    caller's abscissae. A pair holding a trivial point, a vanishing family
-    denominator or a degenerate conic parameter raises DegeneratePair.
+    is a^2 + b^2 of those. The reflected parametrizations are the first and
+    second cuboids of the pair's image under the second reflected
+    transformation; the source still records the caller's abscissae. A pair
+    holding a trivial point, a vanishing family denominator or a degenerate
+    conic parameter raises DegeneratePair.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")

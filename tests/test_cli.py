@@ -166,6 +166,13 @@ class TestNpcCommands:
         code, out, err = run(capsys, "npc", "verify", "--in", str(path))
         assert code == 2 and out == "" and message in err
 
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        # UnicodeDecodeError is a ValueError, and exited 1 as a domain error.
+        path = tmp_path / "cuboid.json"
+        path.write_bytes(json.dumps(GOLDEN_RECORD).encode()[:-1] + b"\xff}")
+        code, out, err = run(capsys, "npc", "verify", "--in", str(path))
+        assert code == 2 and out == "" and "can't decode byte 0xff" in err
+
     @pytest.mark.parametrize("value", [672.0, None, False], ids=["float", "null", "boolean"])
     @pytest.mark.parametrize("field", ["a", "d_s", "d_ab_sq", "source.X", "source.Z"])
     def test_inexact_json_field_is_usage_error(self, capsys, tmp_path, field, value):
@@ -423,6 +430,20 @@ class TestSearchCommand:
         path.write_text("{not json")
         code, _, err = run(capsys, "search", str(path))
         assert code == 2
+
+    def test_undecodable_job_file(self, capsys, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_bytes(b'{"max_multiple": 4, "parity": "\xff"}')
+        code, out, err = run(capsys, "search", str(path))
+        assert code == 2 and out == "" and "can't decode byte 0xff" in err
+
+    def test_undecodable_seed_file(self, capsys, tmp_path):
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_bytes(b'{"N": 5, "x": "-4", "y": "6"}\n\xff\n')
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"max_multiple": 4}))
+        code, out, err = run(capsys, "search", str(path), "--seeds", str(seeds))
+        assert code == 2 and out == "" and "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize(
         "record, message",

@@ -18,12 +18,10 @@ from npcuboid import (
     SquareCheckFailed,
     TrivialParameter,
     build_npc,
-    circle_point,
     cuboid_from_json,
     cuboid_to_json,
-    hyperbola_point_a,
-    hyperbola_point_b,
     is_square,
+    kummer_map,
     load_seeds,
     pc_condition,
     pc_equation_residual,
@@ -31,13 +29,11 @@ from npcuboid import (
     same_parity_pair,
     second_parameter_from_third,
     sqrt_exact,
-    variables_from_pair,
     verify_npc,
 )
 
 from npcuboid.cuboids import (
     _conic_point,
-    _family_parameters,
     _family_terms,
     _npc_entries,
     _pair_elements,
@@ -153,11 +149,38 @@ def _reference_variables(pair, family):
     return root / n, root / abs(x), yw / (x * z * n)
 
 
+# Each family's conic and its positive point at t: (|1-t^2|, |2t|)/(1+t^2)
+# on x^2 + y^2 = 1, and (1+t^2, |2t|)/|1-t^2| or (1+t^2, |1-t^2|)/|2t| on
+# x^2 - y^2 = 1.
 _REFERENCE_CONICS = {
-    "first": circle_point,
-    "second": hyperbola_point_a,
-    "third": hyperbola_point_b,
+    "first": ("circle", lambda t: (abs(1 - t * t) / (1 + t * t), abs(2 * t) / (1 + t * t))),
+    "second": ("hyperbola", lambda t: ((1 + t * t) / abs(1 - t * t), abs(2 * t) / abs(1 - t * t))),
+    "third": ("hyperbola", lambda t: ((1 + t * t) / abs(2 * t), abs(1 - t * t) / abs(2 * t))),
 }
+
+
+def reference_conic_point(family, t):
+    """The family's conic point at t in Fraction arithmetic."""
+    conic, point = _REFERENCE_CONICS[family]
+    if t in (0, 1, -1):
+        raise TrivialParameter(f"{conic} parameter {t} degenerates")
+    return point(t)
+
+
+def conic_fractions(family, t):
+    """_conic_point at t as the two Fractions x/denominator and y/denominator."""
+    x, y, denominator = _conic_point(family, t.numerator, t.denominator)
+    return Fraction(x, denominator), Fraction(y, denominator)
+
+
+def as_fractions(terms):
+    """Integer fractions (p, q) as Fractions."""
+    return tuple(Fraction(*term) for term in terms)
+
+
+def family_terms(pair, family):
+    """_family_terms of a standalone pair: alpha, beta and the gamma condition."""
+    return as_fractions(_family_terms(pair.curve.N, *_pair_elements(pair), family))
 
 
 def reference_build_npc(pair, parametrization):
@@ -175,9 +198,8 @@ def reference_build_npc(pair, parametrization):
     if parametrization.endswith("_reflected"):
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
     alpha, beta, gamma_condition = _reference_variables(pair, family)
-    conic = _REFERENCE_CONICS[family]
     try:
-        (ax, ay), (bx, by) = conic(alpha), conic(beta)
+        (ax, ay), (bx, by) = (reference_conic_point(family, t) for t in (alpha, beta))
     except TrivialParameter as exc:
         raise DegeneratePair(str(exc)) from exc
     g = abs(gamma_condition)
@@ -211,7 +233,7 @@ def reference_family_parameters(pair, family):
     """The pair-root construction that the element path replaced: alpha, beta
     and the gamma condition read off the numerators and denominators of X, Z,
     YW and N, with sqrt(XZ) from one isqrt of xn zn xd zd. An oracle for
-    _family_parameters, exceptions and their messages included."""
+    _family_terms, exceptions and their messages included."""
     n = pair.curve.N
     x, z = pair.P.x, pair.Q.x
     xn, xd, zn, zd = x.numerator, x.denominator, z.numerator, z.denominator
@@ -322,38 +344,37 @@ DEGENERATE_ABSCISSAE = [
 
 
 class TestConicPoints:
+    # _conic_point gives (x, y, denominator): the circle's (3, 4, 5) is the
+    # point (3/5, 4/5).
     def test_circle_half(self):
-        assert circle_point(Fraction(1, 2)) == (Fraction(3, 5), Fraction(4, 5))
+        assert _conic_point("first", 1, 2) == (3, 4, 5)
 
     def test_circle_two(self):
-        assert circle_point(Fraction(2)) == (Fraction(3, 5), Fraction(4, 5))
+        assert _conic_point("first", 2, 1) == (3, 4, 5)
 
     def test_circle_rejects_trivial(self):
-        for t in (0, 1, -1):
+        for p in (0, 1, -1):
             with pytest.raises(TrivialParameter):
-                circle_point(Fraction(t))
+                _conic_point("first", p, 1)
 
     def test_hyperbola_a(self):
-        assert hyperbola_point_a(Fraction(1, 2)) == (Fraction(5, 3), Fraction(4, 3))
+        assert _conic_point("second", 1, 2) == (5, 4, 3)
 
     def test_hyperbola_b(self):
-        assert hyperbola_point_b(Fraction(1, 2)) == (Fraction(5, 4), Fraction(3, 4))
+        assert _conic_point("third", 1, 2) == (5, 3, 4)
 
     def test_hyperbola_rejects_trivial(self):
-        for t in (0, 1, -1):
+        for p in (0, 1, -1):
             with pytest.raises(TrivialParameter):
-                hyperbola_point_a(Fraction(t))
+                _conic_point("second", p, 1)
             with pytest.raises(TrivialParameter):
-                hyperbola_point_b(Fraction(t))
+                _conic_point("third", p, 1)
 
     @given(st.fractions())
     def test_integer_forms_match_textbook_formulas(self, t):
         assume(t not in (0, 1, -1))
-        assert circle_point(t) == (abs(1 - t * t) / (1 + t * t), abs(2 * t) / (1 + t * t))
-        assert hyperbola_point_a(t) == (
-            (1 + t * t) / abs(1 - t * t), abs(2 * t) / abs(1 - t * t)
-        )
-        assert hyperbola_point_b(t) == ((1 + t * t) / abs(2 * t), abs(1 - t * t) / abs(2 * t))
+        for family, (_, point) in _REFERENCE_CONICS.items():
+            assert conic_fractions(family, t) == point(t)
 
     @given(
         st.sampled_from(FAMILIES),
@@ -380,11 +401,11 @@ class TestConicPoints:
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(7, 5), Fraction(-9, 2)])
     def test_points_satisfy_their_conics(self, t):
-        x, y = circle_point(t)
+        x, y = conic_fractions("first", t)
         assert x * x + y * y == 1 and x > 0 and y > 0
-        x, y = hyperbola_point_a(t)
+        x, y = conic_fractions("second", t)
         assert x * x - y * y == 1 and x > 0 and y > 0
-        x, y = hyperbola_point_b(t)
+        x, y = conic_fractions("third", t)
         assert x * x - y * y == 1 and x > 0 and y > 0
 
 
@@ -511,42 +532,38 @@ class TestBirationalEquivalence:
             second_parameter_from_third(Fraction(-1))
 
 
-class TestVariablesFromPair:
+class TestFamilyTerms:
     def test_third_family_golden(self, golden_pair):
-        variables = variables_from_pair(golden_pair, "third")
-        assert variables.alpha == Fraction(41, 24)
-        assert variables.beta == Fraction(41, 30)
-        assert variables.eta == Fraction(62279, 23040)
-        assert variables.gamma_condition == Fraction(62279, 67240)
+        alpha, beta, gamma_condition = family_terms(golden_pair, "third")
+        assert alpha == Fraction(41, 24)
+        assert beta == Fraction(41, 30)
+        assert kummer_map(golden_pair)[2] == Fraction(62279, 23040)
+        assert gamma_condition == Fraction(62279, 67240)
 
     def test_first_family_golden(self, golden_pair):
-        variables = variables_from_pair(golden_pair, "first")
-        assert variables.alpha == Fraction(41, 24)
-        assert variables.beta == Fraction(30, 41)
+        alpha, beta, _ = family_terms(golden_pair, "first")
+        assert alpha == Fraction(41, 24)
+        assert beta == Fraction(30, 41)
         # alpha*beta = X/N and alpha/beta = Z/N
-        assert variables.alpha * variables.beta == Fraction(5, 4)
-        assert variables.alpha / variables.beta == Fraction(1681, 720)
+        assert alpha * beta == Fraction(5, 4)
+        assert alpha / beta == Fraction(1681, 720)
 
     def test_second_family_golden(self, golden_pair):
-        variables = variables_from_pair(golden_pair, "second")
-        assert variables.alpha == Fraction(41, 30)
-        assert variables.beta == Fraction(41, 24)
+        alpha, beta, _ = family_terms(golden_pair, "second")
+        assert alpha == Fraction(41, 30)
+        assert beta == Fraction(41, 24)
         # beta/alpha = X/N and beta*alpha = Z/N
-        assert variables.beta / variables.alpha == Fraction(5, 4)
-        assert variables.beta * variables.alpha == Fraction(1681, 720)
+        assert beta / alpha == Fraction(5, 4)
+        assert beta * alpha == Fraction(1681, 720)
 
     def test_gamma_condition_closed_forms(self, seeds):
         for pair in generated_pairs(seeds, max_multiple=4):
             n = pair.curve.N
             x, z = pair.P.x, pair.Q.x
             yw = pair.P.y * pair.Q.y
-            assert variables_from_pair(pair, "first").gamma_condition == yw / (
-                (x * z + n * n) * (x + z)
-            )
-            assert variables_from_pair(pair, "second").gamma_condition == yw / (
-                (x - z) * (n * n - x * z)
-            )
-            assert variables_from_pair(pair, "third").gamma_condition == yw / (x * z * n)
+            assert family_terms(pair, "first")[2] == yw / ((x * z + n * n) * (x + z))
+            assert family_terms(pair, "second")[2] == yw / ((x - z) * (n * n - x * z))
+            assert family_terms(pair, "third")[2] == yw / (x * z * n)
 
     def test_gamma_condition_determines_conditional_diagonal(self, seeds):
         # The conditional diagonal of each parametrization's cuboid is fixed
@@ -564,7 +581,7 @@ class TestVariablesFromPair:
         for pair in generated_pairs(seeds, max_multiple=4):
             for parametrization, holds in relations.items():
                 family = FAMILY_OF_PARAMETRIZATION[parametrization]
-                g = variables_from_pair(pair, family).gamma_condition
+                g = family_terms(pair, family)[2]
                 assert holds(build_npc(pair, parametrization), g)
 
     def test_xz_equal_n_squared_rejected(self, curve5):
@@ -573,12 +590,12 @@ class TestVariablesFromPair:
             curve5.point(2, 1), curve5.point(Fraction(25, 2), 1)
         )
         with pytest.raises(DegeneratePair):
-            variables_from_pair(fake, "second")
+            family_terms(fake, "second")
 
     def test_x_equal_minus_z_rejected(self, curve5):
         fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(-2, 1))
         with pytest.raises(DegeneratePair):
-            variables_from_pair(fake, "first")
+            family_terms(fake, "first")
 
 
 class TestBuildNpc:
@@ -748,8 +765,8 @@ class TestElementReference:
                         expected = reference_npc_entries(pair, family)
                         assert _npc_entries(n, elements[k - 1], elements[m - 1], family) == expected
                         assert _npc_entries(n, *standalone, family) == expected
-                        assert _family_parameters(n, *standalone, family) == (
-                            reference_family_parameters(pair, family)
+                        assert as_fractions(_family_terms(n, *standalone, family)) == (
+                            as_fractions(reference_family_parameters(pair, family))
                         )
 
     @pytest.mark.parametrize(
@@ -854,8 +871,8 @@ class TestElementReference:
     )
     def test_off_curve_pairs_keep_results_and_messages(self, curve5, family, p, q):
         pair = SolutionPair.trusted(curve5.point(*p), curve5.point(*q))
-        assert outcome(lambda: _family_parameters(5, *_pair_elements(pair), family)) == (
-            outcome(reference_family_parameters, pair, family)
+        assert outcome(lambda: family_terms(pair, family)) == (
+            outcome(lambda: as_fractions(reference_family_parameters(pair, family)))
         )
         assert outcome(lambda: _npc_entries(5, *_pair_elements(pair), family)) == (
             outcome(reference_npc_entries, pair, family)
