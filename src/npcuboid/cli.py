@@ -32,7 +32,7 @@ from .curve import (
     point_to_json,
     secant_y_intercept,
 )
-from .errors import NpcuboidError, ResourceExhausted
+from .errors import InvalidSeed, NpcuboidError, ResourceExhausted
 from .factoring import DEFAULT_RHO_BUDGET
 from .inverse import (
     classify_labeling,
@@ -201,13 +201,18 @@ def _cuboid_from_args(args) -> Cuboid:
 
 def _read_record(reader, record, what: str):
     """reader(record), where a missing field or a record of the wrong shape,
-    such as a JSON list, is a usage error."""
+    such as a JSON list, is a usage error, in the record or in a seed line of
+    --seeds, which may also be no JSON at all."""
     try:
         return reader(record)
     except KeyError as exc:
         raise _Usage(f"{what} lacks field {exc}") from exc
     except TypeError as exc:
         raise _Usage(f"{what} is malformed: {exc}") from exc
+    except InvalidSeed as exc:
+        if isinstance(exc.__cause__, (KeyError, TypeError, json.JSONDecodeError)):
+            raise _Usage(str(exc)) from exc
+        raise
 
 
 def _cmd_invert(args) -> tuple[dict, int]:

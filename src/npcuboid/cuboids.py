@@ -26,7 +26,7 @@ they are multiplied and no gcd of the build takes a finished entry. So
 each family's parameters and conic points are stated once, in integers, in
 the routines the build runs. The sweep passes the elements of its chain,
 whose class roots r it took once per point; a standalone pair's elements
-take their root from the pair's own root of XZ (see SolutionPair). The
+take r = isqrt(a1 a2) from the two elements themselves (_pair_elements). The
 first_reflected and second_reflected cuboids are the first and second
 cuboids of the pair's image under the second reflected transformation. The
 residual evaluator and the birational map between the two hyperbola-based
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .curve import SolutionPair, _integer_coordinates
 from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
@@ -128,15 +128,13 @@ def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fr
 
 def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
     """The elements (a, d, b, r, c) of a standalone pair's points (see
-    curve._chain_elements), with c the a of Q: r is |c| for Q and
-    sqrt(a c) for P, read off the pair's root of XZ, or None when XZ is no
-    square."""
+    curve._chain_elements), with c the a of Q: r is |c| for Q and isqrt(a c)
+    for P, taken here from the two elements, or None when a c, and so XZ =
+    a c/(d1 d2)^2, is no square."""
     (a1, d1, b1), (a2, d2, b2) = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
-    root = pair._xz_root
-    if root is not None:
-        # a1 a2 = XZ (d1 d2)^2 and sqrt(XZ) = root/(xd zd).
-        root = root * d1 * d2 // (pair.P.x.denominator * pair.Q.x.denominator)
-    return (a1, d1, b1, root, a2), (a2, d2, b2, abs(a2), a2)
+    product = a1 * a2
+    root = isqrt(max(product, 0))
+    return (a1, d1, b1, root if root * root == product else None, a2), (a2, d2, b2, abs(a2), a2)
 
 
 def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tuple[int, int], ...]:
@@ -269,7 +267,8 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     second cuboids of the pair's image under the second reflected
     transformation; the source still records the caller's abscissae. A pair
     holding a trivial point, a vanishing family denominator or a degenerate
-    conic parameter raises DegeneratePair.
+    conic parameter raises DegeneratePair. The build does not test the curve
+    equation, so a trusted pair off the curve may give a non-NPC.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")

@@ -12,7 +12,7 @@ stated once: each new coordinate is one integer quotient, reduced once, in
 place of a chain of Fraction operations that would reduce every
 intermediate value. On integer elements (below), _sum gives the Jacobian
 triple of a chord-and-tangent sum, _secant that of the secant image through
-any 2-torsion point (e, 0), and _pair_root runs a pair's four checks, for
+any 2-torsion point (e, 0), and _check_pair runs a pair's four checks, for
 the points' own elements or for elements given to
 SolutionPair._from_elements, which builds each point once.
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from importlib import resources
 from math import gcd, isqrt
 from pathlib import Path
@@ -54,7 +53,7 @@ from .errors import (
     TrivialInput,
     VerticalSecant,
 )
-from .rationals import _integer_field, _rational_field, format_rational
+from .rationals import _integer_field, _rational_field, format_rational, is_square_int
 
 
 @dataclass(frozen=True)
@@ -219,9 +218,8 @@ class SolutionPair:
     """Two nontrivial points (X, Y), (Z, W) on one curve with X*Z a square.
 
     This square-product condition is exactly what the cuboid parametrizations
-    need in order to keep all their square roots rational. One integer root,
-    _xz_root, decides it and gives sqrt(XZ) to the build of a standalone
-    pair; the sweep's chain elements carry class roots in its place.
+    need in order to keep all their square roots rational. A pair holds only
+    its two points: the build takes sqrt(XZ) from their elements.
     """
 
     P: CurvePoint
@@ -233,22 +231,21 @@ class SolutionPair:
             raise CurveMismatch("solution pair must live on one curve")
         if p.is_infinity or q.is_infinity:
             raise DegeneratePair(_TRIVIAL_PAIR)
-        root = _pair_root(p.curve.N, _integer_coordinates(p), _integer_coordinates(q))
-        object.__setattr__(self, "_xz_root", root)
+        _check_pair(p.curve.N, _integer_coordinates(p), _integer_coordinates(q))
 
     @classmethod
     def _from_elements(cls, curve: CongruentCurve, first: tuple, second: tuple) -> SolutionPair:
         """The pair of the points of curve with elements first and second,
         (a, d, b) with coprime a and d, checked as __post_init__ checks its
         points; each point is then built once, as (a/d^2, b/d^3)."""
-        root = _pair_root(curve.N, first, second)
-        pair = cls.trusted(_element_point(curve, first), _element_point(curve, second))
-        object.__setattr__(pair, "_xz_root", root)
-        return pair
+        _check_pair(curve.N, first, second)
+        return cls.trusted(_element_point(curve, first), _element_point(curve, second))
 
     @classmethod
     def trusted(cls, p: CurvePoint, q: CurvePoint) -> SolutionPair:
-        """Skip invariant checks for points already validated by the caller."""
+        """Skip invariant checks for points already validated by the caller.
+        Nothing later tests the curve equation: build_npc of points off the
+        curve may raise, or return a Cuboid that fails verify_npc."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "P", p)
         object.__setattr__(pair, "Q", q)
@@ -261,32 +258,17 @@ class SolutionPair:
     def swapped(self) -> SolutionPair:
         return SolutionPair.trusted(self.Q, self.P)
 
-    @cached_property
-    def _xz_root(self) -> int | None:
-        """isqrt(xn zn xd zd) for X = xn/xd and Z = zn/zd, so that sqrt(XZ) =
-        root/(xd zd); None when XZ is no square, as p/q is a square iff p*q is.
-        Taken on first use, at most once, or by the pair checks of a validated
-        pair; no field, so equality, hash and repr ignore it."""
-        x, z = self.P.x, self.Q.x
-        product = x.numerator * z.numerator * x.denominator * z.denominator
-        root = isqrt(max(product, 0))
-        return root if root * root == product else None
-
 
 _TRIVIAL_PAIR = "solution pair requires points with y != 0"
 
 
-def _pair_root(n: int, first: tuple, second: tuple) -> int:
+def _check_pair(n: int, first: tuple, second: tuple) -> None:
     """The checks of a solution pair of the curve N, in order, on the
     elements (a, d, b) of its points, x = a/d^2 and y = b/d^3: both points
     nontrivial (b != 0), their abscissae distinct, both on the curve (b^2 =
     a(a^2 - N^2 d^4)) and the x-product a square (a1 a2, an integer, is one).
     Each failure raises DegeneratePair. The abscissae are compared cross-
-    multiplied, as the element of a point off the curve need not be coprime.
-
-    Returns the pair's _xz_root, isqrt(a1 a2) d1 d2: a curve point's element
-    has coprime a and d, so a and d^2 are x's reduced numerator and
-    denominator."""
+    multiplied, as the element of a point off the curve need not be coprime."""
     (a1, d1, b1), (a2, d2, b2) = first, second
     if b1 == 0 or b2 == 0:
         raise DegeneratePair(_TRIVIAL_PAIR)
@@ -296,13 +278,8 @@ def _pair_root(n: int, first: tuple, second: tuple) -> int:
     n2 = n * n
     if b1 * b1 != a1 * (a1 * a1 - n2 * dd1 * dd1) or b2 * b2 != a2 * (a2 * a2 - n2 * dd2 * dd2):
         raise DegeneratePair("solution pair points must satisfy the curve equation")
-    product = a1 * a2
-    root = isqrt(max(product, 0))
-    if root * root != product:
-        raise DegeneratePair(
-            f"x-product {Fraction(product, dd1 * dd2)} is not a rational square"
-        )
-    return root * d1 * d2
+    if not is_square_int(a1 * a2):
+        raise DegeneratePair(f"x-product {Fraction(a1 * a2, dd1 * dd2)} is not a rational square")
 
 
 def _element_point(curve: CongruentCurve, element: tuple) -> CurvePoint:
@@ -461,21 +438,23 @@ def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
     failed square check therefore raises SquareCheckFailed (an internal bug),
     while violated preconditions raise DegeneratePair.
     """
-    points = {}
+    multiples = {}
 
     def multiple(j: int) -> tuple | None:
-        point = points[j] = p.mul(j)
-        return None if point.is_infinity else _integer_coordinates(point)
+        point = p.mul(j)
+        element = None if point.is_infinity else _integer_coordinates(point)
+        multiples[j] = point, element
+        return element
 
     defect = _same_parity_elements(p, k, m, multiple)
     if defect is not None:
         raise DegeneratePair(defect)
-    pair = SolutionPair.trusted(points[k], points[m])
-    if pair._xz_root is None:
+    (first, (a1, _, _)), (second, (a2, _, _)) = multiples[k], multiples[m]
+    if not is_square_int(a1 * a2):
         raise SquareCheckFailed(
             f"x-product of {k}P and {m}P is not a square; group law is broken"
         )
-    return pair
+    return SolutionPair.trusted(first, second)
 
 
 def kummer_map(pair: SolutionPair) -> tuple[Fraction, Fraction, Fraction]:

@@ -446,6 +446,27 @@ class TestSearchCommand:
         assert code == 2 and out == "" and "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize(
+        "line, code, message",
+        [
+            ('{"N": 5.9, "x": "-4", "y": "6"}', 2, "N must be an integer, got 5.9"),
+            ("{not json", 2, "Expecting property name"),
+            ('{"N": 5}', 2, "'x'"),
+            ('{"N": 5, "x": "1.5", "y": "6"}', 1, "not a rational: '1.5'"),
+            ('{"N": 5, "x": "1", "y": "1"}', 1, "is not a nontrivial curve point"),
+        ],
+        ids=["float-N", "not-json", "no-x", "decimal-x", "off-the-curve"],
+    )
+    def test_seed_file_line_exits_as_the_seed_inline(self, capsys, tmp_path, line, code, message):
+        # A line that is no JSON record of the right shape is a usage error;
+        # a well-formed line that names no curve point is a domain error.
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text(line + "\n")
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"max_multiple": 4}))
+        result = run(capsys, "search", str(path), "--seeds", str(seeds))
+        assert result[:2] == (code, "") and "seed line 1" in result[2] and message in result[2]
+
+    @pytest.mark.parametrize(
         "record, message",
         [
             ({"seeds": [{"N": 5, "x": "-4", "y": "6"}]}, "lacks field 'max_multiple'"),

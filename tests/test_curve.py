@@ -3,6 +3,7 @@ import functools
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,7 @@ from npcuboid import (
 )
 
 import npcuboid.curve as curve_module
+from npcuboid.cuboids import PARAMETRIZATIONS, _pair_elements, build_npc
 from npcuboid.curve import (
     _chain_elements,
     _integer_coordinates,
@@ -386,6 +388,16 @@ class TestChainElements:
                     )
                     assert c == elements[j % 2][0] and r * r == a * c and r >= 0
 
+    def test_denominators_form_a_strong_divisibility_sequence(self, seeds):
+        # gcd(d_k, d_m) = d_gcd(k, m) for the chain's d (Ward, Amer. J. Math.
+        # 70, 1948), over 12 seeds and 1 <= k < m <= 30. The second-reflected
+        # images' denominators are no such sequence.
+        for seed in list(seeds) + list(triangle_seeds(8)):
+            d = [None] + [element[1] for element in _multiples(seed, 30)]
+            for m in range(2, 31):
+                for k in range(1, m):
+                    assert gcd(d[k], d[m]) == d[gcd(k, m)], (seed, k, m)
+
     @pytest.mark.parametrize(
         "x, y", [(Fraction(25, 2), 1), (2, Fraction(1, 3)), (Fraction(3, 4), Fraction(5, 4))]
     )
@@ -417,15 +429,22 @@ class TestChainElements:
             _reduced(*triple, content, 4)
 
 
+def pair_root(pair):
+    """The root r = isqrt(a1 a2) that the build takes for a standalone pair
+    from its elements, with sqrt(XZ) = r/(d1 d2), or None."""
+    return _pair_elements(pair)[0][3]
+
+
 class TestPairRoot:
-    """The pair's one integer root of xn zn xd zd, with sqrt(XZ) = root/(xd zd)."""
+    """The build's integer root of a standalone pair, isqrt(a1 a2) of the
+    x numerators of the points' elements."""
 
     def test_root_over_generated_pairs(self, seeds):
         pairs = generated_pairs(seeds, max_multiple=6)
         assert len(pairs) >= 20
         for pair in pairs:
-            x, z = pair.P.x, pair.Q.x
-            assert pair._xz_root == sqrt_exact(x * z) * x.denominator * z.denominator
+            (_, d1, *_), (_, d2, *_) = _pair_elements(pair)
+            assert pair_root(pair) == sqrt_exact(pair.P.x * pair.Q.x) * d1 * d2
 
     @pytest.mark.parametrize(
         "x, z, root",
@@ -435,18 +454,27 @@ class TestPairRoot:
     def test_root_of_chosen_abscissae(self, curve5, x, z, root):
         # A trusted pair is not validated, so any abscissae will do.
         pair = SolutionPair.trusted(curve5.point(x, 1), curve5.point(z, 1))
-        assert pair._xz_root == root
+        assert pair_root(pair) == root
 
-    def test_root_is_no_field(self, golden_pair):
-        fresh = SolutionPair.trusted(golden_pair.P, golden_pair.Q)
-        assert "_xz_root" not in vars(fresh)
+    def test_golden_root(self, golden_pair):
+        # sqrt(XZ) = (5 * 41)/(2 * 12), over d1 d2 = 2 * 12.
+        assert pair_root(golden_pair) == 5 * 41
+
+    def test_a_pair_holds_only_its_points(self, seeds, golden_pair):
+        p, q = golden_pair.P, golden_pair.Q
+        elements = _integer_coordinates(p), _integer_coordinates(q)
+        pairs = [
+            SolutionPair(p, q),
+            SolutionPair._from_elements(p.curve, *elements),
+            SolutionPair.trusted(p, q),
+            same_parity_pair(seeds[0], 1, 3),
+        ]
         assert [f.name for f in dataclasses.fields(SolutionPair)] == ["P", "Q"]
-        assert fresh == golden_pair and hash(fresh) == hash(golden_pair)
-        assert repr(fresh) == repr(golden_pair)
-        before = (repr(fresh), hash(fresh))
-        # sqrt(XZ) = (5 * 41)/(2 * 12), over xd zd = 4 * 144.
-        assert fresh._xz_root == 5 * 41 * 2 * 12
-        assert (repr(fresh), hash(fresh)) == before and fresh == golden_pair
+        for pair in pairs:
+            assert set(vars(pair)) == {"P", "Q"}
+            for parametrization in PARAMETRIZATIONS:
+                build_npc(pair, parametrization)
+            assert set(vars(pair)) == {"P", "Q"}
 
 
 class TestKummerMap:
@@ -715,13 +743,48 @@ class TestSecantMapOnElements:
             assert outcome(getattr(q, reflect)) == outcome(reference_secant_image, q, e, message)
 
 
+class TestPairElementsOfTrustedPairs:
+    """_pair_elements on pairs that SolutionPair.trusted does not check."""
+
+    @given(
+        seed_indices,
+        st.integers(4, 19),
+        st.integers(4, 19),
+        st.sampled_from(["multiple", "square", "any"]),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+        st.fractions(max_denominator=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_root_squares_to_the_numerator_product(self, seed, i, j, partner, t, dy, dw):
+        # Q is a multiple +-jP, or an abscissa X t^2 or X t; a moved ordinate
+        # takes a point off the curve, whose element is scaled by d = xd yd.
+        operands = oracle_operands(seed)
+        p, q = operands[i], operands[j]
+        curve = p.curve
+        if partner != "multiple":
+            q = curve.point(p.x * t * (t if partner == "square" else 1), q.y)
+        pair = SolutionPair.trusted(curve.point(p.x, p.y + dy), curve.point(q.x, q.y + dw))
+        first, second = _pair_elements(pair)
+        for point, (a, d, b, *_) in zip((pair.P, pair.Q), (first, second)):
+            assert (Fraction(a, d * d), Fraction(b, d ** 3)) == (point.x, point.y) and d > 0
+        (a1, _, _, r, c), (a2, _, _, r2, c2) = first, second
+        assert c == c2 == a2 and r2 == abs(a2)
+        if r is None:
+            assert not is_square(pair.P.x * pair.Q.x)
+        else:
+            assert r >= 0 and r * r == a1 * a2
+        if partner == "square":
+            assert r is not None
+
+
 def pair_outcome(construct, *args):
     """The pair and its root, or the error's type and message."""
     try:
         pair = construct(*args)
     except (NpcuboidError, ValueError) as exc:
         return type(exc), str(exc)
-    return pair, pair._xz_root
+    return pair, pair_root(pair)
 
 
 class TestPairChecksOnElements:
@@ -746,22 +809,22 @@ class TestPairChecksOnElements:
     )
     def test_failing_cases_keep_their_messages(self, curve5, p, q, message):
         p, q = curve5.point(*p), curve5.point(*q)
+        elements = _integer_coordinates(p), _integer_coordinates(q)
         if message is None:
             reference_pair_checks(p, q)
             expected = pair_outcome(SolutionPair, p, q)
-            assert expected[1] == sqrt_exact(p.x * q.x) * p.x.denominator * q.x.denominator
+            assert expected[1] == sqrt_exact(p.x * q.x) * elements[0][1] * elements[1][1]
         else:
             expected = pair_outcome(reference_pair_checks, p, q)
             assert expected[0] is DegeneratePair and message in expected[1]
             assert pair_outcome(SolutionPair, p, q) == expected
-        elements = _integer_coordinates(p), _integer_coordinates(q)
         assert pair_outcome(SolutionPair._from_elements, curve5, *elements) == expected
 
     def test_element_pairs_of_generated_pairs(self, seeds):
         for pair in generated_pairs(list(seeds) + list(triangle_seeds(8)), max_multiple=6):
             elements = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
             built = SolutionPair._from_elements(pair.curve, *elements)
-            assert built == pair and built._xz_root == pair._xz_root
+            assert built == pair and pair_root(built) == pair_root(pair)
             for point, twin in ((built.P, pair.P), (built.Q, pair.Q)):
                 assert (point.x, point.y) == (twin.x, twin.y)
                 assert type(point.x) is type(point.y) is Fraction

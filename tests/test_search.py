@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import npcuboid.cuboids as cuboids_module
 import npcuboid.curve as curve_module
 import npcuboid.search as search
 from npcuboid import (
@@ -704,12 +705,13 @@ class TestOneRootPerChainElement:
             finally:
                 reducing.pop()
 
-        def no_pair_root(pair):
-            raise AssertionError("the sweep took a pair's own root")
+        def no_pair_root(*args):
+            raise AssertionError("the sweep checked a pair or took its root")
 
         monkeypatch.setattr(curve_module, "isqrt", counting_isqrt)
         monkeypatch.setattr(curve_module, "_reduced", counting_reduced)
-        monkeypatch.setattr(curve_module.SolutionPair, "_xz_root", property(no_pair_root))
+        monkeypatch.setattr(cuboids_module, "_pair_elements", no_pair_root)
+        monkeypatch.setattr(curve_module, "_check_pair", no_pair_root)
         job = SearchJob(
             seeds=tuple(load_seeds()), max_multiple=7, parametrizations=parametrizations
         )
