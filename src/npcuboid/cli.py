@@ -181,21 +181,20 @@ _CUBOID_FLAGS = {
 
 def _cuboid_from_args(args) -> Cuboid:
     """The cuboid of the --in file, or of the value flags, read as one record."""
+    given = [flag for flag in _CUBOID_FLAGS if getattr(args, flag) is not None]
     if getattr(args, "infile", None):
+        if given:
+            flags = " ".join(f"--{flag}" for flag in given)
+            raise _Usage(f"give the cuboid by --in {args.infile} or by {flags}, not both")
         record = json.loads(Path(args.infile).read_text())
     else:
         missing = [
-            f"--{flag}" for flag in ("a", "b", "c", "dac", "dbc", "ds")
-            if getattr(args, flag) is None
+            f"--{flag}" for flag in ("a", "b", "c", "dac", "dbc", "ds") if flag not in given
         ]
         if missing:
             hint = " (or use --in FILE)" if hasattr(args, "infile") else ""
             raise _Usage(f"missing cuboid values: {' '.join(missing)}{hint}")
-        record = {
-            field: getattr(args, flag)
-            for flag, field in _CUBOID_FLAGS.items()
-            if getattr(args, flag) is not None
-        }
+        record = {_CUBOID_FLAGS[flag]: getattr(args, flag) for flag in given}
     return _read_record(cuboid_from_json, record, "cuboid record")
 
 

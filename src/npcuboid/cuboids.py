@@ -24,9 +24,12 @@ in closed form. Their content is known in closed form too, from gcds of the
 parameters and of small factors, so it is divided out of the factors before
 they are multiplied and no gcd of the build takes a finished entry. So
 each family's parameters and conic points are stated once, in integers, in
-the routines the build runs. The sweep passes the elements of its chain,
-whose class roots r it took once per point; a standalone pair's elements
-take r = isqrt(a1 a2) from the two elements themselves (_pair_elements). The
+the routines the build runs. A pair is admitted once: build_npc runs the
+checks of SolutionPair on the pair it is given, and the sweep's pairs pass
+them by construction, so the integer core has no degeneracy branch of its
+own. The sweep passes the elements of its chain, whose class roots r it took
+once per point; a standalone pair's elements take r = isqrt(a1 a2) from the
+two elements themselves (_pair_elements). The
 first_reflected and second_reflected cuboids are the first and second
 cuboids of the pair's image under the second reflected transformation. The
 residual evaluator and the birational map between the two hyperbola-based
@@ -44,18 +47,19 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .curve import SolutionPair, _integer_coordinates
-from .errors import DegeneratePair, SquareCheckFailed, TrivialParameter
-from .rationals import _integer_field, _rational_field, format_rational, is_square, sqrt_exact
+from .errors import SquareCheckFailed, TrivialParameter
+from .rationals import _integer_field, _rational_field, format_rational, is_square
 
-# The build divides out its content in closed form; the scaling stays
-# importable here, where perfbench/tracing.py wraps it.
-from .rationals import primitive_integer_scaling  # noqa: F401
+# The build divides out its content in closed form and takes no rational
+# square root; both routines stay importable here, where
+# perfbench/tracing.py wraps them.
+from .rationals import primitive_integer_scaling, sqrt_exact  # noqa: F401
 
 PARAMETRIZATIONS = ("invariant", "first", "first_reflected", "second", "second_reflected")
 FAMILIES = ("first", "second", "third")
 
-# Parameter family of each parametrization: its variable extraction, its
-# degeneracy rule and its conic.
+# Parameter family of each parametrization: its variable extraction and its
+# conic.
 FAMILY_OF_PARAMETRIZATION = {
     "invariant": "third",
     "first": "first",
@@ -65,23 +69,23 @@ FAMILY_OF_PARAMETRIZATION = {
 }
 
 
-# Each family's conic, and its point at t = p/q as the integer triple
-# (x, y, denominator) of the terms (p^2 + q^2, |q^2 - p^2|, 2|p|q).
+# Each family's conic point at t = p/q, on the unit circle for the first
+# family and on the hyperbola x^2 - y^2 = 1 for the second and third, as the
+# integer triple (x, y, denominator) of the terms (p^2 + q^2, |q^2 - p^2|,
+# 2|p|q).
 _CONIC_OF_FAMILY = {
-    "first": ("circle", lambda plus, minus, twice: (minus, twice, plus)),
-    "second": ("hyperbola", lambda plus, minus, twice: (plus, twice, minus)),
-    "third": ("hyperbola", lambda plus, minus, twice: (plus, minus, twice)),
+    "first": lambda plus, minus, twice: (minus, twice, plus),
+    "second": lambda plus, minus, twice: (plus, twice, minus),
+    "third": lambda plus, minus, twice: (plus, minus, twice),
 }
 
 
 def _conic_point(family: str, p: int, q: int) -> tuple[int, int, int]:
     """The family's conic point at t = p/q for q > 0, p/q in lowest terms or
     not: the point is projective in (p, q). Its terms p^2 + q^2, |q^2 - p^2|
-    and 2|p|q are 1 + t^2, |1 - t^2| and |2t| times q^2."""
-    conic, point = _CONIC_OF_FAMILY[family]
-    if p == 0 or abs(p) == q:
-        raise TrivialParameter(f"{conic} parameter {Fraction(p, q)} degenerates")
-    return point(p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q)
+    and 2|p|q are 1 + t^2, |1 - t^2| and |2t| times q^2; an admitted pair's
+    parameters are never 0 or +-1 (see _family_terms)."""
+    return _CONIC_OF_FAMILY[family](p * p + q * q, abs(q * q - p * p), 2 * abs(p) * q)
 
 
 def second_parameter_from_third(t: Fraction) -> Fraction:
@@ -127,14 +131,12 @@ def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fr
 
 
 def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
-    """The elements (a, d, b, r, c) of a standalone pair's points (see
+    """The elements (a, d, b, r, c) of an admitted pair's points (see
     curve._chain_elements), with c the a of Q: r is |c| for Q and isqrt(a c)
-    for P, taken here from the two elements, or None when a c, and so XZ =
-    a c/(d1 d2)^2, is no square."""
+    for P, taken here from the two elements, as XZ = a c/(d1 d2)^2 is a
+    square."""
     (a1, d1, b1), (a2, d2, b2) = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
-    product = a1 * a2
-    root = isqrt(max(product, 0))
-    return (a1, d1, b1, root if root * root == product else None, a2), (a2, d2, b2, abs(a2), a2)
+    return (a1, d1, b1, isqrt(a1 * a2), a2), (a2, d2, b2, abs(a2), a2)
 
 
 def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tuple[int, int], ...]:
@@ -149,38 +151,29 @@ def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tup
     a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is R/(d1 d2) for
     R = r1 r2/|c| = sqrt(a1 a2), and sqrt(X/Z) is r1 d2/(r2 d1); the gamma
     condition's (d1 d2)^3 cancels. alpha and beta are positive over positive
-    denominators; the gamma condition keeps its sign. Only pairs that bypass
-    the pair invariant (SolutionPair.trusted) are degenerate: XZ = 0 and a
-    vanishing condition denominator (X = -Z for the first family, X = Z or
-    XZ = N^2 for the second) raise DegeneratePair, a non-square XZ NotASquare.
+    denominators; the gamma condition keeps its sign.
+
+    On a solution pair (curve._check_pair) no denominator vanishes: XZ is a
+    nonzero square, so X and Z share a sign and X + Z != 0; X != Z by the
+    check; and XZ = N^2 would give Z = N^2/X, where rhs(Z) = -N^4 Y^2/X^4 < 0.
+    So alpha and beta are never 0 or 1, and the conic points never degenerate.
     """
     a1, d1, b1, r1, c = first
     a2, d2, b2, r2, _ = second
     dd = d1 * d2
-    if family == "first":
-        total = a1 * d2 * d2 + a2 * d1 * d1  # (X + Z)(d1 d2)^2
-        if total == 0:
-            raise DegeneratePair("X = -Z vanishes the first-family denominator")
-    elif family == "second":
-        difference = a1 * d2 * d2 - a2 * d1 * d1  # (X - Z)(d1 d2)^2
-        gap = n * n * dd * dd - a1 * a2  # (N^2 - XZ)(d1 d2)^2
-        if difference == 0 or gap == 0:
-            raise DegeneratePair("X = Z or XZ = N^2 vanishes the second-family denominator")
-    if r1 is None:
-        sqrt_exact(Fraction(a1 * a2, dd * dd))  # raises NotASquare, naming XZ in lowest terms
-    whole = r1 * r2  # sqrt(a1 a2) |c|
-    if whole == 0:
-        raise DegeneratePair("XZ = 0 leaves no ratio of the abscissae")
-    root, rest = divmod(whole, abs(c))
+    root, rest = divmod(r1 * r2, abs(c))  # sqrt(a1 a2)
     if rest:
         raise SquareCheckFailed("r1 r2 is no multiple of c: an element fails r^2 = a c")
     over_n = root, dd * n  # sqrt(XZ)/N
     yw = b1 * b2
     if family == "first":
         over_z = r1 * d2, r2 * d1  # sqrt(X/Z)
+        total = a1 * d2 * d2 + a2 * d1 * d1  # (X + Z)(d1 d2)^2
         return over_n, over_z, (yw * dd, (a1 * a2 + n * n * dd * dd) * total)
     over_x = r2 * d1, r1 * d2  # sqrt(Z/X)
     if family == "second":
+        difference = a1 * d2 * d2 - a2 * d1 * d1  # (X - Z)(d1 d2)^2
+        gap = n * n * dd * dd - a1 * a2  # (N^2 - XZ)(d1 d2)^2
         return over_x, over_n, (yw * dd, difference * gap)
     return over_n, over_x, (yw, dd * a1 * a2 * n)
 
@@ -265,28 +258,24 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     divided out of the factors first, as coprime positive integers; d_ab_sq
     is a^2 + b^2 of those. The reflected parametrizations are the first and
     second cuboids of the pair's image under the second reflected
-    transformation; the source still records the caller's abscissae. A pair
-    holding a trivial point, a vanishing family denominator or a degenerate
-    conic parameter raises DegeneratePair. The build does not test the curve
-    equation, so a trusted pair off the curve may give a non-NPC.
+    transformation; the source still records the caller's abscissae. The
+    pair is admitted first, by the checks SolutionPair runs, so a pair that
+    SolutionPair.trusted let in raises what SolutionPair(P, Q) raises.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")
-    if pair.P.is_trivial or pair.Q.is_trivial:
-        raise DegeneratePair("solution pair holds a trivial point")
+    pair = SolutionPair(pair.P, pair.Q)
     source = CuboidSource(
         N=pair.curve.N, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization
     )
     if parametrization.endswith("_reflected"):
-        # The reflection swaps the degenerate cases X + Z = 0 and XZ = N^2,
-        # so each family's rule stays correct on the image pair.
+        # The image of a solution pair is one: -(P + (N, 0)) is on the curve
+        # and nontrivial, x -> N(x + N)/(x - N) is one-to-one, and the square
+        # class of each abscissa is multiplied by N, so XZ stays a square.
         pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
     family = FAMILY_OF_PARAMETRIZATION[parametrization]
     a, b, c, d_bc, d_ac, d_s = _npc_entries(pair.curve.N, *_pair_elements(pair), family)
     return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
-
-
-_ENTRY_NAMES = ("a", "b", "c", "d_bc", "d_ac", "d_s")
 
 
 def _primitive_conic_point(family: str, p: int, q: int) -> tuple[int, ...]:
@@ -309,14 +298,11 @@ def _primitive_conic_point(family: str, p: int, q: int) -> tuple[int, ...]:
 def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int, ...]:
     """The family's cuboid of the pair with elements first and second as six
     coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
-    points must be nontrivial: a reflected parametrization passes the
-    elements of the reflected pair."""
+    two points must form a solution pair (see _family_terms): a reflected
+    parametrization passes the elements of the reflected pair."""
     alpha, beta, (gn, _) = _family_terms(n, first, second, family)
-    try:
-        ax, ay, a_den, a_content = _primitive_conic_point(family, *alpha)
-        bx, by, b_den, b_content = _primitive_conic_point(family, *beta)
-    except TrivialParameter as exc:
-        raise DegeneratePair(str(exc)) from exc
+    ax, ay, a_den, a_content = _primitive_conic_point(family, *alpha)
+    bx, by, b_den, b_content = _primitive_conic_point(family, *beta)
     # Every entry times a common denominator of the two conic points and g,
     # known in closed form. Write R = r1 r2/|c| = sqrt(a1 a2), D = d1 d2,
     # total = a1 d2^2 + a2 d1^2, difference = a1 d2^2 - a2 d1^2 and gap =
@@ -381,32 +367,20 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
         b_scale = twice_root * b_side // content
         g //= content
     else:
-        scale = a_content * b_content
-        twice_g, rest = divmod(2 * c * abs(gn), scale)
+        twice_g, rest = divmod(2 * c * abs(gn), a_content * b_content)
         if rest:
-            # Off the curve, as in a SolutionPair.trusted of points that are
-            # not on it, U need not divide 2g, and the content is h r for
-            # h = gcd(U, 2g) and r = gcd(G, 2g/h).
-            h = gcd(scale, rest)
-            twice_g, scale = (twice_g * scale + rest) // h, scale // h
-        else:
-            scale = 1
+            raise SquareCheckFailed("U does not divide 2g: the elements are off the curve")
         r = gcd(gcd(a_den, b_den), twice_g)
         twice_g //= r
-        a_scale, b_scale = scale * (b_den // r), scale * (a_den // r)
+        a_scale, b_scale = b_den // r, a_den // r
     one = a_den * a_scale
     ax, ay = ax * a_scale, ay * a_scale
     bx, by = bx * b_scale, by * b_scale
     if family == "first":
-        entries = (ay, bx, twice_g, ax, by, one)
-    elif family == "second":
-        entries = (one, twice_g, by, ay, bx, ax)
-    else:
-        entries = (one, g, by, ay, bx, ax)
-    for name, value in zip(_ENTRY_NAMES, entries):
-        if value <= 0:
-            raise ValueError(f"cuboid entry {name} must be positive")
-    return entries
+        return ay, bx, twice_g, ax, by, one
+    if family == "second":
+        return one, twice_g, by, ay, bx, ax
+    return one, g, by, ay, bx, ax
 
 
 def _entry_to_json(value: Fraction):

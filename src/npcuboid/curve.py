@@ -206,6 +206,8 @@ def secant_y_intercept(p: CurvePoint, q: CurvePoint) -> Fraction:
     When the third intersection is affine the abscissae of all three points
     multiply to d^2 (the constant term of the cubic the line cuts out).
     """
+    if p.curve != q.curve:
+        raise CurveMismatch(f"no secant through points on {p.curve} and {q.curve}")
     if p.is_infinity or q.is_infinity:
         raise VerticalSecant("secant through infinity is vertical")
     if p.x == q.x:
@@ -243,9 +245,9 @@ class SolutionPair:
 
     @classmethod
     def trusted(cls, p: CurvePoint, q: CurvePoint) -> SolutionPair:
-        """Skip invariant checks for points already validated by the caller.
-        Nothing later tests the curve equation: build_npc of points off the
-        curve may raise, or return a Cuboid that fails verify_npc."""
+        """Skip the checks when the pair is built, for points already
+        validated by the caller. build_npc runs them on the pair it is given,
+        so no trusted pair builds a non-NPC."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "P", p)
         object.__setattr__(pair, "Q", q)
@@ -480,10 +482,14 @@ def point_to_json(point: CurvePoint) -> dict:
 
 def point_from_json(record: dict) -> CurvePoint:
     """Read a point record; N must be a JSON integer, never a float or text
-    that would be truncated or parsed to one, and x and y a JSON integer or
-    "p/q" text."""
+    that would be truncated or parsed to one, x and y a JSON integer or "p/q"
+    text, and infinity, when present, a JSON boolean. A field of the wrong
+    JSON type raises TypeError."""
     curve = CongruentCurve(_integer_field(record, "N"))
-    if record.get("infinity"):
+    infinity = record.get("infinity", False)
+    if type(infinity) is not bool:
+        raise TypeError(f"infinity must be a boolean, got {infinity!r}")
+    if infinity:
         return curve.infinity()
     return curve.point(_rational_field(record, "x"), _rational_field(record, "y"))
 

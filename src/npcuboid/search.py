@@ -9,7 +9,10 @@ also computed once, in the same integers. Each element of both chains takes
 one class root r, with r^2 = a c for the x numerator c of the chain's first
 point of its parity; the builds take sqrt(XZ) of a pair from the two class
 roots r, so no pair takes a square root of its own. The pair checks and the
-source abscissae a/d^2 of the records read the elements too.
+source abscissae a/d^2 of the records read the elements too. A seed is a
+nontrivial curve point, of infinite order, so two of its distinct multiples
+of equal parity form a solution pair and their builds cannot fail: a record
+is skipped only for mixed parity.
 Seed units are pure functions of the job, so they can run on any number of
 worker processes, but never on more processes than there are seeds: a
 one-seed job runs in one process whatever the worker count. Records come
@@ -42,7 +45,7 @@ from .curve import (
     load_seeds,
     point_from_json,
 )
-from .errors import DegeneratePair, InvalidSeed
+from .errors import InvalidSeed
 from .rationals import _integer_field, decimal_digits, is_square_int
 
 # Every emitted record equals
@@ -174,13 +177,9 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         for record in pending:
             param = record["parametrization"]
             built = images if param.endswith("_reflected") else elements
-            try:
-                entries = _npc_entries(
-                    n, built[k - 1], built[m - 1], FAMILY_OF_PARAMETRIZATION[param]
-                )
-            except DegeneratePair as exc:
-                record["skipped"] = str(exc)
-                continue
+            entries = _npc_entries(
+                n, built[k - 1], built[m - 1], FAMILY_OF_PARAMETRIZATION[param]
+            )
             digits = decimal_digits(entries[5])  # d_s, the largest entry
             record["digits"] = digits
             if digits > job.height_limit:

@@ -141,6 +141,16 @@ class TestNpcCommands:
         code, _, err = run(capsys, "npc", "verify", "--a", "672")
         assert code == 2 and "missing cuboid values" in err
 
+    @pytest.mark.parametrize("flags", [["--a", "1"], ["--ds", "697", "--dabsq", "7"]])
+    def test_verify_file_and_value_flags_is_usage_error(self, capsys, tmp_path, flags):
+        # The file and the flags are two sources of one cuboid; neither wins.
+        path = tmp_path / "cuboid.json"
+        path.write_text(json.dumps({"a": 1}))
+        code, out, err = run(capsys, "npc", "verify", "--in", str(path), *flags)
+        given = " ".join(flag for flag in flags if flag.startswith("--"))
+        assert code == 2 and out == ""
+        assert f"by --in {path} or by {given}, not both" in err
+
     @pytest.mark.parametrize(
         "record, message",
         [
@@ -522,6 +532,31 @@ class TestSearchCommand:
         path.write_text(json.dumps(record))
         code, out, err = run(capsys, "search", str(path))
         assert code == 2 and out == "" and message in err
+
+    def run_seed(self, capsys, tmp_path, where, seed):
+        """A search whose one seed record is inline in the job or a line of
+        --seeds."""
+        if where == "inline":
+            return run(capsys, "search", str(self.write_job(tmp_path, seeds=[seed])))
+        seeds = tmp_path / "seeds.jsonl"
+        seeds.write_text(json.dumps(seed) + "\n")
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"max_multiple": 4}))
+        return run(capsys, "search", str(job), "--seeds", str(seeds))
+
+    @pytest.mark.parametrize("where", ["inline", "seed-file"])
+    @pytest.mark.parametrize("value", ["false", 0, 1], ids=["text", "zero", "one"])
+    def test_non_boolean_infinity_is_usage_error(self, capsys, tmp_path, value, where):
+        # Text, 0 and 1 are not JSON booleans, whatever their truth value.
+        seed = {"N": 5, "x": "-4", "y": "6", "infinity": value}
+        code, out, err = self.run_seed(capsys, tmp_path, where, seed)
+        assert code == 2 and out == ""
+        assert f"infinity must be a boolean, got {value!r}" in err
+
+    @pytest.mark.parametrize("where", ["inline", "seed-file"])
+    def test_infinity_seed_is_domain_error(self, capsys, tmp_path, where):
+        code, out, err = self.run_seed(capsys, tmp_path, where, {"N": 5, "infinity": True})
+        assert code == 1 and out == "" and "O(N=5) is not a nontrivial curve point" in err
 
     @pytest.mark.parametrize("value", [-4.0, None, True], ids=["float", "null", "boolean"])
     @pytest.mark.parametrize("field", ["x", "y"])

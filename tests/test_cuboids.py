@@ -10,6 +10,7 @@ from npcuboid import (
     FAMILIES,
     FAMILY_OF_PARAMETRIZATION,
     PARAMETRIZATIONS,
+    CongruentCurve,
     Cuboid,
     CuboidSource,
     DegeneratePair,
@@ -39,7 +40,7 @@ from npcuboid.cuboids import (
     _pair_elements,
     _primitive_conic_point,
 )
-from npcuboid.curve import _chain_elements, _multiples, _second_image
+from npcuboid.curve import _TRIVIAL_PAIR, _chain_elements, _multiples, _second_image
 
 from helpers import generated_pairs, reference_chain, reference_verify_npc, triangle_seeds
 
@@ -213,15 +214,6 @@ def reference_build_npc(pair, parametrization):
     return Cuboid(a, b, c, d_bc, d_ac, d_s, d_ab_sq=a * a + b * b, source=source)
 
 
-def build_outcome(build, pair, parametrization):
-    """Entries and source of the built cuboid, or the error's type and message."""
-    try:
-        cuboid = build(pair, parametrization)
-    except (NpcuboidError, ValueError) as exc:
-        return type(exc), str(exc)
-    return cuboid.rational_entries() + (cuboid.d_ab_sq,), cuboid.source
-
-
 def _lowest(p, q):
     g = gcd(p, q)
     if q < 0:
@@ -326,6 +318,18 @@ def outcome(function, *args):
         return type(exc), str(exc)
 
 
+def assert_refused(p, q):
+    """build_npc of the trusted pair of p and q raises, in every
+    parametrization, what SolutionPair(p, q) raises, type and message; that
+    error is returned."""
+    expected = outcome(SolutionPair, p, q)
+    assert type(expected) is tuple and issubclass(expected[0], NpcuboidError)
+    trusted = SolutionPair.trusted(p, q)
+    for parametrization in PARAMETRIZATIONS:
+        assert outcome(build_npc, trusted, parametrization) == expected
+    return expected
+
+
 PACKAGED_SEEDS = load_seeds()
 SAME_PARITY_MULTIPLES = [(k, m) for k in range(1, 10) for m in range(k + 2, 10, 2)]
 
@@ -342,6 +346,23 @@ DEGENERATE_ABSCISSAE = [
     (5, 45),  # a 2-torsion abscissa
 ]
 
+# Point pairs that SolutionPair refuses: the degenerate abscissae above on
+# the N = 5 curve with y = 1 (y = 0 at the 2-torsion abscissa 5), square
+# x-products with y denominators that are no cube of x's root, a pair with
+# infinity and a pair on two curves.
+CURVE5 = CongruentCurve(5)
+REFUSED_PAIRS = [
+    (CURVE5.point(x, 0 if x == 5 else 1), CURVE5.point(z, 1)) for x, z in DEGENERATE_ABSCISSAE
+] + [
+    (
+        CURVE5.point(Fraction(25, 4), Fraction(1, 3)),
+        CURVE5.point(Fraction(1681, 144), Fraction(7, 2)),
+    ),
+    (CURVE5.point(Fraction(9, 2), 1), CURVE5.point(2, Fraction(1, 5))),
+    (CURVE5.infinity(), CURVE5.point(-4, 6)),
+    (CURVE5.point(-4, 6), CongruentCurve(6).point(-3, 9)),
+]
+
 
 class TestConicPoints:
     # _conic_point gives (x, y, denominator): the circle's (3, 4, 5) is the
@@ -352,23 +373,11 @@ class TestConicPoints:
     def test_circle_two(self):
         assert _conic_point("first", 2, 1) == (3, 4, 5)
 
-    def test_circle_rejects_trivial(self):
-        for p in (0, 1, -1):
-            with pytest.raises(TrivialParameter):
-                _conic_point("first", p, 1)
-
     def test_hyperbola_a(self):
         assert _conic_point("second", 1, 2) == (5, 4, 3)
 
     def test_hyperbola_b(self):
         assert _conic_point("third", 1, 2) == (5, 3, 4)
-
-    def test_hyperbola_rejects_trivial(self):
-        for p in (0, 1, -1):
-            with pytest.raises(TrivialParameter):
-                _conic_point("second", p, 1)
-            with pytest.raises(TrivialParameter):
-                _conic_point("third", p, 1)
 
     @given(st.fractions())
     def test_integer_forms_match_textbook_formulas(self, t):
@@ -392,12 +401,6 @@ class TestConicPoints:
         assert tuple(factor * v for v in (x, y, denominator)) == _conic_point(family, p, q)
         u = gcd(p, q)
         assert factor == (2 if (p // u) % 2 and (q // u) % 2 else 1) * u * u
-
-    @pytest.mark.parametrize("p, q", [(0, 6), (6, 6), (-4, 4)])
-    def test_primitive_point_keeps_the_degeneracy_message(self, p, q):
-        expected = outcome(_conic_point, "first", p, q)
-        assert expected[0] is TrivialParameter
-        assert outcome(_primitive_conic_point, "first", p, q) == expected
 
     @pytest.mark.parametrize("t", [Fraction(1, 3), Fraction(7, 5), Fraction(-9, 2)])
     def test_points_satisfy_their_conics(self, t):
@@ -584,18 +587,15 @@ class TestFamilyTerms:
                 g = family_terms(pair, family)[2]
                 assert holds(build_npc(pair, parametrization), g)
 
+    # Synthetic pairs, not constructible from curve points: the build
+    # refuses them before their family terms are read.
     def test_xz_equal_n_squared_rejected(self, curve5):
-        # Synthetic pair (not constructible from real curve points).
-        fake = SolutionPair.trusted(
-            curve5.point(2, 1), curve5.point(Fraction(25, 2), 1)
-        )
-        with pytest.raises(DegeneratePair):
-            family_terms(fake, "second")
+        error = assert_refused(curve5.point(2, 1), curve5.point(Fraction(25, 2), 1))
+        assert error[1].endswith("must satisfy the curve equation")
 
     def test_x_equal_minus_z_rejected(self, curve5):
-        fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(-2, 1))
-        with pytest.raises(DegeneratePair):
-            family_terms(fake, "first")
+        error = assert_refused(curve5.point(2, 1), curve5.point(-2, 1))
+        assert error[1].endswith("must satisfy the curve equation")
 
 
 class TestBuildNpc:
@@ -692,11 +692,18 @@ class TestBuildNpc:
     def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):
         # (5, 0) is 2-torsion; the x-product 225 is a square, so only a
         # trusted pair can hold it. No reflection may fail on it first, and
-        # infinity, with no abscissa, is refused before the pair's root is read.
+        # infinity, with no abscissa, is refused as SolutionPair refuses it.
         for trivial in (curve5.point(5, 0), curve5.infinity()):
             pair = SolutionPair.trusted(trivial, curve5.point(45, 300))
-            with pytest.raises(DegeneratePair, match="trivial point"):
+            with pytest.raises(DegeneratePair, match=f"^{_TRIVIAL_PAIR}$"):
                 build_npc(pair, parametrization)
+
+    @pytest.mark.parametrize("p, q", REFUSED_PAIRS)
+    def test_build_refuses_what_the_pair_refuses(self, p, q):
+        # Off the curve, trivial, of equal abscissae, of a non-square
+        # x-product or on two curves: each trusted pair is refused with the
+        # error SolutionPair gives, in all five parametrizations.
+        assert_refused(p, q)
 
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):
@@ -719,18 +726,38 @@ class TestFractionReference:
         assert built.source == expected.source
         assert all(isinstance(v, Fraction) for v in built.rational_entries())
 
-    @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
-    @pytest.mark.parametrize("x, z", DEGENERATE_ABSCISSAE)
-    def test_degenerate_pairs_fail_as_the_reference_does(self, curve5, x, z, parametrization):
-        p = curve5.point(x, 0 if x == 5 else 1)
-        fake = SolutionPair.trusted(p, curve5.point(z, 1))
-        expected = build_outcome(reference_build_npc, fake, parametrization)
-        assert build_outcome(build_npc, fake, parametrization) == expected
+    @pytest.mark.parametrize(
+        "seed",
+        [pytest.param(seed, id=f"N{seed.curve.N}") for seed in PACKAGED_SEEDS]
+        + [pytest.param(seed, id=f"triangle-N{seed.curve.N}") for seed in triangle_seeds(4)],
+    )
+    def test_admitted_pairs_never_degenerate(self, seed):
+        # +-jP for j <= 4 and their 2-torsion translates: every ordered pair
+        # of them that SolutionPair admits builds in all five
+        # parametrizations, to a verified NPC equal to the Fraction reference.
+        curve = seed.curve
+        torsion = [curve.point(e, 0) for e in (0, curve.N, -curve.N)]
+        points = [seed.mul(j) for j in range(1, 5)]
+        points += [-p for p in points]
+        points += [p + t for p in points for t in torsion]
+        admitted = 0
+        for p, q in permutations(points, 2):
+            pair = outcome(SolutionPair, p, q)
+            if type(pair) is tuple:
+                continue
+            admitted += 1
+            for parametrization in PARAMETRIZATIONS:
+                cuboid = build_npc(pair, parametrization)
+                assert verify_npc(cuboid) == []
+                expected = reference_build_npc(pair, parametrization)
+                assert cuboid == expected and cuboid.source == expected.source
+        assert admitted >= 64
 
-    def test_degenerate_parameter_message_is_in_lowest_terms(self, curve5):
-        fake = SolutionPair.trusted(curve5.point(1, 1), curve5.point(25, 1))
-        with pytest.raises(DegeneratePair, match=r"^circle parameter 1 degenerates$"):
-            build_npc(fake, "first")
+    def test_unit_parameter_pair_is_refused(self, curve5):
+        # XZ = N^2 gives alpha = 1 on the first conic; no pair of curve
+        # points has it, and the build refuses this one before its conic.
+        error = assert_refused(curve5.point(1, 1), curve5.point(25, 1))
+        assert error[1].endswith("must satisfy the curve equation")
 
 
 class TestElementReference:
@@ -808,8 +835,9 @@ class TestElementReference:
 
     def test_off_the_curve_u_need_not_divide_twice_g(self, curve5):
         # The second-reflected image of the trusted pair of (0, 1) and (4, 1),
-        # off the N = 5 curve, has U = 22500 but h = 4500; its build still
-        # divides the content out in full, as the reference does.
+        # off the N = 5 curve, has U = 22500 but h = 4500. The proof that U
+        # divides 2g holds on the curve only, so _npc_entries raises on these
+        # elements, and build_npc refuses the pair before it reads them.
         pair = SolutionPair.trusted(curve5.point(0, 1), curve5.point(4, 1))
         image = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
         for family in ("first", "second"):
@@ -817,9 +845,9 @@ class TestElementReference:
             u1, e1, u2, e2 = (factors[f] for f in ("u1", "e1", "u2", "e2"))
             assert u1 * u1 * e1 * u2 * u2 * e2 == 22500
             assert factors["h"] == 4500
-            assert _npc_entries(5, *_pair_elements(image), family) == (
-                reference_npc_entries(image, family)
-            )
+            with pytest.raises(SquareCheckFailed, match="^U does not divide 2g"):
+                _npc_entries(5, *_pair_elements(image), family)
+        assert_refused(pair.P, pair.Q)
 
     @pytest.mark.parametrize(
         "n, points, k, m, family, factor",
@@ -858,25 +886,6 @@ class TestElementReference:
         assert content_factors(n, first, second, family)[factor] > 1
         pair = SolutionPair.trusted(chain[k - 1], chain[m - 1])
         assert _npc_entries(n, first, second, family) == reference_npc_entries(pair, family)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize(
-        "p, q",
-        [((x, 0 if x == 5 else 1), (z, 1)) for x, z in DEGENERATE_ABSCISSAE]
-        + [
-            # XZ a square, y denominators that are no cube of x's root.
-            ((Fraction(25, 4), Fraction(1, 3)), (Fraction(1681, 144), Fraction(7, 2))),
-            ((Fraction(9, 2), 1), (2, Fraction(1, 5))),
-        ],
-    )
-    def test_off_curve_pairs_keep_results_and_messages(self, curve5, family, p, q):
-        pair = SolutionPair.trusted(curve5.point(*p), curve5.point(*q))
-        assert outcome(lambda: family_terms(pair, family)) == (
-            outcome(lambda: as_fractions(reference_family_parameters(pair, family)))
-        )
-        assert outcome(lambda: _npc_entries(5, *_pair_elements(pair), family)) == (
-            outcome(reference_npc_entries, pair, family)
-        )
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_roots_off_their_square_class_fail_the_square_check(self, family):

@@ -201,6 +201,13 @@ class TestSecantIntercept:
         with pytest.raises(VerticalSecant):
             secant_y_intercept(p5, curve5.infinity())
 
+    def test_points_on_two_curves_rejected(self, p5):
+        # As CurvePoint.add refuses them: no line meets points of two curves.
+        other = CongruentCurve(6).point(-3, 9)
+        for p, q in ((p5, other), (other, p5), (p5, CongruentCurve(6).infinity())):
+            with pytest.raises(CurveMismatch, match=r"^no secant through points on "):
+                secant_y_intercept(p, q)
+
     def test_identity_across_seed_curves(self, seeds):
         for seed in seeds:
             for k in (1, 2, 3):
@@ -430,8 +437,8 @@ class TestChainElements:
 
 
 def pair_root(pair):
-    """The root r = isqrt(a1 a2) that the build takes for a standalone pair
-    from its elements, with sqrt(XZ) = r/(d1 d2), or None."""
+    """The root r = isqrt(a1 a2) that the build takes for an admitted pair
+    from its elements, with sqrt(XZ) = r/(d1 d2)."""
     return _pair_elements(pair)[0][3]
 
 
@@ -448,13 +455,20 @@ class TestPairRoot:
 
     @pytest.mark.parametrize(
         "x, z, root",
-        [(2, 3, None), (Fraction(25, 4), Fraction(-1681, 144), None), (-4, 5, None),
-         (0, Fraction(25, 4), 0), (-4, -1, 2), (Fraction(-9, 4), -1, 6)],
+        [(-4, 45, None), (Fraction(25, 4), Fraction(-5, 9), None), (-4, Fraction(-5, 9), None),
+         (Fraction(25, 4), Fraction(1681, 144), 205), (Fraction(1681, 144), Fraction(25, 4), 205),
+         (-4, Fraction(-2439844, 5094049), 2 * 1562)],
     )
     def test_root_of_chosen_abscissae(self, curve5, x, z, root):
-        # A trusted pair is not validated, so any abscissae will do.
-        pair = SolutionPair.trusted(curve5.point(x, 1), curve5.point(z, 1))
-        assert pair_root(pair) == root
+        # Points of the N = 5 curve: P = (-4, 6), its 2-torsion translates,
+        # 2P and 3P. The build refuses a pair whose x-product is no square.
+        p, q = (curve5.point(v, sqrt_exact(curve5.rhs(v))) for v in (x, z))
+        if root is None:
+            message = f"^x-product {x * z} is not a rational square$"
+            with pytest.raises(DegeneratePair, match=message):
+                build_npc(SolutionPair.trusted(p, q), "invariant")
+        else:
+            assert pair_root(SolutionPair(p, q)) == root
 
     def test_golden_root(self, golden_pair):
         # sqrt(XZ) = (5 * 41)/(2 * 12), over d1 d2 = 2 * 12.
@@ -743,39 +757,29 @@ class TestSecantMapOnElements:
             assert outcome(getattr(q, reflect)) == outcome(reference_secant_image, q, e, message)
 
 
-class TestPairElementsOfTrustedPairs:
-    """_pair_elements on pairs that SolutionPair.trusted does not check."""
+class TestPairElementsOfAdmittedPairs:
+    """_pair_elements on the pairs that SolutionPair admits."""
 
-    @given(
-        seed_indices,
-        st.integers(4, 19),
-        st.integers(4, 19),
-        st.sampled_from(["multiple", "square", "any"]),
-        st.fractions(max_denominator=50),
-        st.fractions(max_denominator=50),
-        st.fractions(max_denominator=50),
-    )
+    @given(seed_indices, st.integers(4, 19), st.integers(4, 19), st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
-    def test_root_squares_to_the_numerator_product(self, seed, i, j, partner, t, dy, dw):
-        # Q is a multiple +-jP, or an abscissa X t^2 or X t; a moved ordinate
-        # takes a point off the curve, whose element is scaled by d = xd yd.
+    def test_root_squares_to_the_numerator_product(self, seed, i, j, translate):
+        # P is a multiple +-iP and Q a multiple +-jP moved by infinity or a
+        # 2-torsion point; a pair that SolutionPair refuses, the build
+        # refuses with the same error.
         operands = oracle_operands(seed)
-        p, q = operands[i], operands[j]
-        curve = p.curve
-        if partner != "multiple":
-            q = curve.point(p.x * t * (t if partner == "square" else 1), q.y)
-        pair = SolutionPair.trusted(curve.point(p.x, p.y + dy), curve.point(q.x, q.y + dw))
+        p, q = operands[i], operands[j].add(operands[translate])
+        try:
+            pair = SolutionPair(p, q)
+        except NpcuboidError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                build_npc(SolutionPair.trusted(p, q), "invariant")
+            return
         first, second = _pair_elements(pair)
-        for point, (a, d, b, *_) in zip((pair.P, pair.Q), (first, second)):
+        for point, (a, d, b, *_) in zip((p, q), (first, second)):
             assert (Fraction(a, d * d), Fraction(b, d ** 3)) == (point.x, point.y) and d > 0
         (a1, _, _, r, c), (a2, _, _, r2, c2) = first, second
         assert c == c2 == a2 and r2 == abs(a2)
-        if r is None:
-            assert not is_square(pair.P.x * pair.Q.x)
-        else:
-            assert r >= 0 and r * r == a1 * a2
-        if partner == "square":
-            assert r is not None
+        assert r > 0 and r * r == a1 * a2 and is_square(p.x * q.x)
 
 
 def pair_outcome(construct, *args):

@@ -323,6 +323,26 @@ class TestRecordsMatchThePublicBuild:
         assert emitted > 0
 
 
+class TestOnlyParitySkips:
+    @pytest.mark.parametrize(
+        "seeds, max_multiple",
+        [(tuple(load_seeds()), 17), (triangle_seeds(20), 6)],
+        ids=["packaged-seeds", "triangle-curves"],
+    )
+    def test_a_sweep_skips_only_mixed_parity(self, seeds, max_multiple):
+        # Every equal-parity pair of a nontrivial seed's multiples is a
+        # solution pair, so no build of the sweep fails: a record is skipped
+        # for mixed parity and for nothing else.
+        records = list(run_search(SearchJob(seeds=seeds, max_multiple=max_multiple)))
+        for record in records:
+            k, m = record["k"], record["m"]
+            if (k - m) % 2:
+                assert record["skipped"] == f"multipliers {k} and {m} have different parity"
+            else:
+                assert "skipped" not in record and record["digits"] > 0
+        assert any("skipped" in record for record in records)
+
+
 class TestRecordContents:
     def test_emitted_cuboids_verify_and_are_not_perfect(self, small_job):
         records = [json.loads(line) for line in render(small_job).splitlines()]
