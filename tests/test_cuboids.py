@@ -318,14 +318,14 @@ def outcome(function, *args):
         return type(exc), str(exc)
 
 
-def assert_refused(p, q):
-    """build_npc of the trusted pair of p and q raises, in every
-    parametrization, what SolutionPair(p, q) raises, type and message; that
+def assert_refused(p, q, parametrizations=PARAMETRIZATIONS):
+    """build_npc of the trusted pair of p and q raises, in each of the
+    parametrizations, what SolutionPair(p, q) raises, type and message; that
     error is returned."""
     expected = outcome(SolutionPair, p, q)
     assert type(expected) is tuple and issubclass(expected[0], NpcuboidError)
     trusted = SolutionPair.trusted(p, q)
-    for parametrization in PARAMETRIZATIONS:
+    for parametrization in parametrizations:
         assert outcome(build_npc, trusted, parametrization) == expected
     return expected
 
@@ -698,12 +698,13 @@ class TestBuildNpc:
             with pytest.raises(DegeneratePair, match=f"^{_TRIVIAL_PAIR}$"):
                 build_npc(pair, parametrization)
 
+    @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
     @pytest.mark.parametrize("p, q", REFUSED_PAIRS)
-    def test_build_refuses_what_the_pair_refuses(self, p, q):
+    def test_build_refuses_what_the_pair_refuses(self, p, q, parametrization):
         # Off the curve, trivial, of equal abscissae, of a non-square
         # x-product or on two curves: each trusted pair is refused with the
-        # error SolutionPair gives, in all five parametrizations.
-        assert_refused(p, q)
+        # error SolutionPair gives, in every parametrization.
+        assert_refused(p, q, [parametrization])
 
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):
