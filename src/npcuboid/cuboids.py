@@ -24,14 +24,14 @@ in closed form. Their content is known in closed form too, from gcds of the
 parameters and of small factors, so it is divided out of the factors before
 they are multiplied and no gcd of the build takes a finished entry. So
 each family's parameters and conic points are stated once, in integers, in
-the routines the build runs. A pair is admitted once: build_npc runs the
-checks of SolutionPair on the pair it is given, and the sweep's pairs pass
-them by construction, so the integer core has no degeneracy branch of its
-own. The sweep passes the elements of its chain, whose class roots r it took
-once per point; a standalone pair's elements take r = isqrt(a1 a2) from the
-two elements themselves (_pair_elements). The
-first_reflected and second_reflected cuboids are the first and second
-cuboids of the pair's image under the second reflected transformation. The
+the routines the build runs. A SolutionPair has passed its checks when it
+is made, and the sweep's pairs pass them by construction, so the integer
+core has no degeneracy branch of its own. The sweep passes the elements of
+its chain, whose class roots r it took once per point; a standalone pair's
+elements take r = isqrt(a1 a2) from the two elements themselves
+(_pair_elements). The first_reflected and second_reflected cuboids are the
+first and second cuboids of the pair's image under the second reflected
+transformation, taken on the elements by curve._secant_element. The
 residual evaluator and the birational map between the two hyperbola-based
 families state the paper's perfect-cuboid equations in Fractions.
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .curve import SolutionPair, _integer_coordinates
+from .curve import SolutionPair, _integer_coordinates, _secant_element
 from .errors import SquareCheckFailed, TrivialParameter
 from .rationals import _integer_field, _rational_field, format_rational, is_square
 
@@ -130,12 +130,12 @@ def pc_equation_residual(family: str, alpha: Fraction, beta: Fraction, gamma: Fr
     return a + g - b if family == "first" else g + b - a
 
 
-def _pair_elements(pair: SolutionPair) -> tuple[tuple, tuple]:
-    """The elements (a, d, b, r, c) of an admitted pair's points (see
-    curve._chain_elements), with c the a of Q: r is |c| for Q and isqrt(a c)
-    for P, taken here from the two elements, as XZ = a c/(d1 d2)^2 is a
-    square."""
-    (a1, d1, b1), (a2, d2, b2) = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
+def _pair_elements(first: tuple, second: tuple) -> tuple[tuple, tuple]:
+    """The elements (a, d, b, r, c) (see curve._chain_elements) of the points
+    of a solution pair with elements (a, d, b) first and second, with c the
+    a of the second: r is |c| for it and isqrt(a c) for the first, taken here
+    from the two elements, as XZ = a c/(d1 d2)^2 is a square."""
+    (a1, d1, b1), (a2, d2, b2) = first, second
     return (a1, d1, b1, isqrt(a1 * a2), a2), (a2, d2, b2, abs(a2), a2)
 
 
@@ -258,23 +258,21 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     divided out of the factors first, as coprime positive integers; d_ab_sq
     is a^2 + b^2 of those. The reflected parametrizations are the first and
     second cuboids of the pair's image under the second reflected
-    transformation; the source still records the caller's abscissae. The
-    pair is admitted first, by the checks SolutionPair runs, so a pair that
-    SolutionPair.trusted let in raises what SolutionPair(P, Q) raises.
+    transformation, taken on the points' elements; the source still records
+    the caller's abscissae.
     """
     if parametrization not in FAMILY_OF_PARAMETRIZATION:
         raise ValueError(f"unknown parametrization {parametrization!r}")
-    pair = SolutionPair(pair.P, pair.Q)
-    source = CuboidSource(
-        N=pair.curve.N, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization
-    )
+    n = pair.curve.N
+    source = CuboidSource(N=n, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization)
+    first, second = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
     if parametrization.endswith("_reflected"):
         # The image of a solution pair is one: -(P + (N, 0)) is on the curve
         # and nontrivial, x -> N(x + N)/(x - N) is one-to-one, and the square
         # class of each abscissa is multiplied by N, so XZ stays a square.
-        pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
+        first, second = _secant_element(n, n, first), _secant_element(n, n, second)
     family = FAMILY_OF_PARAMETRIZATION[parametrization]
-    a, b, c, d_bc, d_ac, d_s = _npc_entries(pair.curve.N, *_pair_elements(pair), family)
+    a, b, c, d_bc, d_ac, d_s = _npc_entries(n, *_pair_elements(first, second), family)
     return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
 
 

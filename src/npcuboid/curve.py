@@ -12,9 +12,9 @@ stated once: each new coordinate is one integer quotient, reduced once, in
 place of a chain of Fraction operations that would reduce every
 intermediate value. On integer elements (below), _sum gives the Jacobian
 triple of a chord-and-tangent sum, _secant that of the secant image through
-any 2-torsion point (e, 0), and _check_pair runs a pair's four checks, for
-the points' own elements or for elements given to
-SolutionPair._from_elements, which builds each point once.
+any 2-torsion point (e, 0), _secant_element the element of that image, and
+_check_pair runs a pair's four checks, for the points' own elements or for
+elements given to SolutionPair._from_elements, which builds each point once.
 
 The cuboid build reads each point as an integer element (a, d, b, r, c):
 x = a/d^2 and y = b/d^3, which a curve point satisfies with its own
@@ -27,7 +27,8 @@ each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
 of their own.
 
 The sweep's chain P, 2P, ..., and its second-reflected image never become
-points, nor do the inversion's reflected pairs until they are checked: from
+points, nor do the second-reflected images of the cuboid build, nor the
+inversion's reflected pairs until they are checked: from
 an (a, d, b), the tangent and chord laws and the secant map run on integer
 Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and each new triple is
 reduced to (a, d, b) by the root s of its content gcd(X, Z^2) = s^2. One
@@ -221,7 +222,9 @@ class SolutionPair:
 
     This square-product condition is exactly what the cuboid parametrizations
     need in order to keep all their square roots rational. A pair holds only
-    its two points: the build takes sqrt(XZ) from their elements.
+    its two points: the build takes sqrt(XZ) from their elements. A pair
+    exists only once its checks have passed: the constructor runs them on
+    its points, and _from_elements, the one other way in, on elements.
     """
 
     P: CurvePoint
@@ -239,26 +242,17 @@ class SolutionPair:
     def _from_elements(cls, curve: CongruentCurve, first: tuple, second: tuple) -> SolutionPair:
         """The pair of the points of curve with elements first and second,
         (a, d, b) with coprime a and d, checked as __post_init__ checks its
-        points; each point is then built once, as (a/d^2, b/d^3)."""
+        points; each point is then built once, as (a/d^2, b/d^3), where the
+        constructor would read the elements back from the points."""
         _check_pair(curve.N, first, second)
-        return cls.trusted(_element_point(curve, first), _element_point(curve, second))
-
-    @classmethod
-    def trusted(cls, p: CurvePoint, q: CurvePoint) -> SolutionPair:
-        """Skip the checks when the pair is built, for points already
-        validated by the caller. build_npc runs them on the pair it is given,
-        so no trusted pair builds a non-NPC."""
         pair = object.__new__(cls)
-        object.__setattr__(pair, "P", p)
-        object.__setattr__(pair, "Q", q)
+        object.__setattr__(pair, "P", _element_point(curve, first))
+        object.__setattr__(pair, "Q", _element_point(curve, second))
         return pair
 
     @property
     def curve(self) -> CongruentCurve:
         return self.P.curve
-
-    def swapped(self) -> SolutionPair:
-        return SolutionPair.trusted(self.Q, self.P)
 
 
 _TRIVIAL_PAIR = "solution pair requires points with y != 0"
@@ -382,10 +376,10 @@ def _secant(n: int, e: int, element: tuple) -> tuple[int, int, int, int]:
     return x * g, (3 * e * e - n2) * b * d * g, g, abs(g) * gcd(2 * n2, x, g)
 
 
-def _second_image(n: int, element: tuple[int, int, int], j: int) -> tuple[int, int, int]:
-    """The element (a', d', b') of the second reflection of chain point j with
-    element (a, d, b): the secant image through (N, 0)."""
-    return _reduced(*_secant(n, n, element), j)
+def _secant_element(n: int, e: int, element: tuple, j: int = 0) -> tuple[int, int, int]:
+    """The element (a', d', b') of the secant image through (e, 0) of the
+    curve point with element (a, d, b), chain point j where there is one."""
+    return _reduced(*_secant(n, e, element), j)
 
 
 def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, int]]:
@@ -434,29 +428,29 @@ def _same_parity_elements(p: CurvePoint, k: int, m: int, multiple: Callable) -> 
 
 def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
     """Build the pair (kP, mP) for k, m of equal parity, each multiple by
-    mul, checked by the sweep's precondition routine on its element.
+    mul, checked by the sweep's precondition routine on its element, and
+    then for a base point on its curve.
 
-    Equal-parity multiples of one point always have a square x-product; a
-    failed square check therefore raises SquareCheckFailed (an internal bug),
-    while violated preconditions raise DegeneratePair.
+    Equal-parity multiples of one curve point always have a square
+    x-product, so such a pair that SolutionPair refuses raises
+    SquareCheckFailed (an internal bug), while violated preconditions raise
+    DegeneratePair.
     """
     multiples = {}
 
     def multiple(j: int) -> tuple | None:
-        point = p.mul(j)
-        element = None if point.is_infinity else _integer_coordinates(point)
-        multiples[j] = point, element
-        return element
+        multiples[j] = point = p.mul(j)
+        return None if point.is_infinity else _integer_coordinates(point)
 
     defect = _same_parity_elements(p, k, m, multiple)
+    if defect is None and not p.on_curve():
+        defect = f"base point {p} is not on its curve"
     if defect is not None:
         raise DegeneratePair(defect)
-    (first, (a1, _, _)), (second, (a2, _, _)) = multiples[k], multiples[m]
-    if not is_square_int(a1 * a2):
-        raise SquareCheckFailed(
-            f"x-product of {k}P and {m}P is not a square; group law is broken"
-        )
-    return SolutionPair.trusted(first, second)
+    try:
+        return SolutionPair(multiples[k], multiples[m])
+    except DegeneratePair as exc:
+        raise SquareCheckFailed(f"({k}P, {m}P) is refused: {exc}; group law is broken") from exc
 
 
 def kummer_map(pair: SolutionPair) -> tuple[Fraction, Fraction, Fraction]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
 
-from .curve import CongruentCurve, SolutionPair, _reduced, _secant
+from .curve import CongruentCurve, SolutionPair, _secant_element
 from .cuboids import Cuboid, pc_condition, verify_npc
 from .errors import FactorizationExceeded, InconsistentKernel, NotAnNPC
 from .factoring import DEFAULT_RHO_BUDGET, squarefree_kernel
@@ -96,7 +96,7 @@ def _point_from_ratio(n: int, ratio: Fraction) -> tuple[int, int, int]:
 def _image(n: int, e: int, pair: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
     """The elements of a pair's image under the secant map through (e, 0),
     each taken with y >= 0."""
-    images = (_reduced(*_secant(n, e, element), 0) for element in pair)
+    images = (_secant_element(n, e, element) for element in pair)
     return tuple((a, d, abs(b)) for a, d, b in images)
 
 

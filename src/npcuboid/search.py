@@ -41,7 +41,7 @@ from .curve import (
     _chain_elements,
     _multiples,
     _same_parity_elements,
-    _second_image,
+    _secant_element,
     load_seeds,
     point_from_json,
 )
@@ -116,6 +116,8 @@ def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
     parametrizations = record.get("parametrizations", list(PARAMETRIZATIONS))
     if not isinstance(parametrizations, list):
         raise TypeError(f"parametrizations must be a list, got {parametrizations!r}")
+    if not all(isinstance(name, str) for name in parametrizations):
+        raise TypeError(f"parametrizations must be strings, got {parametrizations!r}")
     parity = record.get("parity", "both")
     if not isinstance(parity, str):
         raise TypeError(f"parity must be a string, got {parity!r}")
@@ -146,7 +148,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
     images = None
     if any(param.endswith("_reflected") for param in job.parametrizations):
         images = _chain_elements(
-            [_second_image(n, element, j) for j, element in enumerate(multiples, 1)]
+            [_secant_element(n, n, element, j) for j, element in enumerate(multiples, 1)]
         )
     @cache
     def abscissa(j: int) -> str:

@@ -20,6 +20,7 @@ from npcuboid import (
     sqrt_exact,
     squarefree_kernel,
 )
+from npcuboid.cuboids import _pair_elements
 from npcuboid.curve import _integer_coordinates
 
 
@@ -31,6 +32,12 @@ def generated_pairs(seeds, max_multiple=6):
             for m in range(k + 2, max_multiple + 1, 2):
                 pairs.append(same_parity_pair(seed, k, m))
     return pairs
+
+
+def pair_elements(pair):
+    """_pair_elements of a standalone pair: the elements (a, d, b, r, c) that
+    build_npc reads off its points."""
+    return _pair_elements(_integer_coordinates(pair.P), _integer_coordinates(pair.Q))
 
 
 def point_above(curve, x):
@@ -142,7 +149,7 @@ def reference_recover(cuboid, x_ratio, z_ratio, family, rho_budget):
 
     def pair(p, q):
         reference_pair_checks(p, q)
-        return SolutionPair.trusted(p, q)
+        return SolutionPair(p, q)
 
     def image(pair_, e):
         points = []

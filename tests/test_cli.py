@@ -509,6 +509,10 @@ class TestSearchCommand:
                  "parametrizations": "invariant"},
                 "parametrizations must be a list, got 'invariant'",
             ),
+            (
+                {"max_multiple": 3, "parametrizations": [1]},
+                "parametrizations must be strings, got [1]",
+            ),
             ({"seeds": {}, "max_multiple": 4}, "seeds must be a list, got {}"),
             (
                 {"seeds": {"N": 5}, "max_multiple": 4},
@@ -523,7 +527,8 @@ class TestSearchCommand:
         ids=[
             "no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object",
             "float-N", "string-N", "float-max-multiple", "boolean-max-multiple",
-            "float-height-limit", "parametrizations-not-a-list", "seeds-empty-object",
+            "float-height-limit", "parametrizations-not-a-list",
+            "parametrization-not-a-string", "seeds-empty-object",
             "seeds-an-object", "parity-a-list",
         ],
     )

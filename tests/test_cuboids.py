@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, isqrt, lcm
@@ -13,6 +14,7 @@ from npcuboid import (
     CongruentCurve,
     Cuboid,
     CuboidSource,
+    CurveMismatch,
     DegeneratePair,
     NpcuboidError,
     SolutionPair,
@@ -33,16 +35,22 @@ from npcuboid import (
     verify_npc,
 )
 
+import npcuboid.curve as curve_module
 from npcuboid.cuboids import (
     _conic_point,
     _family_terms,
     _npc_entries,
-    _pair_elements,
     _primitive_conic_point,
 )
-from npcuboid.curve import _TRIVIAL_PAIR, _chain_elements, _multiples, _second_image
+from npcuboid.curve import _TRIVIAL_PAIR, _chain_elements, _multiples, _secant_element
 
-from helpers import generated_pairs, reference_chain, reference_verify_npc, triangle_seeds
+from helpers import (
+    generated_pairs,
+    pair_elements,
+    reference_chain,
+    reference_verify_npc,
+    triangle_seeds,
+)
 
 # The five integer cuboids produced by the N=5 pair (25/4, 1681/144), in
 # field order (a, b, c, d_bc, d_ac, d_s).
@@ -181,7 +189,7 @@ def as_fractions(terms):
 
 def family_terms(pair, family):
     """_family_terms of a standalone pair: alpha, beta and the gamma condition."""
-    return as_fractions(_family_terms(pair.curve.N, *_pair_elements(pair), family))
+    return as_fractions(_family_terms(pair.curve.N, *pair_elements(pair), family))
 
 
 def reference_build_npc(pair, parametrization):
@@ -197,7 +205,7 @@ def reference_build_npc(pair, parametrization):
         N=pair.curve.N, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization
     )
     if parametrization.endswith("_reflected"):
-        pair = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
+        pair = SolutionPair(pair.P.reflect_second(), pair.Q.reflect_second())
     alpha, beta, gamma_condition = _reference_variables(pair, family)
     try:
         (ax, ay), (bx, by) = (reference_conic_point(family, t) for t in (alpha, beta))
@@ -318,49 +326,48 @@ def outcome(function, *args):
         return type(exc), str(exc)
 
 
-def assert_refused(p, q, parametrizations=PARAMETRIZATIONS):
-    """build_npc of the trusted pair of p and q raises, in each of the
-    parametrizations, what SolutionPair(p, q) raises, type and message; that
-    error is returned."""
-    expected = outcome(SolutionPair, p, q)
-    assert type(expected) is tuple and issubclass(expected[0], NpcuboidError)
-    trusted = SolutionPair.trusted(p, q)
-    for parametrization in parametrizations:
-        assert outcome(build_npc, trusted, parametrization) == expected
-    return expected
-
-
 PACKAGED_SEEDS = load_seeds()
 SAME_PARITY_MULTIPLES = [(k, m) for k in range(1, 10) for m in range(k + 2, 10, 2)]
 
-# Abscissae of off-curve trusted pairs on the N = 5 curve, with y = 1 (y = 0
-# at the 2-torsion abscissa 5).
+# Abscissae of pairs off the N = 5 curve, with y = 1 (y = 0 at the 2-torsion
+# abscissa 5), each at a degeneracy of the build's formulas that no pair of
+# curve points reaches.
+OFF_CURVE = "solution pair points must satisfy the curve equation"
 DEGENERATE_ABSCISSAE = [
-    (2, Fraction(25, 2)),  # XZ = N^2
-    (2, -2),  # X = -Z
-    (0, 4),  # XZ = 0
-    (-4, -4),  # X = Z
-    (1, 25),  # XZ = N^2 again: alpha = 1 on the first conic
-    (4, Fraction(25, 4)),  # XZ = N^2, reflected: X' + Z' = 0
-    (2, 3),  # XZ not a square
-    (5, 45),  # a 2-torsion abscissa
+    (2, Fraction(25, 2), OFF_CURVE),  # XZ = N^2
+    (2, -2, OFF_CURVE),  # X = -Z
+    (0, 4, OFF_CURVE),  # XZ = 0
+    # X = Z: (X - Z)(N^2 - XZ) vanishes, also after the second reflection.
+    (-4, -4, "solution pair requires distinct abscissae"),
+    (1, 25, OFF_CURVE),  # XZ = N^2 again: alpha = 1 on the first conic
+    (4, Fraction(25, 4), OFF_CURVE),  # XZ = N^2, reflected: X' + Z' = 0
+    (2, 3, OFF_CURVE),  # XZ not a square
+    (5, 45, _TRIVIAL_PAIR),  # a 2-torsion point, of square x-product 225
 ]
 
-# Point pairs that SolutionPair refuses: the degenerate abscissae above on
-# the N = 5 curve with y = 1 (y = 0 at the 2-torsion abscissa 5), square
-# x-products with y denominators that are no cube of x's root, a pair with
-# infinity and a pair on two curves.
+# Point pairs that SolutionPair refuses, with the error it raises: the
+# degenerate abscissae above, square x-products with y denominators that are
+# no cube of x's root, a pair with infinity and a pair on two curves. No
+# build can be given them.
 CURVE5 = CongruentCurve(5)
 REFUSED_PAIRS = [
-    (CURVE5.point(x, 0 if x == 5 else 1), CURVE5.point(z, 1)) for x, z in DEGENERATE_ABSCISSAE
+    (CURVE5.point(x, 0 if x == 5 else 1), CURVE5.point(z, 1), DegeneratePair, message)
+    for x, z, message in DEGENERATE_ABSCISSAE
 ] + [
     (
         CURVE5.point(Fraction(25, 4), Fraction(1, 3)),
         CURVE5.point(Fraction(1681, 144), Fraction(7, 2)),
+        DegeneratePair,
+        OFF_CURVE,
     ),
-    (CURVE5.point(Fraction(9, 2), 1), CURVE5.point(2, Fraction(1, 5))),
-    (CURVE5.infinity(), CURVE5.point(-4, 6)),
-    (CURVE5.point(-4, 6), CongruentCurve(6).point(-3, 9)),
+    (CURVE5.point(Fraction(9, 2), 1), CURVE5.point(2, Fraction(1, 5)), DegeneratePair, OFF_CURVE),
+    (CURVE5.infinity(), CURVE5.point(-4, 6), DegeneratePair, _TRIVIAL_PAIR),
+    (
+        CURVE5.point(-4, 6),
+        CongruentCurve(6).point(-3, 9),
+        CurveMismatch,
+        "solution pair must live on one curve",
+    ),
 ]
 
 
@@ -587,16 +594,6 @@ class TestFamilyTerms:
                 g = family_terms(pair, family)[2]
                 assert holds(build_npc(pair, parametrization), g)
 
-    # Synthetic pairs, not constructible from curve points: the build
-    # refuses them before their family terms are read.
-    def test_xz_equal_n_squared_rejected(self, curve5):
-        error = assert_refused(curve5.point(2, 1), curve5.point(Fraction(25, 2), 1))
-        assert error[1].endswith("must satisfy the curve equation")
-
-    def test_x_equal_minus_z_rejected(self, curve5):
-        error = assert_refused(curve5.point(2, 1), curve5.point(-2, 1))
-        assert error[1].endswith("must satisfy the curve equation")
-
 
 class TestBuildNpc:
     @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
@@ -622,7 +619,7 @@ class TestBuildNpc:
             )
 
     def test_pair_order_is_irrelevant(self, golden_pair):
-        swapped = golden_pair.swapped()
+        swapped = SolutionPair(golden_pair.Q, golden_pair.P)
         for parametrization in GOLDEN_CUBOIDS:
             assert build_npc(swapped, parametrization) == build_npc(
                 golden_pair, parametrization
@@ -668,43 +665,22 @@ class TestBuildNpc:
                     int(v) for v in build_npc(pair, parametrization).rational_entries()
                 ]
 
-    def test_degenerate_synthetic_pairs(self, curve5):
-        fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(Fraction(25, 2), 1))
-        with pytest.raises(DegeneratePair):
-            build_npc(fake, "second")
-        fake = SolutionPair.trusted(curve5.point(2, 1), curve5.point(-2, 1))
-        with pytest.raises(DegeneratePair):
-            build_npc(fake, "first")
-        # XZ = 0: no ratio of the abscissae exists to take a square root of.
-        fake = SolutionPair.trusted(curve5.point(0, 1), curve5.point(4, 1))
-        for parametrization in ("first", "second"):
-            with pytest.raises(DegeneratePair):
-                build_npc(fake, parametrization)
-        # X = Z: the second-family denominator (X - Z)(N^2 - XZ) vanishes, also
-        # after the second reflection maps both points to one image.
-        point = curve5.point(-4, 6)
-        fake = SolutionPair.trusted(point, point)
-        for parametrization in ("second", "second_reflected"):
-            with pytest.raises(DegeneratePair):
-                build_npc(fake, parametrization)
+    def test_build_runs_no_pair_check(self, monkeypatch, golden_pair):
+        def no_check(*args):
+            raise AssertionError("build_npc checked a pair")
 
-    @pytest.mark.parametrize("parametrization", sorted(GOLDEN_CUBOIDS))
-    def test_trivial_point_collapses_every_parametrization(self, curve5, parametrization):
-        # (5, 0) is 2-torsion; the x-product 225 is a square, so only a
-        # trusted pair can hold it. No reflection may fail on it first, and
-        # infinity, with no abscissa, is refused as SolutionPair refuses it.
-        for trivial in (curve5.point(5, 0), curve5.infinity()):
-            pair = SolutionPair.trusted(trivial, curve5.point(45, 300))
-            with pytest.raises(DegeneratePair, match=f"^{_TRIVIAL_PAIR}$"):
-                build_npc(pair, parametrization)
+        monkeypatch.setattr(curve_module, "_check_pair", no_check)
+        for parametrization, entries in GOLDEN_CUBOIDS.items():
+            cuboid = build_npc(golden_pair, parametrization)
+            assert tuple(int(v) for v in cuboid.rational_entries()) == entries
 
-    @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
-    @pytest.mark.parametrize("p, q", REFUSED_PAIRS)
-    def test_build_refuses_what_the_pair_refuses(self, p, q, parametrization):
+    @pytest.mark.parametrize("p, q, error, message", REFUSED_PAIRS)
+    def test_pair_refuses_what_no_build_can_take(self, p, q, error, message):
         # Off the curve, trivial, of equal abscissae, of a non-square
-        # x-product or on two curves: each trusted pair is refused with the
-        # error SolutionPair gives, in every parametrization.
-        assert_refused(p, q, [parametrization])
+        # x-product or on two curves: SolutionPair refuses each pair with
+        # its own error, so no build is given one.
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SolutionPair(p, q)
 
     def test_unknown_parametrization(self, golden_pair):
         with pytest.raises(ValueError):
@@ -754,12 +730,6 @@ class TestFractionReference:
                 assert cuboid == expected and cuboid.source == expected.source
         assert admitted >= 64
 
-    def test_unit_parameter_pair_is_refused(self, curve5):
-        # XZ = N^2 gives alpha = 1 on the first conic; no pair of curve
-        # points has it, and the build refuses this one before its conic.
-        error = assert_refused(curve5.point(1, 1), curve5.point(25, 1))
-        assert error[1].endswith("must satisfy the curve equation")
-
 
 class TestElementReference:
     """The element path against the pair-root construction it replaced."""
@@ -781,14 +751,14 @@ class TestElementReference:
         by_chain = (
             (chain, _chain_elements(multiples)),
             (images, _chain_elements(
-                [_second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+                [_secant_element(n, n, e, j) for j, e in enumerate(multiples, 1)]
             )),
         )
         for k in range(1, length):
             for m in range(k + 2, length + 1, 2):
                 for points, elements in by_chain:
-                    pair = SolutionPair.trusted(points[k - 1], points[m - 1])
-                    standalone = _pair_elements(pair)
+                    pair = SolutionPair(points[k - 1], points[m - 1])
+                    standalone = pair_elements(pair)
                     for family in FAMILIES:
                         expected = reference_npc_entries(pair, family)
                         assert _npc_entries(n, elements[k - 1], elements[m - 1], family) == expected
@@ -809,7 +779,7 @@ class TestElementReference:
         # its 2-torsion translates.
         n, curve = seed.curve.N, seed.curve
         multiples = _multiples(seed, length)
-        images = [_second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+        images = [_secant_element(n, n, e, j) for j, e in enumerate(multiples, 1)]
         pairs = [
             (elements[k - 1], elements[m - 1])
             for elements in (_chain_elements(multiples), _chain_elements(images))
@@ -821,7 +791,7 @@ class TestElementReference:
         points += [-p for p in points] + [p + t for p in points for t in torsion]
         for p, q in permutations(points, 2):
             if p.x != q.x and is_square(p.x * q.x):
-                pairs.append(_pair_elements(SolutionPair(p, q)))
+                pairs.append(pair_elements(SolutionPair(p, q)))
         checked = 0
         for first, second in pairs:
             for family in ("first", "second"):
@@ -835,20 +805,21 @@ class TestElementReference:
         assert checked > len(pairs)
 
     def test_off_the_curve_u_need_not_divide_twice_g(self, curve5):
-        # The second-reflected image of the trusted pair of (0, 1) and (4, 1),
-        # off the N = 5 curve, has U = 22500 but h = 4500. The proof that U
-        # divides 2g holds on the curve only, so _npc_entries raises on these
-        # elements, and build_npc refuses the pair before it reads them.
-        pair = SolutionPair.trusted(curve5.point(0, 1), curve5.point(4, 1))
-        image = SolutionPair.trusted(pair.P.reflect_second(), pair.Q.reflect_second())
+        # The second-reflected images (-5, 2) and (-45, 50) of (0, 1) and
+        # (4, 1), off the N = 5 curve, have elements with U = 22500 but h =
+        # 4500. The proof that U divides 2g holds on the curve only, so
+        # _npc_entries raises on these elements; SolutionPair refuses the
+        # points, so no build reads them.
+        image = (-5, 1, 2, 15, -45), (-45, 1, 50, 45, -45)
         for family in ("first", "second"):
-            factors = content_factors(5, *_pair_elements(image), family)
+            factors = content_factors(5, *image, family)
             u1, e1, u2, e2 = (factors[f] for f in ("u1", "e1", "u2", "e2"))
             assert u1 * u1 * e1 * u2 * u2 * e2 == 22500
             assert factors["h"] == 4500
             with pytest.raises(SquareCheckFailed, match="^U does not divide 2g"):
-                _npc_entries(5, *_pair_elements(image), family)
-        assert_refused(pair.P, pair.Q)
+                _npc_entries(5, *image, family)
+        with pytest.raises(DegeneratePair, match=f"^{OFF_CURVE}$"):
+            SolutionPair(curve5.point(0, 1), curve5.point(4, 1))
 
     @pytest.mark.parametrize(
         "n, points, k, m, family, factor",
@@ -881,11 +852,11 @@ class TestElementReference:
         chain, elements = reference_chain(seed, m), _multiples(seed, m)
         if points == "image":
             chain = [point.reflect_second() for point in chain]
-            elements = [_second_image(n, e, j) for j, e in enumerate(elements, 1)]
+            elements = [_secant_element(n, n, e, j) for j, e in enumerate(elements, 1)]
         elements = _chain_elements(elements)
         first, second = elements[k - 1], elements[m - 1]
         assert content_factors(n, first, second, family)[factor] > 1
-        pair = SolutionPair.trusted(chain[k - 1], chain[m - 1])
+        pair = SolutionPair(chain[k - 1], chain[m - 1])
         assert _npc_entries(n, first, second, family) == reference_npc_entries(pair, family)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -896,7 +867,53 @@ class TestElementReference:
             _npc_entries(5, (2, 1, 1, 3, 2), (8, 1, 1, 3, 2), family)
 
 
+# Each parametrization's build of (P + T, Q + T) for T = (+-N, 0): the
+# second-reflected image of P is -(P + (N, 0)), and the image of that is P
+# again, so each build and its reflected build trade places.
+TRANSLATED_PARAMETRIZATION = {
+    "first": "first_reflected",
+    "first_reflected": "first",
+    "second": "second_reflected",
+    "second_reflected": "second",
+}
+
+
+def swapped_sides(cuboid):
+    """The cuboid with sides a and b, and so d_ac and d_bc, interchanged."""
+    a, b, c, d_bc, d_ac, d_s = cuboid.rational_entries()
+    return Cuboid(b, a, c, d_ac, d_bc, d_s, cuboid.d_ab_sq)
+
+
 class TestReflectionBehaviour:
+    @pytest.mark.parametrize("parametrization", PARAMETRIZATIONS)
+    @pytest.mark.parametrize(
+        "seed",
+        [pytest.param(seed, id=f"N{seed.curve.N}") for seed in PACKAGED_SEEDS]
+        + [pytest.param(seed, id=f"triangle-N{seed.curve.N}") for seed in triangle_seeds(8)],
+    )
+    def test_two_torsion_translates_permute_the_builds(self, seed, parametrization):
+        # An oracle through the group law, not the secant map: the pair
+        # (P + T, Q + T) for each pair (kP, mP), k < m <= 6 of equal parity,
+        # and each 2-torsion point T. T = (0, 0) leaves every build as it is;
+        # T = (+-N, 0), which is (-+N, 0) + (0, 0), trades each first or
+        # second build with its reflected build, and the invariant cuboid's
+        # a with b.
+        curve = seed.curve
+        pairs = generated_pairs([seed], max_multiple=6)
+        assert len(pairs) == 6
+        for pair in pairs:
+            cuboid = build_npc(pair, parametrization)
+            for e in (0, curve.N, -curve.N):
+                t = curve.point(e, 0)
+                translate = build_npc(SolutionPair(pair.P + t, pair.Q + t), parametrization)
+                if e == 0:
+                    assert translate == cuboid
+                elif parametrization == "invariant":
+                    assert translate == swapped_sides(cuboid)
+                else:
+                    twin = TRANSLATED_PARAMETRIZATION[parametrization]
+                    assert translate == build_npc(pair, twin)
+
     def test_first_reflection_fixes_all_parametrizations(self, seeds):
         pairs = generated_pairs(seeds, max_multiple=5)
         assert len(pairs) >= 10

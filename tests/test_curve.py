@@ -31,18 +31,18 @@ from npcuboid import (
 )
 
 import npcuboid.curve as curve_module
-from npcuboid.cuboids import PARAMETRIZATIONS, _pair_elements, build_npc
+from npcuboid.cuboids import PARAMETRIZATIONS, build_npc
 from npcuboid.curve import (
     _chain_elements,
     _integer_coordinates,
     _multiples,
     _reduced,
-    _secant,
-    _second_image,
+    _secant_element,
 )
 
 from helpers import (
     generated_pairs,
+    pair_elements,
     point_above,
     reference_add,
     reference_chain,
@@ -334,8 +334,18 @@ class TestSameParityPair:
         # (45, 300) is on the curve but is not 3P: its x-product with P is -180.
         planted, mul = curve5.point(45, 300), CurvePoint.mul
         monkeypatch.setattr(CurvePoint, "mul", lambda p, k: planted if k == 3 else mul(p, k))
-        with pytest.raises(SquareCheckFailed):
+        message = "(1P, 3P) is refused: x-product -180 is not a rational square;"
+        with pytest.raises(SquareCheckFailed, match=re.escape(message)):
             same_parity_pair(p5, 1, 3)
+
+    @pytest.mark.parametrize("x, y", [(1, 1), (2, 1), (9, 2)])
+    def test_base_point_off_the_curve(self, curve5, x, y):
+        # Off the curve the multiples have no square x-product, and no group
+        # law is at fault: the base point is refused, after the checks that
+        # the sweep runs on its chain.
+        p = curve5.point(x, y)
+        with pytest.raises(DegeneratePair, match=f"^base point {re.escape(str(p))} is not on its"):
+            same_parity_pair(p, 1, 3)
 
     def test_square_products_for_all_parity_pairs(self, p5):
         # 1 <= k < m <= 8, same parity: twelve pairs, all square products.
@@ -369,10 +379,6 @@ class TestSolutionPair:
         with pytest.raises(CurveMismatch):
             SolutionPair(p5, CongruentCurve(6).point(-3, 9))
 
-    def test_swapped(self, golden_pair):
-        swapped = golden_pair.swapped()
-        assert swapped.P == golden_pair.Q and swapped.Q == golden_pair.P
-
 
 class TestChainElements:
     """The element (a, d, b, r, c) of each chain point: x = a/d^2, y = b/d^3,
@@ -382,7 +388,8 @@ class TestChainElements:
         for seed in seeds:
             chain = [seed.mul(j) for j in range(1, 10)]
             multiples = _multiples(seed, 9)
-            images = [_second_image(seed.curve.N, e, j) for j, e in enumerate(multiples, 1)]
+            n = seed.curve.N
+            images = [_secant_element(n, n, e, j) for j, e in enumerate(multiples, 1)]
             for points, triples in (
                 (chain, multiples), ([p.reflect_second() for p in chain], images)
             ):
@@ -439,7 +446,7 @@ class TestChainElements:
 def pair_root(pair):
     """The root r = isqrt(a1 a2) that the build takes for an admitted pair
     from its elements, with sqrt(XZ) = r/(d1 d2)."""
-    return _pair_elements(pair)[0][3]
+    return pair_elements(pair)[0][3]
 
 
 class TestPairRoot:
@@ -450,7 +457,7 @@ class TestPairRoot:
         pairs = generated_pairs(seeds, max_multiple=6)
         assert len(pairs) >= 20
         for pair in pairs:
-            (_, d1, *_), (_, d2, *_) = _pair_elements(pair)
+            (_, d1, *_), (_, d2, *_) = pair_elements(pair)
             assert pair_root(pair) == sqrt_exact(pair.P.x * pair.Q.x) * d1 * d2
 
     @pytest.mark.parametrize(
@@ -461,12 +468,12 @@ class TestPairRoot:
     )
     def test_root_of_chosen_abscissae(self, curve5, x, z, root):
         # Points of the N = 5 curve: P = (-4, 6), its 2-torsion translates,
-        # 2P and 3P. The build refuses a pair whose x-product is no square.
+        # 2P and 3P. No pair has an x-product that is no square.
         p, q = (curve5.point(v, sqrt_exact(curve5.rhs(v))) for v in (x, z))
         if root is None:
             message = f"^x-product {x * z} is not a rational square$"
             with pytest.raises(DegeneratePair, match=message):
-                build_npc(SolutionPair.trusted(p, q), "invariant")
+                SolutionPair(p, q)
         else:
             assert pair_root(SolutionPair(p, q)) == root
 
@@ -480,7 +487,6 @@ class TestPairRoot:
         pairs = [
             SolutionPair(p, q),
             SolutionPair._from_elements(p.curve, *elements),
-            SolutionPair.trusted(p, q),
             same_parity_pair(seeds[0], 1, 3),
         ]
         assert [f.name for f in dataclasses.fields(SolutionPair)] == ["P", "Q"]
@@ -693,11 +699,14 @@ def reference_same_parity_pair(p, k, m, chain):
         raise DegeneratePair(f"a multiple of {p} is trivial")
     if kp.x == mp.x:
         raise DegeneratePair(f"{k}P and {m}P share an abscissa")
+    if not p.on_curve():
+        raise DegeneratePair(f"base point {p} is not on its curve")
     if not is_square(kp.x * mp.x):
         raise SquareCheckFailed(
-            f"x-product of {k}P and {m}P is not a square; group law is broken"
+            f"({k}P, {m}P) is refused: x-product {kp.x * mp.x} is not a rational square;"
+            " group law is broken"
         )
-    return SolutionPair.trusted(kp, mp)
+    return SolutionPair(kp, mp)
 
 
 class TestSameParityPairAgainstReference:
@@ -725,8 +734,8 @@ class TestSameParityPairAgainstReference:
 
 
 class TestSecantMapOnElements:
-    """The one secant map, _secant on elements (a, d, b), against the three
-    reflections and against the Fraction secant map."""
+    """The one secant map, _secant_element on elements (a, d, b), against
+    the three reflections and against the Fraction secant map."""
 
     @pytest.mark.parametrize("seed", range(len(ORACLE_SEEDS)))
     @pytest.mark.parametrize("reflect, sign, message", REFLECTIONS)
@@ -734,7 +743,7 @@ class TestSecantMapOnElements:
         # +-kP for k = 1, ..., 8.
         for point in oracle_operands(seed)[4:]:
             e = sign * point.curve.N
-            image = _reduced(*_secant(point.curve.N, e, _integer_coordinates(point)), 1)
+            image = _secant_element(point.curve.N, e, _integer_coordinates(point))
             assert image == _integer_coordinates(getattr(point, reflect)())
             assert image == _integer_coordinates(reference_secant_image(point, e, message))
 
@@ -764,17 +773,17 @@ class TestPairElementsOfAdmittedPairs:
     @settings(max_examples=300, deadline=None)
     def test_root_squares_to_the_numerator_product(self, seed, i, j, translate):
         # P is a multiple +-iP and Q a multiple +-jP moved by infinity or a
-        # 2-torsion point; a pair that SolutionPair refuses, the build
-        # refuses with the same error.
+        # 2-torsion point; a pair that SolutionPair refuses, the Fraction
+        # checks refuse with the same error.
         operands = oracle_operands(seed)
         p, q = operands[i], operands[j].add(operands[translate])
         try:
             pair = SolutionPair(p, q)
         except NpcuboidError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                build_npc(SolutionPair.trusted(p, q), "invariant")
+                reference_pair_checks(p, q)
             return
-        first, second = _pair_elements(pair)
+        first, second = pair_elements(pair)
         for point, (a, d, b, *_) in zip((p, q), (first, second)):
             assert (Fraction(a, d * d), Fraction(b, d ** 3)) == (point.x, point.y) and d > 0
         (a1, _, _, r, c), (a2, _, _, r2, c2) = first, second

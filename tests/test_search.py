@@ -203,7 +203,9 @@ class TestSeedChain:
             assert chain == [seed.mul(k) for k in range(1, 18)]
             multiples = curve_module._multiples(seed, 17)
             assert multiples == reference_elements(chain)
-            images = [curve_module._second_image(n, e, j) for j, e in enumerate(multiples, 1)]
+            images = [
+                curve_module._secant_element(n, n, e, j) for j, e in enumerate(multiples, 1)
+            ]
             assert images == reference_elements(p.reflect_second() for p in chain)
 
     @pytest.mark.parametrize("j", [2, 3])
@@ -250,24 +252,24 @@ class TestSeedChain:
         self, seeds, monkeypatch, parametrizations, reflections
     ):
         calls, points = [], []
-        second_image, reflect_second = search._second_image, CurvePoint.reflect_second
+        secant_element, reflect_second = search._secant_element, CurvePoint.reflect_second
 
-        def counting_second_image(n, element, j):
-            calls.append(n)
-            return second_image(n, element, j)
+        def counting_secant_element(n, e, element, j=0):
+            calls.append((n, e))
+            return secant_element(n, e, element, j)
 
         def counting_reflect_second(self):
             points.append(self.curve.N)
             return reflect_second(self)
 
-        monkeypatch.setattr(search, "_second_image", counting_second_image)
+        monkeypatch.setattr(search, "_secant_element", counting_secant_element)
         monkeypatch.setattr(CurvePoint, "reflect_second", counting_reflect_second)
         job = SearchJob(seeds=tuple(seeds), max_multiple=7, parametrizations=parametrizations)
         records = list(run_search(job))
         assert sum("cuboid" in r for r in records) >= 8 * len(seeds)
         assert points == []
         for seed in seeds:
-            assert calls.count(seed.curve.N) == reflections
+            assert calls.count((seed.curve.N, seed.curve.N)) == reflections
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_multiple_seed_emits_the_cuboids_of_the_multiplied_pair(self, seeds, j):
