@@ -262,6 +262,8 @@ def _cmd_search(args) -> tuple[dict | None, int]:
         record = json.loads(job_path.read_text())
     except json.JSONDecodeError as exc:
         raise _Usage(f"job file is not valid JSON: {exc}") from exc
+    if args.seeds is not None and isinstance(record, dict) and "seeds" in record:
+        raise _Usage(f'give the seeds by the job\'s "seeds" or by --seeds {args.seeds}, not both')
     job = _read_record(lambda r: job_from_json(r, seed_path=args.seeds), record, "job record")
 
     skip_through = None

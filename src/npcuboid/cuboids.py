@@ -29,11 +29,11 @@ is made, and the sweep's pairs pass them by construction, so the integer
 core has no degeneracy branch of its own. The sweep passes the elements of
 its chain, whose class roots r it took once per point; a standalone pair's
 elements take r = isqrt(a1 a2) from the two elements themselves
-(_pair_elements). The first_reflected and second_reflected cuboids are the
-first and second cuboids of the pair's image under the second reflected
-transformation, taken on the elements by curve._secant_element. The
-residual evaluator and the birational map between the two hyperbola-based
-families state the paper's perfect-cuboid equations in Fractions.
+(_pair_elements). One table gives each parametrization its family and its
+2-torsion translate T: the reflected ones build (P + T, Q + T), T = (N, 0),
+on elements by curve._secant_element. The residual evaluator and the
+birational map between the two hyperbola-based families state the paper's
+perfect-cuboid equations in Fractions.
 
 The public build returns a Cuboid of Fractions; the sweep takes the six
 coprime integers of the same integer core and writes its record through the
@@ -55,18 +55,19 @@ from .rationals import _integer_field, _rational_field, format_rational, is_squa
 # perfbench/tracing.py wraps them.
 from .rationals import primitive_integer_scaling, sqrt_exact  # noqa: F401
 
-PARAMETRIZATIONS = ("invariant", "first", "first_reflected", "second", "second_reflected")
 FAMILIES = ("first", "second", "third")
 
-# Parameter family of each parametrization: its variable extraction and its
-# conic.
-FAMILY_OF_PARAMETRIZATION = {
-    "invariant": "third",
-    "first": "first",
-    "first_reflected": "first",
-    "second": "second",
-    "second_reflected": "second",
+# Each parametrization's family (its variable extraction and its conic) and
+# its 2-torsion translate T = (tN, 0) of both points, as t, or None for none.
+_FAMILY_AND_TRANSLATE = {
+    "invariant": ("third", None),
+    "first": ("first", None),
+    "first_reflected": ("first", 1),
+    "second": ("second", None),
+    "second_reflected": ("second", 1),
 }
+PARAMETRIZATIONS = tuple(_FAMILY_AND_TRANSLATE)
+FAMILY_OF_PARAMETRIZATION = {name: family for name, (family, _) in _FAMILY_AND_TRANSLATE.items()}
 
 
 # Each family's conic point at t = p/q, on the unit circle for the first
@@ -256,22 +257,21 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     a common denominator of the conic points and g that the pair's elements
     give in closed form, with their content, known in closed form too,
     divided out of the factors first, as coprime positive integers; d_ab_sq
-    is a^2 + b^2 of those. The reflected parametrizations are the first and
-    second cuboids of the pair's image under the second reflected
-    transformation, taken on the points' elements; the source still records
-    the caller's abscissae.
+    is a^2 + b^2 of those. A parametrization with a 2-torsion translate T
+    builds its family's cuboid of (P + T, Q + T) on the points' elements; the
+    source still records the caller's abscissae.
     """
-    if parametrization not in FAMILY_OF_PARAMETRIZATION:
+    if parametrization not in _FAMILY_AND_TRANSLATE:
         raise ValueError(f"unknown parametrization {parametrization!r}")
+    family, t = _FAMILY_AND_TRANSLATE[parametrization]
     n = pair.curve.N
     source = CuboidSource(N=n, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization)
     first, second = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
-    if parametrization.endswith("_reflected"):
-        # The image of a solution pair is one: -(P + (N, 0)) is on the curve
-        # and nontrivial, x -> N(x + N)/(x - N) is one-to-one, and the square
-        # class of each abscissa is multiplied by N, so XZ stays a square.
-        first, second = _secant_element(n, n, first), _secant_element(n, n, second)
-    family = FAMILY_OF_PARAMETRIZATION[parametrization]
+    if t is not None:
+        # The translate of a solution pair is one: -(P + T) is a nontrivial
+        # curve point, x -> x(P + T) is one-to-one, and both square classes
+        # are multiplied by class(T) (-1, N or -N), so XZ stays a nonzero square.
+        first, second = _secant_element(n, t * n, first), _secant_element(n, t * n, second)
     a, b, c, d_bc, d_ac, d_s = _npc_entries(n, *_pair_elements(first, second), family)
     return Cuboid(*map(Fraction, (a, b, c, d_bc, d_ac, d_s, a * a + b * b)), source=source)
 
@@ -296,8 +296,8 @@ def _primitive_conic_point(family: str, p: int, q: int) -> tuple[int, ...]:
 def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int, ...]:
     """The family's cuboid of the pair with elements first and second as six
     coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
-    two points must form a solution pair (see _family_terms): a reflected
-    parametrization passes the elements of the reflected pair."""
+    two points must form a solution pair (see _family_terms): a translated
+    parametrization passes the elements of the translated pair."""
     alpha, beta, (gn, _) = _family_terms(n, first, second, family)
     ax, ay, a_den, a_content = _primitive_conic_point(family, *alpha)
     bx, by, b_den, b_content = _primitive_conic_point(family, *beta)

@@ -26,14 +26,13 @@ chain's elements take c from its first point of their parity and one isqrt
 each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
 of their own.
 
-The sweep's chain P, 2P, ..., and its second-reflected image never become
-points, nor do the second-reflected images of the cuboid build, nor the
-inversion's reflected pairs until they are checked: from
-an (a, d, b), the tangent and chord laws and the secant map run on integer
-Jacobian triples (X, Y, Z), x = X/Z^2 and y = Y/Z^3, and each new triple is
-reduced to (a, d, b) by the root s of its content gcd(X, Z^2) = s^2. One
-Jacobian sum, _sum, serves the public law CurvePoint.add, which reads its
-triple back as (X/Z^2, Y/Z^3), and the chain.
+The sweep's chain P, 2P, ..., and its 2-torsion translates, the translated
+pairs of the cuboid build and the inversion's reflected pairs until they are
+checked never become points: from an (a, d, b), the tangent and chord laws
+and the secant map run on integer Jacobian triples (X, Y, Z), x = X/Z^2 and
+y = Y/Z^3, and each new triple is reduced to (a, d, b) by the root s of its
+content gcd(X, Z^2) = s^2. One Jacobian sum, _sum, serves the public law
+CurvePoint.add, which reads its triple back as (X/Z^2, Y/Z^3), and the chain.
 """
 
 from __future__ import annotations
@@ -384,11 +383,11 @@ def _secant_element(n: int, e: int, element: tuple, j: int = 0) -> tuple[int, in
 
 def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, int]]:
     """The element (a, d, b, r, c) of each element (a, d, b) of a chain P,
-    2P, 3P, ..., or of its image under one reflection: c is the a of the
-    chain's first point of the same parity and r = isqrt(a c), at most one
-    root per element (the first two have r = |a|). Equal parity means one
-    square class of x, so a failed r^2 = a c check raises SquareCheckFailed
-    (an internal bug)."""
+    2P, 3P, ..., or of its translates -(jP + T) by one 2-torsion point T: c
+    is the a of the chain's first point of the same parity and r = isqrt(a
+    c), at most one root per element (the first two have r = |a|). Equal
+    parity means one square class of x, so a failed r^2 = a c check raises
+    SquareCheckFailed (an internal bug)."""
     elements = []
     for j, (a, d, b) in enumerate(points):
         if j < 2:

@@ -2,17 +2,15 @@
 
 The unit of work is one seed. Its multiples P, 2P, ..., MP are computed once,
 as a chain of integer elements (a, d, b) with x = a/d^2 and y = b/d^3, by the
-tangent and chord laws on integer triples (see curve), and every (k, m,
-parametrization) record of that seed is built from the chain; the reflected
-parametrizations read their image pairs off the chain's second reflection,
-also computed once, in the same integers. Each element of both chains takes
-one class root r, with r^2 = a c for the x numerator c of the chain's first
-point of its parity; the builds take sqrt(XZ) of a pair from the two class
-roots r, so no pair takes a square root of its own. The pair checks and the
-source abscissae a/d^2 of the records read the elements too. A seed is a
-nontrivial curve point, of infinite order, so two of its distinct multiples
-of equal parity form a solution pair and their builds cannot fail: a record
-is skipped only for mixed parity.
+tangent and chord laws on integer triples (see curve), and so is the chain of
+their translates -(jP + T) by each 2-torsion point T that the job's
+parametrizations name (see cuboids). Every (k, m, parametrization) record of
+the seed is built from its parametrization's chain, whose elements each took
+one class root r (see curve._chain_elements), so no pair takes a square root
+of its own. The pair checks and the source abscissae a/d^2 of the records
+read the multiples' elements. A seed is a nontrivial curve point, of infinite
+order, so two of its distinct multiples of equal parity form a solution pair
+and their builds cannot fail: a record is skipped only for mixed parity.
 Seed units are pure functions of the job, so they can run on any number of
 worker processes, but never on more processes than there are seeds: a
 one-seed job runs in one process whatever the worker count. Records come
@@ -35,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _json_text
 from pathlib import Path
 from typing import IO, Iterator
 
-from .cuboids import FAMILY_OF_PARAMETRIZATION, PARAMETRIZATIONS, _cuboid_payload, _npc_entries
+from .cuboids import PARAMETRIZATIONS, _FAMILY_AND_TRANSLATE, _cuboid_payload, _npc_entries
 from .curve import (
     CurvePoint,
     _chain_elements,
@@ -101,10 +99,20 @@ class SearchJob:
             seen.add(seed.curve.N)
 
 
+_JOB_KEYS = ("seeds", "max_multiple", "parity", "parametrizations", "height_limit")
+
+
 def job_from_json(record: dict, seed_path: str | None = None) -> SearchJob:
     """Build a job from its JSON form; seeds default to the packaged file.
 
-    A field of the wrong JSON type raises TypeError."""
+    A record that is no JSON object, a key that is none of _JOB_KEYS (as an
+    unexpected keyword argument would) or a field of the wrong JSON type
+    raises TypeError."""
+    if type(record) is not dict:
+        raise TypeError(f"a job must be a JSON object, got {record!r}")
+    unknown = [key for key in record if key not in _JOB_KEYS]
+    if unknown:
+        raise TypeError(f"unknown job keys {unknown}; a job has {', '.join(_JOB_KEYS)}")
     if "seeds" in record:
         seeds = record["seeds"]
         if not isinstance(seeds, list):
@@ -140,16 +148,21 @@ def task_key(record: dict) -> tuple[int, int, int, int]:
     return record["N"], record["k"], record["m"], _PARAM_INDEX[record["parametrization"]]
 
 
+def _translate_chain(n: int, multiples: list, t: int | None) -> list[tuple]:
+    """The chain elements of jP (see curve._chain_elements), or of -(jP + (tN, 0))."""
+    if t is not None:
+        multiples = [_secant_element(n, t * n, point, j) for j, point in enumerate(multiples, 1)]
+    return _chain_elements(multiples)
+
+
 def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) -> list[dict]:
     """Every record of one seed after skip_through, in task_key order."""
     n = seed.curve.N
     multiples = _multiples(seed, job.max_multiple)
-    elements = _chain_elements(multiples)
-    images = None
-    if any(param.endswith("_reflected") for param in job.parametrizations):
-        images = _chain_elements(
-            [_secant_element(n, n, element, j) for j, element in enumerate(multiples, 1)]
-        )
+    chain = cache(partial(_translate_chain, n, multiples))  # built once per translate
+    builds = {param: (family, chain(t)) for param, (family, t) in _FAMILY_AND_TRANSLATE.items()
+              if param in job.parametrizations}
+
     @cache
     def abscissa(j: int) -> str:
         """jP's abscissa a/d^2 as source text, in lowest terms, formatted
@@ -178,10 +191,8 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
             continue
         for record in pending:
             param = record["parametrization"]
-            built = images if param.endswith("_reflected") else elements
-            entries = _npc_entries(
-                n, built[k - 1], built[m - 1], FAMILY_OF_PARAMETRIZATION[param]
-            )
+            family, built = builds[param]
+            entries = _npc_entries(n, built[k - 1], built[m - 1], family)
             digits = decimal_digits(entries[5])  # d_s, the largest entry
             record["digits"] = digits
             if digits > job.height_limit:

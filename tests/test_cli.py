@@ -523,13 +523,17 @@ class TestSearchCommand:
                  "parity": ["odd"]},
                 "parity must be a string, got ['odd']",
             ),
+            # A key no job has is refused, not dropped: a misspelled
+            # height_limit would otherwise sweep at the default limit.
+            ({"max_multiple": 3, "extra": 1}, "unknown job keys ['extra']"),
+            ({"max_multiple": 3, "height_limt": 1000}, "unknown job keys ['height_limt']"),
         ],
         ids=[
             "no-max-multiple", "seed-without-y", "not-an-object", "seed-not-an-object",
             "float-N", "string-N", "float-max-multiple", "boolean-max-multiple",
             "float-height-limit", "parametrizations-not-a-list",
             "parametrization-not-a-string", "seeds-empty-object",
-            "seeds-an-object", "parity-a-list",
+            "seeds-an-object", "parity-a-list", "unknown-key", "misspelled-height-limit",
         ],
     )
     def test_malformed_job_record_is_usage_error(self, capsys, tmp_path, record, message):
@@ -537,6 +541,23 @@ class TestSearchCommand:
         path.write_text(json.dumps(record))
         code, out, err = run(capsys, "search", str(path))
         assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("seed_file", ["missing", "present"])
+    def test_inline_seeds_and_seed_file_is_usage_error(self, capsys, tmp_path, seed_file):
+        # The job names its seeds and so does --seeds: neither is silently
+        # ignored, whether the file exists or not.
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({
+            "seeds": [{"N": 5, "x": "-4", "y": "6"}],
+            "max_multiple": 3,
+            "parametrizations": ["first"],
+        }))
+        seeds = tmp_path / "seeds.jsonl"
+        if seed_file == "present":
+            seeds.write_text(json.dumps({"N": 6, "x": "-3", "y": "9"}) + "\n")
+        code, out, err = run(capsys, "search", str(job), "--seeds", str(seeds))
+        assert code == 2 and out == ""
+        assert f'the job\'s "seeds" or by --seeds {seeds}, not both' in err
 
     def run_seed(self, capsys, tmp_path, where, seed):
         """A search whose one seed record is inline in the job or a line of

@@ -290,6 +290,29 @@ class TestSeedChain:
                     assert record[field] == expected[field], record
 
 
+class TestTranslateChains:
+    """The chain the sweep builds for a 2-torsion translate T = (tN, 0): the
+    elements of -(jP + T), each with its class root. T = (N, 0) is the one the
+    reflected parametrizations name today; (0, 0) and (-N, 0) multiply the
+    square class of x by -1 and -N as (N, 0) multiplies it by N."""
+
+    @pytest.mark.parametrize("t", [0, 1, -1], ids=["T=(0,0)", "T=(N,0)", "T=(-N,0)"])
+    def test_chain_of_translates_against_the_group_law(self, seeds, t):
+        for seed in list(seeds) + list(triangle_seeds(8)):
+            n = seed.curve.N
+            # _chain_elements raises SquareCheckFailed on an element outside
+            # the square class of the first translate of its parity.
+            chain = search._translate_chain(n, curve_module._multiples(seed, 12), t)
+            assert len(chain) == 12
+            for a, d, b, r, c in chain:
+                assert r * r == a * c and r >= 0
+            translate = seed.curve.point(t * n, 0)
+            for j in (1, 2, 5):
+                expected = seed.mul(j).add(translate).neg()
+                assert chain[j - 1][:3] == curve_module._integer_coordinates(expected), (seed, j)
+                assert chain[j - 1][4] == chain[(j - 1) % 2][0]
+
+
 class TestRecordsMatchThePublicBuild:
     """The sweep builds each record from the integer core of build_npc and
     the payload builder of cuboid_to_json: every record must equal what the
