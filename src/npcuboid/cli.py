@@ -186,7 +186,7 @@ def _cuboid_from_args(args) -> Cuboid:
         if given:
             flags = " ".join(f"--{flag}" for flag in given)
             raise _Usage(f"give the cuboid by --in {args.infile} or by {flags}, not both")
-        record = json.loads(Path(args.infile).read_text())
+        record = json.loads(Path(args.infile).read_text(encoding="utf-8"))
     else:
         missing = [
             f"--{flag}" for flag in ("a", "b", "c", "dac", "dbc", "ds") if flag not in given
@@ -259,7 +259,7 @@ def _cmd_search(args) -> tuple[dict | None, int]:
     if not job_path.is_file():
         raise _Usage(f"job file not found: {args.job}")
     try:
-        record = json.loads(job_path.read_text())
+        record = json.loads(job_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise _Usage(f"job file is not valid JSON: {exc}") from exc
     if args.seeds is not None and isinstance(record, dict) and "seeds" in record:

@@ -13,16 +13,16 @@ of one conic, at the circle or hyperbola parameters alpha and beta of the
 pair, together with the family's gamma condition: the first family uses the
 unit circle, the second and third (invariant) families the hyperbola
 x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
-the parameters and the gamma condition are read off the integer elements
-(a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c for a c
-the two share; see curve) as unreduced integer fractions, each conic point
-is a primitive integer triple (x, y, denominator) of the terms p^2 + q^2,
-|q^2 - p^2| and 2|p|q of its parameter p/q in lowest terms (halved when p and
-q are both odd), and the six entries are those integers over a common
-denominator of the two points and the gamma condition that the elements give
-in closed form. Their content is known in closed form too, from gcds of the
-parameters and of small factors, so it is divided out of the factors before
-they are multiplied and no gcd of the build takes a finished entry. So
+the parameters and the gamma condition's numerator are read off the integer
+elements (a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c
+for a c the two share; see curve), each conic point is a primitive integer
+triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2| and 2|p|q of
+its parameter p/q in lowest terms (halved when p and q are both odd), and
+the six entries are those integers over a common denominator of the two
+points and the gamma condition that the elements give in closed form. Their
+content is known in closed form too, from gcds of the parameters and of
+small factors, so it is divided out of the factors before they are
+multiplied and no gcd of the build takes a finished entry. So
 each family's parameters and conic points are stated once, in integers, in
 the routines the build runs. A SolutionPair has passed its checks when it
 is made, and the sweep's pairs pass them by construction, so the integer
@@ -140,10 +140,10 @@ def _pair_elements(first: tuple, second: tuple) -> tuple[tuple, tuple]:
     return (a1, d1, b1, isqrt(a1 * a2), a2), (a2, d2, b2, abs(a2), a2)
 
 
-def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tuple[int, int], ...]:
-    """The family's alpha, beta and gamma condition as unreduced integer
-    fractions, read off the elements (a, d, b, r, c) of the two points, which
-    share c.
+def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple:
+    """The family's alpha and beta as unreduced integer fractions, and the
+    numerator of its gamma condition, read off the elements (a, d, b, r, c)
+    of the two points, which share c.
 
     alpha and beta are two of sqrt(XZ)/N, sqrt(X/Z) and sqrt(Z/X), one
     square root serving both. The gamma condition, YW over (XZ + N^2)(X + Z),
@@ -152,7 +152,10 @@ def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tup
     a1/d1^2, Z = a2/d2^2 and YW = b1 b2/(d1 d2)^3, sqrt(XZ) is R/(d1 d2) for
     R = r1 r2/|c| = sqrt(a1 a2), and sqrt(X/Z) is r1 d2/(r2 d1); the gamma
     condition's (d1 d2)^3 cancels. alpha and beta are positive over positive
-    denominators; the gamma condition keeps its sign.
+    denominators. With D = d1 d2, the gamma condition is b1 b2 D over (a1 a2
+    + N^2 D^2)(a1 d2^2 + a2 d1^2) or (a1 d2^2 - a2 d1^2)(N^2 D^2 - a1 a2), or
+    b1 b2 over D a1 a2 N; only its numerator is returned, as _npc_entries
+    knows the common denominator of the entries in closed form.
 
     On a solution pair (curve._check_pair) no denominator vanishes: XZ is a
     nonzero square, so X and Z share a sign and X + Z != 0; X != Z by the
@@ -169,14 +172,11 @@ def _family_terms(n: int, first: tuple, second: tuple, family: str) -> tuple[tup
     yw = b1 * b2
     if family == "first":
         over_z = r1 * d2, r2 * d1  # sqrt(X/Z)
-        total = a1 * d2 * d2 + a2 * d1 * d1  # (X + Z)(d1 d2)^2
-        return over_n, over_z, (yw * dd, (a1 * a2 + n * n * dd * dd) * total)
+        return over_n, over_z, yw * dd
     over_x = r2 * d1, r1 * d2  # sqrt(Z/X)
     if family == "second":
-        difference = a1 * d2 * d2 - a2 * d1 * d1  # (X - Z)(d1 d2)^2
-        gap = n * n * dd * dd - a1 * a2  # (N^2 - XZ)(d1 d2)^2
-        return over_x, over_n, (yw * dd, difference * gap)
-    return over_n, over_x, (yw, dd * a1 * a2 * n)
+        return over_x, over_n, yw * dd
+    return over_n, over_x, yw
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
     coprime positive integers (a, b, c, d_bc, d_ac, d_s); see build_npc. The
     two points must form a solution pair (see _family_terms): a translated
     parametrization passes the elements of the translated pair."""
-    alpha, beta, (gn, _) = _family_terms(n, first, second, family)
+    alpha, beta, gn = _family_terms(n, first, second, family)
     ax, ay, a_den, a_content = _primitive_conic_point(family, *alpha)
     bx, by, b_den, b_content = _primitive_conic_point(family, *beta)
     # Every entry times a common denominator of the two conic points and g,
@@ -311,7 +311,7 @@ def _npc_entries(n: int, first: tuple, second: tuple, family: str) -> tuple[int,
     #   third:  (2 R D N, 2 |c| R D),            g's denominator D R^2 N.
     # So one = den1 den2 and g = |c| |gn| in the first two families, and
     # one = den1 den2/(2D) = den1 |c| R = den2 R N and g = 2 |c| |gn| in the
-    # third.
+    # third, for the numerator gn of the gamma condition.
     #
     # The content of those entries is known in closed form too, so it is
     # divided out of their factors and no gcd takes an entry. The point at
@@ -413,12 +413,15 @@ def cuboid_to_json(cuboid: Cuboid) -> dict:
 def cuboid_from_json(record: dict) -> Cuboid:
     """Read a cuboid record; d_ab_sq defaults to a^2 + b^2 when absent.
 
-    A field of the wrong JSON type raises TypeError."""
+    A field of the wrong JSON type raises TypeError, a source that is present
+    but no JSON object included."""
     a = _rational_field(record, "a")
     b = _rational_field(record, "b")
     source = None
-    if record.get("source"):
+    if "source" in record:
         src = record["source"]
+        if type(src) is not dict:
+            raise TypeError(f"source must be an object, got {src!r}")
         parametrization = src["parametrization"]
         if type(parametrization) is not str:
             raise TypeError(f"parametrization must be a string, got {parametrization!r}")

@@ -16,6 +16,12 @@ any 2-torsion point (e, 0), _secant_element the element of that image, and
 _check_pair runs a pair's four checks, for the points' own elements or for
 elements given to SolutionPair._from_elements, which builds each point once.
 
+The sweep checks a pair (kP, mP) of a seed's multiples by its multipliers
+alone, _multiplier_defect: the only torsion of a congruent curve is its
+2-torsion (Koblitz, Introduction to Elliptic Curves and Modular Forms, I.9,
+Prop. 17), so the multiples of a nontrivial curve point are never trivial
+and share an abscissa only for k = +-m.
+
 The cuboid build reads each point as an integer element (a, d, b, r, c):
 x = a/d^2 and y = b/d^3, which a curve point satisfies with its own
 numerators (Silverman and Tate, Rational Points on Elliptic Curves, ch. III),
@@ -43,7 +49,7 @@ from fractions import Fraction
 from importlib import resources
 from math import gcd, isqrt
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     CurveMismatch,
@@ -404,50 +410,38 @@ def _chain_elements(points: Sequence[tuple]) -> list[tuple[int, int, int, int, i
     return elements
 
 
-def _same_parity_elements(p: CurvePoint, k: int, m: int, multiple: Callable) -> str | None:
-    """The first defect of the pair (kP, mP) for k and m of equal parity, as
-    the message of its DegeneratePair, or None for an admissible pair: the
-    multipliers are checked first, then the elements multiple(k) and
-    multiple(m), the element (a, d, b) of jP with coprime a and d, or None
-    for the point at infinity. A trivial multiple has none or b = 0, and two
-    multiples share an abscissa when they share (a, d)."""
+def _multiplier_defect(k: int, m: int) -> str | None:
+    """The message of the DegeneratePair of multipliers k and m that give
+    no pair (kP, mP), or None: they must be distinct and nonzero, and of
+    equal parity."""
     if k == m or k == 0 or m == 0:
         return "multipliers must be distinct and nonzero"
     if (k - m) % 2 != 0:
         return f"multipliers {k} and {m} have different parity"
-    if p.is_trivial:
-        return "base point must be nontrivial"
-    first, second = multiple(k), multiple(m)
-    if not (first and second and first[2] and second[2]):
-        return f"a multiple of {p} is trivial"
-    if first[:2] == second[:2]:
-        return f"{k}P and {m}P share an abscissa"
     return None
 
 
 def same_parity_pair(p: CurvePoint, k: int, m: int) -> SolutionPair:
     """Build the pair (kP, mP) for k, m of equal parity, each multiple by
-    mul, checked by the sweep's precondition routine on its element, and
-    then for a base point on its curve.
+    mul, once the multipliers pass the sweep's check and the base point is
+    nontrivial, k != -m and P on its curve; a failure raises DegeneratePair.
 
-    Equal-parity multiples of one curve point always have a square
-    x-product, so such a pair that SolutionPair refuses raises
-    SquareCheckFailed (an internal bug), while violated preconditions raise
-    DegeneratePair.
+    Such multiples are nontrivial with distinct abscissae (see above) and
+    share a square class of x, so a pair that SolutionPair refuses raises
+    SquareCheckFailed (an internal bug).
     """
-    multiples = {}
-
-    def multiple(j: int) -> tuple | None:
-        multiples[j] = point = p.mul(j)
-        return None if point.is_infinity else _integer_coordinates(point)
-
-    defect = _same_parity_elements(p, k, m, multiple)
-    if defect is None and not p.on_curve():
-        defect = f"base point {p} is not on its curve"
+    defect = _multiplier_defect(k, m)
+    if defect is None:
+        if p.is_trivial:
+            defect = "base point must be nontrivial"
+        elif k == -m:
+            defect = f"{k}P and {m}P share an abscissa"
+        elif not p.on_curve():
+            defect = f"base point {p} is not on its curve"
     if defect is not None:
         raise DegeneratePair(defect)
     try:
-        return SolutionPair(multiples[k], multiples[m])
+        return SolutionPair(p.mul(k), p.mul(m))
     except DegeneratePair as exc:
         raise SquareCheckFailed(f"({k}P, {m}P) is refused: {exc}; group law is broken") from exc
 
@@ -488,15 +482,17 @@ def point_from_json(record: dict) -> CurvePoint:
 
 
 def load_seeds(path: str | Path | None = None) -> list[CurvePoint]:
-    """Load seed points (one JSON record per line), validating each.
+    """Load seed points (one JSON record per line), validating each. The
+    file is read as UTF-8, as JSON text is, whatever the locale.
 
     With no path the packaged seed file is used: one known nontrivial point
     on each of the curves N = 5, 6, 7, 34.
     """
     if path is None:
-        text = resources.files(__package__).joinpath("seeds.jsonl").read_text()
+        source = resources.files(__package__).joinpath("seeds.jsonl")
     else:
-        text = Path(path).read_text()
+        source = Path(path)
+    text = source.read_text(encoding="utf-8")
     seeds = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -7,10 +7,11 @@ their translates -(jP + T) by each 2-torsion point T that the job's
 parametrizations name (see cuboids). Every (k, m, parametrization) record of
 the seed is built from its parametrization's chain, whose elements each took
 one class root r (see curve._chain_elements), so no pair takes a square root
-of its own. The pair checks and the source abscissae a/d^2 of the records
-read the multiples' elements. A seed is a nontrivial curve point, of infinite
-order, so two of its distinct multiples of equal parity form a solution pair
-and their builds cannot fail: a record is skipped only for mixed parity.
+of its own. The source abscissae a/d^2 of the records read the multiples'
+elements. A seed is a nontrivial curve point, of infinite order, so two of
+its distinct multiples of equal parity form a solution pair and their builds
+cannot fail: a pair's only check is that of its multipliers, which
+same_parity_pair runs too, and a record is skipped only for mixed parity.
 Seed units are pure functions of the job, so they can run on any number of
 worker processes, but never on more processes than there are seeds: a
 one-seed job runs in one process whatever the worker count. Records come
@@ -37,8 +38,8 @@ from .cuboids import PARAMETRIZATIONS, _FAMILY_AND_TRANSLATE, _cuboid_payload, _
 from .curve import (
     CurvePoint,
     _chain_elements,
+    _multiplier_defect,
     _multiples,
-    _same_parity_elements,
     _secant_element,
     load_seeds,
     point_from_json,
@@ -171,9 +172,6 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         a, d, _ = multiples[j - 1]
         return str(a) if d == 1 else f"{a}/{d * d}"
 
-    def multiple(j: int) -> tuple:
-        return multiples[j - 1]
-
     records = []
     for k, m in _multiple_pairs(job):
         pending = [
@@ -184,7 +182,7 @@ def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) 
         if not pending:
             continue
         records += pending
-        defect = _same_parity_elements(seed, k, m, multiple)
+        defect = _multiplier_defect(k, m)
         if defect is not None:
             for record in pending:
                 record["skipped"] = defect

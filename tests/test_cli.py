@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import npcuboid
 from npcuboid import FactorizationExceeded
 from npcuboid.cli import _rho_budget, _Usage, main
 from npcuboid.factoring import DEFAULT_RHO_BUDGET
@@ -166,9 +170,19 @@ class TestNpcCommands:
                 {**GOLDEN_RECORD, "source": {**GOLDEN_SOURCE, "parametrization": 7}},
                 "parametrization must be a string, got 7",
             ),
+            # Each source was dropped without a word, or, for 1 and "x", exited
+            # 2 with Python's own message ("'int' object is not subscriptable").
+            ({**GOLDEN_RECORD, "source": False}, "source must be an object, got False"),
+            ({**GOLDEN_RECORD, "source": 0}, "source must be an object, got 0"),
+            ({**GOLDEN_RECORD, "source": []}, "source must be an object, got []"),
+            ({**GOLDEN_RECORD, "source": None}, "source must be an object, got None"),
+            ({**GOLDEN_RECORD, "source": {}}, "lacks field 'parametrization'"),
+            ({**GOLDEN_RECORD, "source": 1}, "source must be an object, got 1"),
+            ({**GOLDEN_RECORD, "source": "x"}, "source must be an object, got 'x'"),
         ],
         ids=["missing-field", "not-an-object", "boolean-entry", "float-source-N",
-             "numeric-parametrization"],
+             "numeric-parametrization", "source-false", "source-zero", "source-list",
+             "source-null", "source-empty", "source-one", "source-text"],
     )
     def test_malformed_file_is_usage_error(self, capsys, tmp_path, record, message):
         path = tmp_path / "cuboid.json"
@@ -620,6 +634,55 @@ class TestSearchCommand:
         job = self.write_job(tmp_path)
         code, _, err = run(capsys, "search", str(job), "--resume")
         assert code == 2 and "--resume requires --out" in err
+
+
+def run_in_c_locale(*argv):
+    """The CLI in a subprocess under LC_ALL=C with UTF-8 mode off, so that
+    the locale's encoding is ASCII: its exit code and stderr."""
+    package_root = str(Path(npcuboid.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": package_root}
+    result = subprocess.run(
+        [sys.executable, "-m", "npcuboid.cli", *argv], env=env, capture_output=True, text=True
+    )
+    return result.returncode, result.stderr
+
+
+class TestInputEncoding:
+    """Input files are JSON text, read as UTF-8 whatever the locale (RFC 8259,
+    8.1). Each non-ASCII file below exited 2 under the C locale with "'ascii'
+    codec can't decode byte 0xc3"."""
+
+    NOTE = {"note": "caf\u00e9"}
+
+    def test_cuboid_file(self, tmp_path):
+        path = tmp_path / "cuboid.json"
+        path.write_text(json.dumps({**GOLDEN_RECORD, **self.NOTE}, ensure_ascii=False),
+                        encoding="utf-8")
+        code, err = run_in_c_locale("npc", "verify", "--in", str(path))
+        assert code == 0, err
+
+    def test_job_file(self, tmp_path):
+        path = tmp_path / "job.json"
+        seed = {"N": 5, "x": "-4", "y": "6", **self.NOTE}
+        path.write_text(json.dumps({"seeds": [seed], "max_multiple": 3}, ensure_ascii=False),
+                        encoding="utf-8")
+        code, err = run_in_c_locale("search", str(path))
+        assert code == 0, err
+
+    def test_seed_file(self, tmp_path):
+        seeds = tmp_path / "seeds.jsonl"
+        line = json.dumps({"N": 5, "x": "-4", "y": "6", **self.NOTE}, ensure_ascii=False)
+        seeds.write_text(line + "\n", encoding="utf-8")
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"max_multiple": 3}))
+        code, err = run_in_c_locale("search", str(path), "--seeds", str(seeds))
+        assert code == 0, err
+
+    def test_undecodable_file_is_still_usage_error(self, tmp_path):
+        path = tmp_path / "cuboid.json"
+        path.write_bytes(json.dumps(GOLDEN_RECORD).encode()[:-1] + b"\xff}")
+        code, err = run_in_c_locale("npc", "verify", "--in", str(path))
+        assert code == 2 and "'utf-8' codec can't decode byte 0xff" in err
 
 
 class TestOutputModes:

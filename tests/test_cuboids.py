@@ -187,9 +187,26 @@ def as_fractions(terms):
     return tuple(Fraction(*term) for term in terms)
 
 
+def gamma_denominator(n, first, second, family):
+    """The denominator of the gamma condition whose numerator _family_terms
+    returns, as its docstring states it for the elements first and second."""
+    a1, d1, *_ = first
+    a2, d2, *_ = second
+    dd = d1 * d2
+    if family == "first":
+        return (a1 * a2 + n * n * dd * dd) * (a1 * d2 * d2 + a2 * d1 * d1)
+    if family == "second":
+        return (a1 * d2 * d2 - a2 * d1 * d1) * (n * n * dd * dd - a1 * a2)
+    return dd * a1 * a2 * n
+
+
 def family_terms(pair, family):
-    """_family_terms of a standalone pair: alpha, beta and the gamma condition."""
-    return as_fractions(_family_terms(pair.curve.N, *pair_elements(pair), family))
+    """_family_terms of a standalone pair as Fractions: alpha, beta and the
+    gamma condition, its numerator over gamma_denominator."""
+    n, (first, second) = pair.curve.N, pair_elements(pair)
+    alpha, beta, gn = _family_terms(n, first, second, family)
+    gamma = Fraction(gn, gamma_denominator(n, first, second, family))
+    return Fraction(*alpha), Fraction(*beta), gamma
 
 
 def reference_build_npc(pair, parametrization):
@@ -300,7 +317,7 @@ def content_factors(n, first, second, family):
     unreduced parameters: u = gcd(p, q) and e (2 when p/u and q/u are both
     odd) of alpha (u1, e1) and beta (u2, e2), then h and r in the first two
     families, and gcd(A, B) in the third."""
-    alpha, beta, (gn, _) = _family_terms(n, first, second, family)
+    alpha, beta, gn = _family_terms(n, first, second, family)
     factors, denominators = {}, []
     for side, (p, q) in (("1", alpha), ("2", beta)):
         u = gcd(p, q)
@@ -763,7 +780,7 @@ class TestElementReference:
                         expected = reference_npc_entries(pair, family)
                         assert _npc_entries(n, elements[k - 1], elements[m - 1], family) == expected
                         assert _npc_entries(n, *standalone, family) == expected
-                        assert as_fractions(_family_terms(n, *standalone, family)) == (
+                        assert family_terms(pair, family) == (
                             as_fractions(reference_family_parameters(pair, family))
                         )
 
