@@ -41,7 +41,7 @@ from .inverse import (
     recover_second,
     recovery_to_json,
 )
-from .rationals import format_rational, parse_rational, sqrt_exact
+from .rationals import _parse_integer, format_rational, parse_rational, sqrt_exact
 from .search import drop_torn_tail, job_from_json, last_record_key, run_search, write_records
 
 _FACTOR_BUDGET_ENV = "CUBOID_FACTOR_BUDGET"
@@ -53,7 +53,7 @@ def _rho_budget() -> int:
         return DEFAULT_RHO_BUDGET
     message = f"{_FACTOR_BUDGET_ENV} must be a non-negative integer, got {raw!r}"
     try:
-        budget = int(raw)
+        budget = _parse_integer(raw)
     except ValueError as exc:
         raise _Usage(message) from exc
     if budget < 0:
@@ -300,7 +300,7 @@ def _add_output_flags(parser):
 
 
 def _point_arguments(parser, second_point=False):
-    parser.add_argument("--N", type=int, required=True)
+    parser.add_argument("--N", type=_integer, required=True)
     parser.add_argument("--x", required=True)
     parser.add_argument("--y", required=True)
     if second_point:
@@ -314,19 +314,25 @@ def _cuboid_arguments(parser):
     parser.add_argument("--dabsq", help="exact square of the a-b diagonal (default a^2+b^2)")
 
 
-def _worker_count(text: str) -> int:
-    """A --workers value: an integer of at least 1."""
+def _integer(text: str) -> int:
+    """An integer flag's value, read as a rational's numerator is."""
     try:
-        count = int(text)
+        return _parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _worker_count(text: str) -> int:
+    """A --workers value: an integer of at least 1."""
+    count = _integer(text)
     if count < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
     return count
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     parser = argparse.ArgumentParser(prog="npcuboid", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -336,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name)
         _point_arguments(sub, second_point=(name == "add"))
         if name == "mul":
-            sub.add_argument("-k", type=int, required=True)
+            sub.add_argument("-k", type=_integer, required=True)
         _add_output_flags(sub)
         sub.set_defaults(handler=_cmd_point)
 
@@ -348,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     npc = commands.add_parser("npc", help="construct or verify nearly-perfect cuboids")
     subs = npc.add_subparsers(dest="sub", required=True)
     generate = subs.add_parser("generate")
-    generate.add_argument("--N", type=int, required=True)
+    generate.add_argument("--N", type=_integer, required=True)
     generate.add_argument("--X", required=True)
     generate.add_argument("--Z", required=True)
     generate.add_argument("--param", choices=PARAMETRIZATIONS, default="invariant")
@@ -372,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     invert.set_defaults(handler=_cmd_invert)
 
     kummer = commands.add_parser("kummer", help="Kummer-surface image of a solution pair")
-    kummer.add_argument("--N", type=int, required=True)
+    kummer.add_argument("--N", type=_integer, required=True)
     for name in ("X", "Y", "Z", "W"):
         kummer.add_argument(f"--{name}", required=True)
     _add_output_flags(kummer)
@@ -387,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seeds", help="seed file for jobs without inline seeds")
     search.set_defaults(handler=_cmd_search)
 
-    return parser
+    return parser, commands.choices
 
 
 def main(argv=None) -> int:
@@ -402,9 +408,18 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The top-level parser's namespace, from the parser of argv's command
+    alone when it names one, which would get argv after the top level's scan."""
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
+
+
 def _run(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -18,6 +18,20 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _is_integer_text(text: str) -> bool:
+    """An optional sign, then ASCII digits only."""
+    return _is_digits(text[1:] if text[:1] in ("+", "-") else text)
+
+
+def _parse_integer(text: str) -> int:
+    """Parse integer text as parse_rational reads a numerator: an optional
+    sign and ASCII digits, with surrounding whitespace ignored. Underscores
+    and non-ASCII digits, which int itself accepts, are refused."""
+    if not _is_integer_text(text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer "p") into a reduced rational.
 
@@ -27,8 +41,7 @@ def parse_rational(text: str) -> Fraction:
     denominator. Unreduced input such as "6/4" is accepted and canonicalized.
     """
     numerator, slash, denominator = text.strip().partition("/")
-    unsigned = numerator[1:] if numerator[:1] in ("+", "-") else numerator
-    if _is_digits(unsigned) and (_is_digits(denominator) or not slash):
+    if _is_integer_text(numerator) and (_is_digits(denominator) or not slash):
         try:
             return Fraction(int(numerator), int(denominator or 1))
         except (ValueError, ZeroDivisionError):

@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _json_text
 from pathlib import Path
@@ -156,54 +156,44 @@ def _translate_chain(n: int, multiples: list, t: int | None) -> list[tuple]:
     return _chain_elements(multiples)
 
 
-def _seed_records(job: SearchJob, skip_through: tuple | None, seed: CurvePoint) -> list[dict]:
-    """Every record of one seed after skip_through, in task_key order."""
+def _seed_records(job: SearchJob, skip_through: tuple, seed: CurvePoint) -> list[dict]:
+    """Every record of one seed after skip_through, () for all, in task_key order."""
     n = seed.curve.N
     multiples = _multiples(seed, job.max_multiple)
-    chain = cache(partial(_translate_chain, n, multiples))  # built once per translate
-    builds = {param: (family, chain(t)) for param, (family, t) in _FAMILY_AND_TRANSLATE.items()
-              if param in job.parametrizations}
-
-    @cache
-    def abscissa(j: int) -> str:
-        """jP's abscissa a/d^2 as source text, in lowest terms, formatted
-        only for an emitted record: a truncated record's points can run
-        past the int <-> str digit limit."""
-        a, d, _ = multiples[j - 1]
-        return str(a) if d == 1 else f"{a}/{d * d}"
-
+    translates = dict.fromkeys(_FAMILY_AND_TRANSLATE[param][1] for param in job.parametrizations)
+    chains = {t: _translate_chain(n, multiples, t) for t in translates}
+    builds = [(param, _PARAM_INDEX[param], family, chains[t])
+              for param, (family, t) in _FAMILY_AND_TRANSLATE.items()
+              if param in job.parametrizations]
+    # jP's abscissa a/d^2 as text by j, formatted only for an emitted record:
+    # a truncated record's points can run past the int <-> str digit limit.
+    abscissae = {}
     records = []
     for k, m in _multiple_pairs(job):
-        pending = [
-            {"N": n, "k": k, "m": m, "parametrization": param} for param in job.parametrizations
-        ]
-        if skip_through is not None:
-            pending = [record for record in pending if task_key(record) > skip_through]
-        if not pending:
-            continue
-        records += pending
         defect = _multiplier_defect(k, m)
-        if defect is not None:
-            for record in pending:
-                record["skipped"] = defect
-            continue
-        for record in pending:
-            param = record["parametrization"]
-            family, built = builds[param]
+        for param, index, family, built in builds:
+            if (n, k, m, index) <= skip_through:
+                continue
+            if defect is not None:
+                records.append({"N": n, "k": k, "m": m, "parametrization": param,
+                                "skipped": defect})
+                continue
             entries = _npc_entries(n, built[k - 1], built[m - 1], family)
             digits = decimal_digits(entries[5])  # d_s, the largest entry
-            record["digits"] = digits
             if digits > job.height_limit:
-                record["truncated"] = True
+                records.append({"N": n, "k": k, "m": m, "parametrization": param,
+                                "digits": digits, "truncated": True})
                 continue
+            for j in (k, m):
+                if j not in abscissae:
+                    a, d, _ = multiples[j - 1]
+                    abscissae[j] = str(a) if d == 1 else f"{a}/{d * d}"
             a, b = entries[0], entries[1]
             d_ab_sq = a * a + b * b
             pc = is_square_int(d_ab_sq)
-            source = {
-                "N": n, "X": abscissa(k), "Z": abscissa(m), "parametrization": param
-            }
-            record["pc"] = pc
-            record["cuboid"] = _cuboid_payload(*entries, d_ab_sq, pc, source)
+            source = {"N": n, "X": abscissae[k], "Z": abscissae[m], "parametrization": param}
+            records.append({"N": n, "k": k, "m": m, "parametrization": param, "digits": digits,
+                            "pc": pc, "cuboid": _cuboid_payload(*entries, d_ab_sq, pc, source)})
     return records
 
 
@@ -221,7 +211,7 @@ def run_search(
         seeds = [s for s in seeds if s.curve.N >= skip_through[0]]
     # Units ship the job without its seeds, so what each worker is sent does
     # not grow with the seed count.
-    unit = partial(_seed_records, replace(job, seeds=()), skip_through)
+    unit = partial(_seed_records, replace(job, seeds=()), skip_through or ())
     workers = min(workers, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
         yield from chain.from_iterable(map(unit, seeds))

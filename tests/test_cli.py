@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 
 import npcuboid
 from npcuboid import FactorizationExceeded
-from npcuboid.cli import _rho_budget, _Usage, main
+from npcuboid.cli import _build_parser, _parse, _rho_budget, _Usage, main
 from npcuboid.factoring import DEFAULT_RHO_BUDGET
+
+from test_readme import README, cli_lines, section
 
 
 def run(capsys, *argv):
@@ -623,7 +626,7 @@ class TestSearchCommand:
         assert max(r.get("digits", 0) for r in records) > 4300
         assert sys.get_int_max_str_digits() == limit
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "two", "1_0", "\u0662"])
     def test_workers_not_a_positive_integer_is_usage_error(self, capsys, tmp_path, workers):
         # A count below 1 is refused, not run serially.
         job = self.write_job(tmp_path)
@@ -707,6 +710,92 @@ class TestOutputModes:
         assert main(["orbit"]) == 2
 
 
+class TestIntegerFlags:
+    """An integer flag reads its text as parse_rational reads a numerator:
+    an optional sign and ASCII digits, surrounding whitespace ignored. int
+    alone read "5_0" as 50 and Arabic-Indic digits as their values, where
+    --x=-\u0664 was refused as not a rational."""
+
+    POINT = ("--x=-4", "--y", "6")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("point", "double", "--N", "\u0665", *POINT),
+            ("point", "double", "--N", "5_0", *POINT),
+            ("point", "mul", "-k", "\u0663", "--N", "5", *POINT),
+            ("npc", "generate", "--N", "5_0", "--X", "25/4", "--Z", "1681/144"),
+            ("kummer", "--N", "\u0665", "--X", "25/4", "--Y", "75/8",
+             "--Z", "1681/144", "--W", "62279/1728"),
+        ],
+        ids=["N-arabic-indic", "N-underscore", "k-arabic-indic", "generate-N", "kummer-N"],
+    )
+    def test_other_digits_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "invalid int value" in err
+
+    def test_sign_and_surrounding_whitespace_are_read(self, capsys):
+        payload = run_json(capsys, "point", "mul", "-k=+3", "--N", " 5 ", *self.POINT)
+        assert payload == run_json(capsys, "point", "mul", "-k", "3", "--N", "5", *self.POINT)
+
+
+class TestDispatch:
+    """A command's arguments are parsed by that command's parser alone, into
+    the namespace the whole tree gives; only argv naming no command reaches
+    the top-level parser."""
+
+    ARGVS = [
+        ["point", "add", "--N", "5", "--x=-4", "--y", "6", "--x2", "0", "--y2", "0", "--pretty"],
+        ["point", "mul", "-k=-3", "--N", "5", "--x=-4", "--y", "6", "--approx"],
+        ["point", "add", "-h"],
+        ["point", "double", "--N", "5"],
+        ["secant", "--N", "5", "--x", "1", "--y", "1", "--x2", "2", "--y2", "3"],
+        ["npc", "generate", "--N", "5", "--X", "25/4", "--Z", "1681/144", "--param", "first"],
+        ["npc", "verify", "--in", "cuboid.json"],
+        ["invert", *TestInvertCommand.GOLDEN, "--family", "second", "--dabsq", "7"],
+        ["invert", "--fam", "first", *TestInvertCommand.GOLDEN],
+        ["invert", "-h"],
+        ["kummer", "--N", "5", "--X", "25/4", "--Y", "75/8", "--Z", "1681/144", "--W", "1"],
+        ["search", "job.json", "--workers", "2", "--out", "o.jsonl", "--resume", "--seeds", "s"],
+        ["search", "job.json", "--workers", "0"],
+    ]
+    README_ARGVS = [
+        shlex.split(line, comments=True)[1:]
+        for line in cli_lines(section(README.read_text(encoding="utf-8"), "CLI"))
+    ]
+
+    @staticmethod
+    def parsed(parse, argv):
+        """vars of parse(argv), or the code it exits with."""
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize("argv", README_ARGVS + ARGVS, ids=" ".join)
+    def test_namespace_of_the_whole_tree(self, capsys, argv):
+        parser, commands = _build_parser()
+        assert argv[0] in commands
+        assert self.parsed(_parse, argv) == self.parsed(parser.parse_args, argv)
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["orbit"], 2), (["--help"], 0)])
+    def test_no_command_takes_the_top_level_parser(self, capsys, argv, code):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert "usage: npcuboid [-h] {point," in captured.out + captured.err
+
+    def test_unrecognized_argument_names_its_command(self, capsys):
+        code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN, "--bogus")
+        assert code == 2 and out == ""
+        assert "npcuboid invert: error: unrecognized arguments: --bogus" in err
+
+    def test_no_argv_reads_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["npcuboid", "point", "double", "--N", "5", "--x=-4",
+                                          "--y", "6"])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["x"] == "1681/144"
+
+
 class TestFactorBudgetEnv:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("CUBOID_FACTOR_BUDGET", raising=False)
@@ -725,6 +814,15 @@ class TestFactorBudgetEnv:
 
     def test_negative_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CUBOID_FACTOR_BUDGET", "-5")
+        with pytest.raises(_Usage):
+            _rho_budget()
+        code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN)
+        assert code == 2 and out == "" and "CUBOID_FACTOR_BUDGET" in err
+
+    @pytest.mark.parametrize("raw", ["1_000_000", "\u0661\u0660\u0660"])
+    def test_integer_text_only(self, capsys, monkeypatch, raw):
+        # int alone read these as 1000000 and 100.
+        monkeypatch.setenv("CUBOID_FACTOR_BUDGET", raw)
         with pytest.raises(_Usage):
             _rho_budget()
         code, out, err = run(capsys, "invert", *TestInvertCommand.GOLDEN)

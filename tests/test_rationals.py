@@ -19,6 +19,7 @@ from npcuboid.rationals import (
     _SECOND_MODULUS,
     _SIEVE_PRIMES,
     _SIEVE_TABLES,
+    _parse_integer,
     decimal_digits,
     is_square_int,
 )
@@ -280,6 +281,20 @@ class TestSerialization:
     def test_parse_rejects_junk(self, text):
         with pytest.raises(ValueError, match="^not a rational: "):
             parse_rational(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["42", "-0", "+7", " 75 ", "", "-", "--3", "672.0", "1_000", "1e3", "\u0663", "0x10"],
+    )
+    def test_integer_text_is_a_numerator(self, text):
+        # Integer flags read text as parse_rational reads a numerator alone.
+        try:
+            expected = parse_rational(text)
+        except ValueError:
+            with pytest.raises(ValueError, match="^not an integer: "):
+                _parse_integer(text)
+        else:
+            assert _parse_integer(text) == expected
 
     @given(nonzero_fractions)
     def test_round_trip(self, r):

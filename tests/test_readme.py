@@ -35,15 +35,20 @@ def run_library_block():
     exec(compile(code, f"{README.name} (## Library)", "exec"), {})
 
 
+def cli_lines(cli: str) -> list[str]:
+    """The npcuboid lines of the first sh block of the "## CLI" section."""
+    return [line for line in fenced_block(cli, "sh").splitlines() if line.startswith("npcuboid ")]
+
+
 def run_cli_block() -> int:
-    """Pass each npcuboid line of the first sh block of the README's "## CLI"
-    section to npcuboid.cli.main, in a temporary directory that holds the
-    section's job example as job.json. Each line must exit 0, or with the
-    code its "# exits N" comment names. Returns the number of lines run."""
+    """Pass each line of cli_lines to npcuboid.cli.main, in a temporary
+    directory that holds the section's job example as job.json. Each line
+    must exit 0, or with the code its "# exits N" comment names. Returns the
+    number of lines run."""
     from npcuboid.cli import main
 
     cli = section(README.read_text(encoding="utf-8"), "CLI")
-    lines = [line for line in fenced_block(cli, "sh").splitlines() if line.startswith("npcuboid ")]
+    lines = cli_lines(cli)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as directory:
         os.chdir(directory)

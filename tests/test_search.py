@@ -462,20 +462,31 @@ class TestRecordContents:
                 print(f"note: non-monotone height growth on N={n}, k={k}: {digit_run}")
 
 
+@pytest.fixture(scope="module")
+def resume_job(small_job):
+    """small_job at max_multiple 5 and height_limit 30: 20 records per seed,
+    of all three shapes, two parametrizations to each pair (k, m)."""
+    return dataclasses.replace(small_job, max_multiple=5, height_limit=30)
+
+
 class TestResume:
-    # small_job has 12 records per seed: cut 12 lands on the seed boundary,
-    # the others inside a seed.
-    @pytest.mark.parametrize("cut", [1, 5, 12, 13, 19, 23])
-    def test_resume_completes_an_interrupted_run(self, small_job, tmp_path, cut):
-        full = render(small_job)
+    # Every cut: 20 lands on the seed boundary, 40 after the last record,
+    # and each odd cut between the two parametrizations of one pair.
+    @pytest.mark.parametrize("cut", range(1, 41))
+    def test_resume_completes_an_interrupted_run(self, resume_job, tmp_path, cut):
+        full = render(resume_job)
         lines = full.splitlines(keepends=True)
+        assert len(lines) == 40
+        shapes = {next(key for key in ("skipped", "truncated", "cuboid") if key in record)
+                  for record in map(json.loads, lines)}
+        assert shapes == {"skipped", "truncated", "cuboid"}
         partial_path = tmp_path / "out.jsonl"
         partial_path.write_text("".join(lines[:cut]))
 
         key = last_record_key(partial_path)
         assert key == task_key(json.loads(lines[cut - 1]))
         with open(partial_path, "a") as stream:
-            write_records(run_search(small_job, skip_through=key), stream)
+            write_records(run_search(resume_job, skip_through=key), stream)
         assert partial_path.read_text() == full
 
     def test_torn_final_line_is_ignored(self, small_job, tmp_path):
