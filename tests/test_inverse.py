@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from npcuboid import (
     NotAnNPC,
     build_npc,
     classify_labeling,
+    format_rational,
     is_square,
     recover_first,
     recover_invariant,
@@ -22,6 +24,8 @@ from npcuboid import (
     same_parity_pair,
     verify_npc,
 )
+
+from npcuboid.cli import main
 
 from helpers import generated_pairs, point_above, reference_recover, triangle_seeds
 
@@ -457,3 +461,48 @@ class TestLowerHeightRatio:
             assert recovery_to_json(result) == recovery_to_json(expected)
             fell_back += 1
         assert fell_back
+
+
+
+GOLDEN_FLAGS = ["--a", "672", "--b", "153", "--c", "104", "--dac", "680", "--dbc", "185",
+                "--ds", "697"]
+
+
+def invert_argvs(seeds):
+    """The invert call of each cuboid of TestAgainstFractionReference, by its
+    own family, then README's golden cuboid with its sides shuffled under
+    --classify and as it is under --pretty --approx."""
+    flags = ("a", "b", "c", "dbc", "dac", "ds", "dabsq")
+    argvs = []
+    for parametrization in sorted(RECOVER):
+        for seed in list(seeds) + list(triangle_seeds(8)):
+            for k in range(1, 9):
+                cuboid = build_npc(same_parity_pair(seed, k, k + 2), parametrization)
+                entries = cuboid.rational_entries() + (cuboid.d_ab_sq,)
+                argvs.append(
+                    ["invert", "--family", parametrization.removesuffix("_reflected")]
+                    + [f"--{flag}={format_rational(v)}" for flag, v in zip(flags, entries)]
+                )
+    argvs.append(["invert", "--classify", "--a", "104", "--b", "672", "--c", "153",
+                  "--dac", "680", "--dbc", "185", "--ds", "697"])
+    argvs.append(["invert", "--pretty", "--approx"] + GOLDEN_FLAGS)
+    return argvs
+
+
+class TestInversionPins:
+    """SHA-256 of the CLI's stdout and exit code for every call of
+    invert_argvs, pinned while the inversion still built each point's
+    Fractions: any change to an inverted N, a pair or its text shows here."""
+
+    def test_invert_output_digest(self, seeds, capsys):
+        argvs = invert_argvs(seeds)
+        assert len(argvs) == 5 * 96 + 2
+        digest, codes = hashlib.sha256(), set()
+        for argv in argvs:
+            code = main(argv)
+            codes.add(code)
+            digest.update(f"{' '.join(argv)}\n{code}\n{capsys.readouterr().out}".encode())
+        assert codes == {0}
+        assert digest.hexdigest() == (
+            "34416d68e6e4d2407271b0612c0cb0f106b24ed36675765a934b8fa04e96a702"
+        )
