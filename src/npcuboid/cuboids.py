@@ -12,28 +12,21 @@ integers. Each parameter family builds its cuboid from two rational points
 of one conic, at the circle or hyperbola parameters alpha and beta of the
 pair, together with the family's gamma condition: the first family uses the
 unit circle, the second and third (invariant) families the hyperbola
-x^2 - y^2 = 1 in two parametrizations. The construction runs in integers:
-the parameters and the gamma condition's numerator are read off the integer
-elements (a, d, b, r, c) of the two points (x = a/d^2, y = b/d^3, r^2 = a c
-for a c the two share; see curve), each conic point is a primitive integer
-triple (x, y, denominator) of the terms p^2 + q^2, |q^2 - p^2| and 2|p|q of
-its parameter p/q in lowest terms (halved when p and q are both odd), and
-the six entries are those integers over a common denominator of the two
-points and the gamma condition that the elements give in closed form. Their
-content is known in closed form too, from gcds of the parameters and of
-small factors, so it is divided out of the factors before they are
-multiplied and no gcd of the build takes a finished entry. So
-each family's parameters and conic points are stated once, in integers, in
-the routines the build runs. A SolutionPair has passed its checks when it
+x^2 - y^2 = 1 in two parametrizations. The construction runs in integers,
+each family's parameters and conic points stated once: the parameters and
+the gamma condition's numerator are read off the elements (a, d, b, r, c)
+of the two points (see curve and _family_terms), each conic point is a
+primitive integer triple, and the six entries are those integers over a
+common denominator that the elements give in closed form, with their
+content, known in closed form too, divided out before the factors are
+multiplied (see _npc_entries). A SolutionPair has passed its checks when it
 is made, and the sweep's pairs pass them by construction, so the integer
-core has no degeneracy branch of its own. The sweep passes the elements of
-its chain, whose class roots r it took once per point; a standalone pair's
-elements take r = isqrt(a1 a2) from the two elements themselves
-(_pair_elements). One table gives each parametrization its family and its
-2-torsion translate T: the reflected ones build (P + T, Q + T), T = (N, 0),
-on elements by curve._secant_element. The residual evaluator and the
-birational map between the two hyperbola-based families state the paper's
-perfect-cuboid equations in Fractions.
+core has no degeneracy branch of its own. One table gives each
+parametrization its family and its 2-torsion translate T: the reflected
+ones build (P + T, Q + T), T = (N, 0), on elements by curve._secant_element.
+The residual evaluator and the birational map between the two
+hyperbola-based families state the paper's perfect-cuboid equations in
+Fractions.
 
 The public build returns a Cuboid of Fractions; the sweep takes the six
 coprime integers of the same integer core and writes its record through the
@@ -46,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .curve import SolutionPair, _integer_coordinates, _secant_element
+from .curve import SolutionPair, _secant_element
 from .errors import SquareCheckFailed, TrivialParameter
 from .rationals import _integer_field, _rational_field, format_rational, is_square
 
@@ -216,15 +209,20 @@ class Cuboid:
         return (self.a, self.b, self.c, self.d_bc, self.d_ac, self.d_s)
 
 
+def _integer_entries(cuboid: Cuboid) -> tuple[int, ...]:
+    """The six entries scaled to integers by their common denominator L, and L."""
+    entries = cuboid.rational_entries()
+    common = lcm(*(v.denominator for v in entries))
+    return *(v.numerator * (common // v.denominator) for v in entries), common
+
+
 def verify_npc(cuboid: Cuboid) -> list[str]:
     """Names of the violated defining relations; empty means a valid NPC.
 
     The relations are tested in integers: the six entries are scaled to
     their common denominator L, and d_ab_sq = p/q is compared with a^2 + b^2
     as p L^2 = q (aL)^2 + q (bL)^2."""
-    entries = cuboid.rational_entries()
-    common = lcm(*(v.denominator for v in entries))
-    a, b, c, d_bc, d_ac, d_s = (v.numerator * (common // v.denominator) for v in entries)
+    a, b, c, d_bc, d_ac, d_s, common = _integer_entries(cuboid)
     aa, bb, cc = a * a, b * b, c * c
     ab = aa + bb
     d_ab_sq = cuboid.d_ab_sq
@@ -266,7 +264,7 @@ def build_npc(pair: SolutionPair, parametrization: str) -> Cuboid:
     family, t = _FAMILY_AND_TRANSLATE[parametrization]
     n = pair.curve.N
     source = CuboidSource(N=n, X=pair.P.x, Z=pair.Q.x, parametrization=parametrization)
-    first, second = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
+    first, second = pair.P.element, pair.Q.element
     if t is not None:
         # The translate of a solution pair is one: -(P + T) is a nontrivial
         # curve point, x -> x(P + T) is one-to-one, and both square classes

@@ -6,15 +6,16 @@ solution pairs whose x-product is a rational square, and the Kummer-surface
 change of variables. All values are exact rationals; every type is frozen
 and safe to share between threads or worker processes.
 
-Points hold reduced Fractions, but the group law, the secant map, the
-curve equation and the checks of a solution pair compute on integers, each
-stated once: each new coordinate is one integer quotient, reduced once, in
-place of a chain of Fraction operations that would reduce every
-intermediate value. On integer elements (below), _sum gives the Jacobian
-triple of a chord-and-tangent sum, _secant that of the secant image through
-any 2-torsion point (e, 0), _secant_element the element of that image, and
-_check_pair runs a pair's four checks, for the points' own elements or for
-elements given to SolutionPair._from_elements, which builds each point once.
+A point carries its integer element (a, d, b): x = a/d^2 and y = b/d^3, which
+a curve point satisfies with its own coprime numerators (Silverman and Tate,
+Rational Points on Elliptic Curves, ch. III); x and y are Fractions built only
+when read. The group law, the secant map and the checks of a solution pair
+compute on elements, each stated once: _sum and _secant give the integer
+Jacobian triple (X, Y, Z), x = X/Z^2 and y = Y/Z^3, of a chord-and-tangent
+sum and of the secant image through a 2-torsion point (e, 0), and a curve
+point's triple reduces to its element by the root s of its content gcd(X,
+Z^2) = s^2. The sweep's chains, the cuboid build's translated pairs and the
+inversion's reflected pairs stay bare elements until they are checked.
 
 The sweep checks a pair (kP, mP) of a seed's multiples by its multipliers
 alone, _multiplier_defect: the only torsion of a congruent curve is its
@@ -22,23 +23,12 @@ alone, _multiplier_defect: the only torsion of a congruent curve is its
 Prop. 17), so the multiples of a nontrivial curve point are never trivial
 and share an abscissa only for k = +-m.
 
-The cuboid build reads each point as an integer element (a, d, b, r, c):
-x = a/d^2 and y = b/d^3, which a curve point satisfies with its own
-numerators (Silverman and Tate, Rational Points on Elliptic Curves, ch. III),
-and r^2 = a c for the x numerator c of a point in the same square class of x.
-Equal-parity multiples of one point share that class, the image of the
-2-descent map (Silverman, The Arithmetic of Elliptic Curves, X.1), so a
-chain's elements take c from its first point of their parity and one isqrt
-each, and any two of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root
-of their own.
-
-The sweep's chain P, 2P, ..., and its 2-torsion translates, the translated
-pairs of the cuboid build and the inversion's reflected pairs until they are
-checked never become points: from an (a, d, b), the tangent and chord laws
-and the secant map run on integer Jacobian triples (X, Y, Z), x = X/Z^2 and
-y = Y/Z^3, and each new triple is reduced to (a, d, b) by the root s of its
-content gcd(X, Z^2) = s^2. One Jacobian sum, _sum, serves the public law
-CurvePoint.add, which reads its triple back as (X/Z^2, Y/Z^3), and the chain.
+The cuboid build extends each element to (a, d, b, r, c), with r^2 = a c for
+the x numerator c of a point in the same square class of x. Equal-parity
+multiples of one point share that class, the image of the 2-descent map
+(Silverman, The Arithmetic of Elliptic Curves, X.1), so a chain's elements
+take c from its first point of their parity and one isqrt each, and any two
+of them give sqrt(XZ) = r1 r2/(|c| d1 d2) without a root of their own.
 """
 
 from __future__ import annotations
@@ -92,34 +82,62 @@ class CongruentCurve:
         return CurvePoint(self, None, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CurvePoint:
     """Affine point (x, y) on a congruent curve, or the point at infinity.
 
+    A point is its curve and its element (a, d, b), d > 0, x = a/d^2 and y =
+    b/d^3, or None at infinity: the one read off the reduced x and y, which
+    for a curve point is its coprime element, and which an element given
+    must be. So equality and hash, on the fields, compare the values x and
+    y; x and y are Fractions built only when read, and repr shows them.
     Construction does not validate the curve equation; use on_curve() where
     a contract requires it. The trivial points are the three with y = 0.
     """
 
     curve: CongruentCurve
-    x: Fraction | None
-    y: Fraction | None
+    element: tuple[int, int, int] | None
+
+    def __init__(self, curve: CongruentCurve, x: Fraction | None = None,
+                 y: Fraction | None = None, *, element: tuple | None = None):
+        if x is not None:
+            # A curve point has x = a/d^2 and y = b/d^3 in lowest terms, so
+            # d = yd/xd; any other point is scaled by d = xd yd.
+            xd, yd = x.denominator, y.denominator
+            d = yd // xd
+            if d * d != xd or d * xd != yd:
+                d = xd * yd
+            element = x.numerator * (d * d // xd), d, y.numerator * (d * d * d // yd)
+        vars(self).update(curve=curve, element=element)
+
+    @property
+    def x(self) -> Fraction | None:
+        return None if self.element is None else Fraction(self.element[0], self.element[1] ** 2)
+
+    @property
+    def y(self) -> Fraction | None:
+        return None if self.element is None else Fraction(self.element[2], self.element[1] ** 3)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(curve={self.curve!r}, x={self.x!r}, y={self.y!r})"
 
     @property
     def is_infinity(self) -> bool:
-        return self.x is None
+        return self.element is None
 
     @property
     def is_trivial(self) -> bool:
         """Infinity or one of the 2-torsion points (0,0), (N,0), (-N,0)."""
-        return self.is_infinity or self.y == 0
+        return self.element is None or self.element[2] == 0
 
     def on_curve(self) -> bool:
         return self.is_infinity or self.curve.contains(self.x, self.y)
 
     def neg(self) -> CurvePoint:
-        if self.is_infinity:
+        if self.element is None:
             return self
-        return CurvePoint(self.curve, self.x, -self.y)
+        a, d, b = self.element
+        return CurvePoint(self.curve, element=(a, d, -b))
 
     def add(self, other: CurvePoint) -> CurvePoint:
         """Group sum with the standard chord-and-tangent law.
@@ -133,11 +151,11 @@ class CurvePoint:
         """
         if self.curve != other.curve:
             raise CurveMismatch(f"cannot add points on {self.curve} and {other.curve}")
-        if self.is_infinity:
+        if self.element is None:
             return other
-        if other.is_infinity:
+        if other.element is None:
             return self
-        x, y, z = _sum(self.curve.N, _integer_coordinates(self), _integer_coordinates(other))
+        x, y, z = _sum(self.curve.N, self.element, other.element)
         if not z and self.y == -other.y:
             return self.curve.infinity()
         zz = z * z
@@ -169,9 +187,9 @@ class CurvePoint:
         2-torsion point (e, 0), by the element map _secant. Fraction reduces
         the image, so a point off the curve, whose element need not be
         coprime, maps to the same value as well."""
-        if self.is_infinity or self.x == e:
+        if self.element is None or self.element[0] == e * self.element[1] ** 2:
             raise TrivialInput(pole)
-        x, y, z, _ = _secant(self.curve.N, e, _integer_coordinates(self))
+        x, y, z, _ = _secant(self.curve.N, e, self.element)
         zz = z * z
         return CurvePoint(self.curve, Fraction(x, zz), Fraction(y, zz * z))
 
@@ -229,7 +247,7 @@ class SolutionPair:
     need in order to keep all their square roots rational. A pair holds only
     its two points: the build takes sqrt(XZ) from their elements. A pair
     exists only once its checks have passed: the constructor runs them on
-    its points, and _from_elements, the one other way in, on elements.
+    its points' elements.
     """
 
     P: CurvePoint
@@ -239,21 +257,7 @@ class SolutionPair:
         p, q = self.P, self.Q
         if p.curve != q.curve:
             raise CurveMismatch("solution pair must live on one curve")
-        if p.is_infinity or q.is_infinity:
-            raise DegeneratePair(_TRIVIAL_PAIR)
-        _check_pair(p.curve.N, _integer_coordinates(p), _integer_coordinates(q))
-
-    @classmethod
-    def _from_elements(cls, curve: CongruentCurve, first: tuple, second: tuple) -> SolutionPair:
-        """The pair of the points of curve with elements first and second,
-        (a, d, b) with coprime a and d, checked as __post_init__ checks its
-        points; each point is then built once, as (a/d^2, b/d^3), where the
-        constructor would read the elements back from the points."""
-        _check_pair(curve.N, first, second)
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "P", _element_point(curve, first))
-        object.__setattr__(pair, "Q", _element_point(curve, second))
-        return pair
+        _check_pair(p.curve.N, p.element, q.element)
 
     @property
     def curve(self) -> CongruentCurve:
@@ -265,14 +269,15 @@ _TRIVIAL_PAIR = "solution pair requires points with y != 0"
 
 def _check_pair(n: int, first: tuple, second: tuple) -> None:
     """The checks of a solution pair of the curve N, in order, on the
-    elements (a, d, b) of its points, x = a/d^2 and y = b/d^3: both points
-    nontrivial (b != 0), their abscissae distinct, both on the curve (b^2 =
-    a(a^2 - N^2 d^4)) and the x-product a square (a1 a2, an integer, is one).
-    Each failure raises DegeneratePair. The abscissae are compared cross-
-    multiplied, as the element of a point off the curve need not be coprime."""
-    (a1, d1, b1), (a2, d2, b2) = first, second
-    if b1 == 0 or b2 == 0:
+    elements (a, d, b) of its points, x = a/d^2 and y = b/d^3, None at
+    infinity: both points nontrivial (b != 0), their abscissae distinct, both
+    on the curve (b^2 = a(a^2 - N^2 d^4)) and the x-product a square (a1 a2,
+    an integer, is one). Each failure raises DegeneratePair. The abscissae
+    are compared cross-multiplied, as the element of a point off the curve
+    need not be coprime."""
+    if first is None or second is None or first[2] == 0 or second[2] == 0:
         raise DegeneratePair(_TRIVIAL_PAIR)
+    (a1, d1, b1), (a2, d2, b2) = first, second
     dd1, dd2 = d1 * d1, d2 * d2
     if a1 * dd2 == a2 * dd1:
         raise DegeneratePair("solution pair requires distinct abscissae")
@@ -283,23 +288,10 @@ def _check_pair(n: int, first: tuple, second: tuple) -> None:
         raise DegeneratePair(f"x-product {Fraction(a1 * a2, dd1 * dd2)} is not a rational square")
 
 
-def _element_point(curve: CongruentCurve, element: tuple) -> CurvePoint:
-    """The point (a/d^2, b/d^3) of the element (a, d, b)."""
-    a, d, b = element
-    dd = d * d
-    return CurvePoint(curve, Fraction(a, dd), Fraction(b, dd * d))
-
-
-def _integer_coordinates(point: CurvePoint) -> tuple[int, int, int]:
-    """Integers (a, d, b) with x = a/d^2, y = b/d^3 and d > 0. A curve point
-    has x = a/d^2 and y = b/d^3 in lowest terms, so d = yd/xd; any other
-    point is scaled by d = xd yd."""
-    x, y = point.x, point.y
-    xd, yd = x.denominator, y.denominator
-    d = yd // xd
-    if d * d != xd or d * xd != yd:
-        d = xd * yd
-    return x.numerator * (d * d // xd), d, y.numerator * (d * d * d // yd)
+def _abscissa_text(element: tuple) -> str:
+    """x as format_rational writes it, "a" or "a/d^2", of a coprime element."""
+    a, d, _ = element
+    return str(a) if d == 1 else f"{a}/{d * d}"
 
 
 def _reduced(x: int, y: int, z: int, content: int, j: int) -> tuple[int, int, int]:
@@ -352,7 +344,7 @@ def _multiples(seed: CurvePoint, length: int) -> list[tuple[int, int, int]]:
     by _sum, the tangent for 2P and the chord after it, reduced by its
     content."""
     n = seed.curve.N
-    first = _integer_coordinates(seed)
+    first = seed.element
     elements = [first]
     while len(elements) < length:
         x, y, z = _sum(n, elements[-1], first)

@@ -4,9 +4,9 @@ The kernel of a nonzero rational r is the unique squarefree positive integer
 s such that s*|r| is the square of a rational. It is the squarefree part of
 numerator*denominator. A product of rationals is never multiplied out: each
 factor's |numerator| and denominator is a piece of its own, and the pieces'
-squarefree parts combine into the kernel. An inversion passes r and r^2 - 1
-with r = p/q in lowest terms: the pieces p, q, p^2 - q^2 and q^2, of which
-p, q and p^2 - q^2 are pairwise coprime. By the 2-descent map each piece is
+squarefree parts combine into the kernel. An inversion passes the pairwise
+coprime integers p, q and p^2 - q^2 of r = p/q in lowest terms, whose
+product has the kernel of r (r^2 - 1). By the 2-descent map each piece is
 a square times a divisor of 2N, so a piece without N's large primes ends as
 a square after the cheap first trial stage, and only the pieces that carry
 them are trial-divided further.
@@ -53,6 +53,10 @@ def _is_strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
     x = pow(base, d, n)
     if x == 1 or x == n - 1:
         return True
+    # x runs through base^(d 2^i) for i = 1, ..., s - 1. For a prime n,
+    # base^(d 2^s) = base^(n - 1) = 1, so x = 1 at i = 0 or x = -1 at some
+    # i < s. x = -1 at i = s would mean base^(n - 1) = -1, which no prime
+    # gives, so a further squaring could only pass a composite.
     for _ in range(s - 1):
         x = x * x % n
         if x == n - 1:
@@ -124,11 +128,8 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     if n < _MR_DETERMINISTIC_LIMIT:
         return all(_is_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
     return _is_strong_probable_prime(n, 2, d, s) and _is_strong_lucas_probable_prime(n)
@@ -262,7 +263,7 @@ def squarefree_part(n: int, rho_budget: int | _RhoBudget = DEFAULT_RHO_BUDGET) -
     if n <= 0:
         raise ValueError("squarefree part requires a positive integer")
     # Every exponent of a square is even regardless of how its root factors,
-    # so a square piece, such as the q^2 of every inversion, costs no gcd.
+    # so a square piece costs no gcd.
     if is_square_int(n):
         return 1
     n, result = _strip_trial(n, 1, _SMALL_TRIAL_BOUND, 1)
@@ -300,7 +301,8 @@ def squarefree_kernel(
     s*k/gcd(s, k)**2. That rule holds for any squarefree s and k, coprime or
     not, so factors that share primes still give the kernel of the product.
     """
-    factors = [Fraction(f) for f in (r if isinstance(r, tuple) else (r,))]
+    factors = r if isinstance(r, tuple) else (r,)
+    factors = [f if isinstance(f, int) else Fraction(f) for f in factors]
     if not all(factors):
         raise ValueError("zero has no squarefree kernel")
     budget = _RhoBudget(rho_budget)

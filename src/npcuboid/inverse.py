@@ -9,12 +9,13 @@ ratio of lower height, and the abscissae follow by scaling. The other pairs
 are images of pair I under the reflected transformations: II under the
 first, and for the invariant family III and IV under the second.
 
-The points are computed on integer elements (a, d, b), x = a/d^2 and y =
+The ratios are reduced integer pairs (p, q) of the cuboid's entries scaled
+to integers, and the points integer elements (a, d, b), x = a/d^2 and y =
 b/d^3 (see curve): pair I's from the ratios with one integer square root
-each, the others by the one secant map on elements, through (0, 0) for the
-first reflection and (N, 0) for the second. Each pair is checked on its
-elements, pair I before any reflection, and its points are then built
-once; no rational square root or Fraction secant is taken.
+each, the others by the one secant map on elements, through (0, 0) and (N,
+0). Each pair is checked on its elements, pair I before any reflection, and
+each abscissa is written from its element: no Fraction is built between
+the cuboid and its JSON.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import gcd, isqrt
 
-from .curve import CongruentCurve, SolutionPair, _secant_element
-from .cuboids import Cuboid, pc_condition, verify_npc
+from .curve import CongruentCurve, CurvePoint, SolutionPair, _abscissa_text, _secant_element
+from .cuboids import Cuboid, _integer_entries, pc_condition, verify_npc
 from .errors import FactorizationExceeded, InconsistentKernel, NotAnNPC
 from .factoring import DEFAULT_RHO_BUDGET, squarefree_kernel
-from .rationals import format_rational
 
 # The inversion takes no rational square root; sqrt_exact stays importable
 # here, where perfbench/tracing.py wraps it.
@@ -63,29 +63,38 @@ class RecoveredSolutions:
         raise KeyError(which)
 
 
-def _require_npc(cuboid: Cuboid) -> None:
+def _npc_integers(cuboid: Cuboid) -> tuple[int, ...]:
+    """The six entries of a verified NPC as integers of the same ratios."""
     violations = verify_npc(cuboid)
     if violations:
         raise NotAnNPC(f"violated relations: {', '.join(violations)}")
+    return _integer_entries(cuboid)[:6]
 
 
-def _point_from_ratio(n: int, ratio: Fraction) -> tuple[int, int, int]:
-    """The element (a, d, b) of the point above x = N p/q, for ratio = p/q
-    reduced, with b >= 0.
+def _ratio(numerator: int, denominator: int) -> tuple[int, int]:
+    """numerator/denominator, both positive, as a reduced pair (p, q)."""
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
+def _point_from_ratio(n: int, p: int, q: int) -> tuple[int, int, int]:
+    """The element (a, d, b) of the point above x = N p/q, for coprime p and
+    q > 0, with b >= 0.
 
     y^2 = x^3 - N^2 x = N^2 W/q^4 for W = N p (p^2 - q^2) q, so y = N s/q^2
     with s = isqrt(W); a negative or non-square W has no point above x and
     raises InconsistentKernel. For squarefree N, the pieces p, p^2 - q^2 and
     q being pairwise coprime, W is a square only if q = h d^2 for h = gcd(N,
     q), and then gcd(s, q) = h d. So x = (N/h) p/d^2 with d = isqrt(q/h), and
-    y = ((N/h) s/(h d))/d^3.
+    y = ((N/h) s/(h d))/d^3. That element is coprime: gcd(p, d) = 1 as d^2
+    divides q, and a prime of both N/h and d would divide q, so h, and N/h,
+    so N twice.
     """
-    p, q = ratio.numerator, ratio.denominator
     w = n * p * (p * p - q * q) * q
     s = isqrt(max(w, 0))
     if s * s != w:
         raise InconsistentKernel(
-            f"recovered abscissa {format_rational(Fraction(n * p, q))} is not a curve point"
+            f"recovered abscissa {Fraction(n * p, q)} is not a curve point"
             f" of N={n}"
         )
     h = gcd(n, q)
@@ -100,27 +109,24 @@ def _image(n: int, e: int, pair: tuple[tuple, tuple]) -> tuple[tuple, tuple]:
     return tuple((a, d, abs(b)) for a, d, b in images)
 
 
-def _height(ratio: Fraction) -> int:
-    return ratio.numerator.bit_length() + ratio.denominator.bit_length()
+def _height(ratio: tuple[int, int]) -> int:
+    return ratio[0].bit_length() + ratio[1].bit_length()
 
 
-def _first_pair(
-    ratio: Fraction, x_ratio: Fraction, z_ratio: Fraction, rho_budget: int
-) -> tuple[int, tuple[tuple, tuple]]:
+def _first_pair(ratio: tuple, x_ratio: tuple, z_ratio: tuple, rho_budget: int) -> tuple:
     """N as the kernel of ratio (ratio^2 - 1), and pair I's elements on its curve."""
-    # With r = p/q reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3 has pairwise
-    # coprime pieces, and the 2-descent puts N's large primes in one of them;
-    # passing the two factors lets squarefree_kernel strip each piece on its own.
-    n = squarefree_kernel((ratio, ratio * ratio - 1), rho_budget)
-    return n, (_point_from_ratio(n, x_ratio), _point_from_ratio(n, z_ratio))
+    # With r = p/q reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3, of the kernel of
+    # p q (p^2 - q^2), whose pairwise coprime pieces squarefree_kernel strips
+    # one by one; the 2-descent puts N's large primes in one of them. Split
+    # into p - q and p + q, p^2 - q^2 was measured slower: the kernels of one
+    # pass of the invert benchmark took 3.92 ms unsplit and 4.26 ms split.
+    p, q = ratio
+    n = squarefree_kernel((p, q, p * p - q * q), rho_budget)
+    return n, (_point_from_ratio(n, *x_ratio), _point_from_ratio(n, *z_ratio))
 
 
 def _recover(
-    cuboid: Cuboid,
-    x_ratio: Fraction,
-    z_ratio: Fraction,
-    family: str,
-    rho_budget: int,
+    cuboid: Cuboid, x_ratio: tuple, z_ratio: tuple, family: str, rho_budget: int
 ) -> RecoveredSolutions:
     # A verified NPC with positive entries has d_ac > a, c; d_bc > b, c;
     # d_s > d_ac, d_bc, a; and d_ac d_bc > c d_s, as (a^2 + c^2)(b^2 + c^2) =
@@ -151,14 +157,14 @@ def _recover(
     # The pairs are checked and built on elements (a, d, b): pair I before
     # any reflection, II its image through (0, 0), and III and IV the images
     # of I and II through (N, 0).
-    elements = {"I": first}
-    pairs = {"I": SolutionPair._from_elements(curve, *first)}
-    images = [("II", 0, "I")]
+    steps = [("I", None, None), ("II", 0, "I")]
     if family == "invariant":
-        images += [("III", n, "I"), ("IV", n, "II")]
-    for which, e, preimage in images:
-        elements[which] = _image(n, e, elements[preimage])
-        pairs[which] = SolutionPair._from_elements(curve, *elements[which])
+        steps += [("III", n, "I"), ("IV", n, "II")]
+    elements, pairs = {}, {}
+    for which, e, preimage in steps:
+        elements[which] = first if e is None else _image(n, e, elements[preimage])
+        points = (CurvePoint(curve, element=element) for element in elements[which])
+        pairs[which] = SolutionPair(*points)
     return RecoveredSolutions(
         N=n,
         pairs=tuple(RecoveredPair(which, pair) for which, pair in pairs.items()),
@@ -177,15 +183,10 @@ def recover_invariant(
     invariant construction reproduces the input exactly; pairs III and IV
     reproduce it with sides a and b interchanged.
     """
-    _require_npc(cuboid)
-    ac_sum = cuboid.d_ac + cuboid.c
-    bc_sum = cuboid.d_s + cuboid.d_bc
+    a, _, c, d_bc, d_ac, d_s = _npc_integers(cuboid)
+    ac_sum, bc_sum = d_ac + c, d_s + d_bc
     return _recover(
-        cuboid,
-        ac_sum * bc_sum / (cuboid.a * cuboid.a),
-        bc_sum / ac_sum,
-        "invariant",
-        rho_budget,
+        cuboid, _ratio(ac_sum * bc_sum, a * a), _ratio(bc_sum, ac_sum), "invariant", rho_budget
     )
 
 
@@ -198,10 +199,11 @@ def recover_first(
     alpha = (d_s + d_bc)/a and beta = (d_s + b)/d_ac, giving
     X/N = alpha*beta and Z/N = alpha/beta.
     """
-    _require_npc(cuboid)
-    alpha = (cuboid.d_s + cuboid.d_bc) / cuboid.a
-    beta = (cuboid.d_s + cuboid.b) / cuboid.d_ac
-    return _recover(cuboid, alpha * beta, alpha / beta, "first", rho_budget)
+    a, b, _, d_bc, d_ac, d_s = _npc_integers(cuboid)
+    alpha, beta = (d_s + d_bc, a), (d_s + b, d_ac)
+    x_ratio = _ratio(alpha[0] * beta[0], alpha[1] * beta[1])
+    z_ratio = _ratio(alpha[0] * beta[1], alpha[1] * beta[0])
+    return _recover(cuboid, x_ratio, z_ratio, "first", rho_budget)
 
 
 def recover_second(
@@ -212,10 +214,11 @@ def recover_second(
     Its hyperbola parameters are alpha = d_bc/(d_s + a) and
     beta = (d_ac + a)/c, giving X/N = beta/alpha and Z/N = beta*alpha.
     """
-    _require_npc(cuboid)
-    alpha = cuboid.d_bc / (cuboid.d_s + cuboid.a)
-    beta = (cuboid.d_ac + cuboid.a) / cuboid.c
-    return _recover(cuboid, beta / alpha, beta * alpha, "second", rho_budget)
+    a, _, c, d_bc, d_ac, d_s = _npc_integers(cuboid)
+    alpha, beta = (d_bc, d_s + a), (d_ac + a, c)
+    x_ratio = _ratio(beta[0] * alpha[1], beta[1] * alpha[0])
+    z_ratio = _ratio(beta[0] * alpha[0], beta[1] * alpha[1])
+    return _recover(cuboid, x_ratio, z_ratio, "second", rho_budget)
 
 
 def classify_labeling(
@@ -247,10 +250,12 @@ def classify_labeling(
 
 
 def recovery_to_json(result: RecoveredSolutions) -> dict:
+    # Each abscissa is written from its point's coprime element: pair I's
+    # (see _point_from_ratio), and the images' (see curve._secant).
     pairs = [
         {
-            "X": format_rational(entry.pair.P.x),
-            "Z": format_rational(entry.pair.Q.x),
+            "X": _abscissa_text(entry.pair.P.element),
+            "Z": _abscissa_text(entry.pair.Q.element),
             "which": entry.which,
         }
         for entry in result.pairs

@@ -42,8 +42,8 @@ def parse_rational(text: str) -> Fraction:
     """
     numerator, slash, denominator = text.strip().partition("/")
     if _is_integer_text(numerator) and (_is_digits(denominator) or not slash):
-        try:
-            return Fraction(int(numerator), int(denominator or 1))
+        try:  # Fraction(int) is reduced as it is, with no gcd
+            return Fraction(int(numerator), int(denominator)) if slash else Fraction(int(numerator))
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"not a rational: {text!r}")

@@ -37,6 +37,7 @@ from typing import IO, Iterator
 from .cuboids import PARAMETRIZATIONS, _FAMILY_AND_TRANSLATE, _cuboid_payload, _npc_entries
 from .curve import (
     CurvePoint,
+    _abscissa_text,
     _chain_elements,
     _multiplier_defect,
     _multiples,
@@ -186,8 +187,7 @@ def _seed_records(job: SearchJob, skip_through: tuple, seed: CurvePoint) -> list
                 continue
             for j in (k, m):
                 if j not in abscissae:
-                    a, d, _ = multiples[j - 1]
-                    abscissae[j] = str(a) if d == 1 else f"{a}/{d * d}"
+                    abscissae[j] = _abscissa_text(multiples[j - 1])
             a, b = entries[0], entries[1]
             d_ab_sq = a * a + b * b
             pc = is_square_int(d_ab_sq)

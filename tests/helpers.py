@@ -21,7 +21,6 @@ from npcuboid import (
     squarefree_kernel,
 )
 from npcuboid.cuboids import _pair_elements
-from npcuboid.curve import _integer_coordinates
 
 
 def generated_pairs(seeds, max_multiple=6):
@@ -37,7 +36,12 @@ def generated_pairs(seeds, max_multiple=6):
 def pair_elements(pair):
     """_pair_elements of a standalone pair: the elements (a, d, b, r, c) that
     build_npc reads off its points."""
-    return _pair_elements(_integer_coordinates(pair.P), _integer_coordinates(pair.Q))
+    return _pair_elements(pair.P.element, pair.Q.element)
+
+
+def element_pair(curve, first, second):
+    """SolutionPair of the points of curve made from their elements."""
+    return SolutionPair(CurvePoint(curve, element=first), CurvePoint(curve, element=second))
 
 
 def point_above(curve, x):
@@ -95,7 +99,7 @@ def reference_chain(seed, length):
 
 def reference_elements(points):
     """The element (a, d, b) of each point: x = a/d^2 and y = b/d^3."""
-    return [_integer_coordinates(point) for point in points]
+    return [point.element for point in points]
 
 
 # The inversion's point stage and the NPC check as they were before they ran
@@ -169,6 +173,25 @@ def reference_recover(cuboid, x_ratio, z_ratio, family, rho_budget):
         family=family,
         pc_input=pc_condition(cuboid),
     )
+
+
+def reference_ratios(cuboid, family):
+    """The pair-I ratios X/N and Z/N of a cuboid by the family's formulas in
+    Fraction arithmetic, as recover_invariant, recover_first and
+    recover_second formed them before they read the cuboid's integer entries."""
+    a, b, c = cuboid.a, cuboid.b, cuboid.c
+    d_bc, d_ac, d_s = cuboid.d_bc, cuboid.d_ac, cuboid.d_s
+    if family == "invariant":
+        ac_sum = d_ac + c
+        bc_sum = d_s + d_bc
+        return ac_sum * bc_sum / (a * a), bc_sum / ac_sum
+    if family == "first":
+        alpha = (d_s + d_bc) / a
+        beta = (d_s + b) / d_ac
+        return alpha * beta, alpha / beta
+    alpha = d_bc / (d_s + a)
+    beta = (d_ac + a) / c
+    return beta / alpha, beta * alpha
 
 
 def reference_verify_npc(cuboid):

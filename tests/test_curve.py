@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import pickle
 import re
 from fractions import Fraction
 from math import gcd
@@ -34,13 +35,13 @@ import npcuboid.curve as curve_module
 from npcuboid.cuboids import PARAMETRIZATIONS, build_npc
 from npcuboid.curve import (
     _chain_elements,
-    _integer_coordinates,
     _multiples,
     _reduced,
     _secant_element,
 )
 
 from helpers import (
+    element_pair,
     generated_pairs,
     pair_elements,
     point_above,
@@ -56,6 +57,54 @@ from helpers import (
 @pytest.fixture
 def p5(curve5):
     return curve5.point(-4, 6)
+
+
+# (N, x, y, element): a curve point, and a point off the curve whose element
+# is not coprime, as (1/2, 1/2) = (8/4^2, 32/4^3).
+VALUE_CASES = [
+    (5, Fraction(25, 4), Fraction(-75, 8), (25, 2, -75)),
+    (5, Fraction(1, 2), Fraction(1, 2), (8, 4, 32)),
+]
+
+
+class TestElementBackedPoints:
+    """A point holds its element (a, d, b); equality, hash, repr, str, neg
+    and pickling go by the values x and y, as when it held two Fractions."""
+
+    @pytest.mark.parametrize("n, x, y, element", VALUE_CASES)
+    def test_fraction_and_element_points_agree(self, n, x, y, element):
+        curve = CongruentCurve(n)
+        built = curve.point(x, y)
+        assert built.element == element
+        from_element = CurvePoint(curve, element=element)
+        for point in (built, from_element):
+            assert point == built and hash(point) == hash(built)
+            assert (point.x, point.y) == (x, y)
+            assert type(point.x) is type(point.y) is Fraction
+            assert repr(point) == f"CurvePoint(curve=CongruentCurve(N={n}), x={x!r}, y={y!r})"
+            assert str(point) == f"({x}, {y}) on N={n}"
+            assert point.neg() == curve.point(x, -y) and point.neg() != point
+            clone = pickle.loads(pickle.dumps(point))
+            assert clone == point and hash(clone) == hash(point) and repr(clone) == repr(point)
+            assert clone.element == point.element
+        assert built != CongruentCurve(n + 1).point(x, y)
+        assert built != (x, y)
+
+    def test_infinity(self, curve5):
+        infinity = curve5.infinity()
+        assert infinity == CurvePoint(curve5, None, None) == CurvePoint(curve5)
+        assert infinity != curve5.point(0, 0)
+        assert hash(infinity) == hash(CurvePoint(curve5))
+        assert (infinity.element, infinity.x, infinity.y) == (None, None, None)
+        assert repr(infinity) == "CurvePoint(curve=CongruentCurve(N=5), x=None, y=None)"
+        assert str(infinity) == "O(N=5)"
+        assert infinity.neg() is infinity
+        clone = pickle.loads(pickle.dumps(infinity))
+        assert clone == infinity and clone.is_infinity and infinity != CongruentCurve(6).infinity()
+
+    def test_points_are_frozen(self, p5):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p5.element = (1, 1, 1)
 
 
 class TestOnCurve:
@@ -417,7 +466,7 @@ class TestChainElements:
         "x, y", [(Fraction(25, 2), 1), (2, Fraction(1, 3)), (Fraction(3, 4), Fraction(5, 4))]
     )
     def test_off_curve_points_are_scaled_exactly(self, curve5, x, y):
-        a, d, b = _integer_coordinates(curve5.point(x, y))
+        a, d, b = curve5.point(x, y).element
         assert d > 0 and Fraction(a, d * d) == x and Fraction(b, d ** 3) == y
 
     def test_planted_point_fails_the_class_check(self, curve5, p5):
@@ -484,10 +533,10 @@ class TestPairRoot:
 
     def test_a_pair_holds_only_its_points(self, seeds, golden_pair):
         p, q = golden_pair.P, golden_pair.Q
-        elements = _integer_coordinates(p), _integer_coordinates(q)
+        elements = p.element, q.element
         pairs = [
             SolutionPair(p, q),
-            SolutionPair._from_elements(p.curve, *elements),
+            element_pair(p.curve, *elements),
             same_parity_pair(seeds[0], 1, 3),
         ]
         assert [f.name for f in dataclasses.fields(SolutionPair)] == ["P", "Q"]
@@ -742,9 +791,9 @@ class TestSecantMapOnElements:
         # +-kP for k = 1, ..., 8.
         for point in oracle_operands(seed)[4:]:
             e = sign * point.curve.N
-            image = _secant_element(point.curve.N, e, _integer_coordinates(point))
-            assert image == _integer_coordinates(getattr(point, reflect)())
-            assert image == _integer_coordinates(reference_secant_image(point, e, message))
+            image = _secant_element(point.curve.N, e, point.element)
+            assert image == getattr(point, reflect)().element
+            assert image == reference_secant_image(point, e, message).element
 
     @given(
         seed_indices,
@@ -801,7 +850,8 @@ def pair_outcome(construct, *args):
 
 class TestPairChecksOnElements:
     """SolutionPair's checks, run on elements, against the Fraction checks;
-    the element constructor raises what SolutionPair(...) raises."""
+    a pair of points made from their elements raises what the pair of the
+    points made from Fractions raises."""
 
     @pytest.mark.parametrize(
         "p, q, message",
@@ -821,7 +871,7 @@ class TestPairChecksOnElements:
     )
     def test_failing_cases_keep_their_messages(self, curve5, p, q, message):
         p, q = curve5.point(*p), curve5.point(*q)
-        elements = _integer_coordinates(p), _integer_coordinates(q)
+        elements = p.element, q.element
         if message is None:
             reference_pair_checks(p, q)
             expected = pair_outcome(SolutionPair, p, q)
@@ -830,12 +880,12 @@ class TestPairChecksOnElements:
             expected = pair_outcome(reference_pair_checks, p, q)
             assert expected[0] is DegeneratePair and message in expected[1]
             assert pair_outcome(SolutionPair, p, q) == expected
-        assert pair_outcome(SolutionPair._from_elements, curve5, *elements) == expected
+        assert pair_outcome(element_pair, curve5, *elements) == expected
 
     def test_element_pairs_of_generated_pairs(self, seeds):
         for pair in generated_pairs(list(seeds) + list(triangle_seeds(8)), max_multiple=6):
-            elements = _integer_coordinates(pair.P), _integer_coordinates(pair.Q)
-            built = SolutionPair._from_elements(pair.curve, *elements)
+            elements = pair.P.element, pair.Q.element
+            built = element_pair(pair.curve, *elements)
             assert built == pair and pair_root(built) == pair_root(pair)
             for point, twin in ((built.P, pair.P), (built.Q, pair.Q)):
                 assert (point.x, point.y) == (twin.x, twin.y)

@@ -296,6 +296,16 @@ class TestPrimality:
         for n in (561, 1105, 1729, 2465, 2821, 6601):
             assert not is_probable_prime(n)
 
+    @pytest.mark.parametrize(
+        "n, primes", [(252601, (41, 61, 101)), (410041, (41, 73, 137)), (1152271, (43, 127, 211))]
+    )
+    def test_carmichael_numbers_prime_to_every_base_rejected(self, n, primes):
+        # No base divides them, so only the strong test refuses them: each
+        # passes the Fermat test to every base.
+        assert prod(primes) == n and min(primes) > max(factoring._MR_BASES)
+        assert all(pow(base, n - 1, n) == 1 for base in factoring._MR_BASES)
+        assert is_probable_prime(n) is False
+
     def test_large_prime(self):
         assert is_probable_prime(2 ** 61 - 1)
         assert not is_probable_prime((2 ** 61 - 1) * (2 ** 31 - 1))

@@ -1,7 +1,10 @@
 import hashlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npcuboid.cuboids as cuboids
 import npcuboid.inverse as inverse
@@ -17,6 +20,7 @@ from npcuboid import (
     classify_labeling,
     format_rational,
     is_square,
+    load_seeds,
     recover_first,
     recover_invariant,
     recover_second,
@@ -24,10 +28,15 @@ from npcuboid import (
     same_parity_pair,
     verify_npc,
 )
-
 from npcuboid.cli import main
 
-from helpers import generated_pairs, point_above, reference_recover, triangle_seeds
+from helpers import (
+    generated_pairs,
+    point_above,
+    reference_ratios,
+    reference_recover,
+    triangle_seeds,
+)
 
 
 class TestRecoverInvariant:
@@ -161,18 +170,14 @@ class TestInconsistentKernel:
         with pytest.raises(
             InconsistentKernel, match=r"^recovered abscissa 10 is not a curve point of N=5$"
         ):
-            inverse._recover(
-                golden_npc, Fraction(5, 4), Fraction(2), "invariant", inverse.DEFAULT_RHO_BUDGET
-            )
+            inverse._recover(golden_npc, (5, 4), (2, 1), "invariant", inverse.DEFAULT_RHO_BUDGET)
 
     def test_ratio_failing_the_curve_inequality(self, golden_npc):
         # 0 < 1/2 < 1, so rhs(N/2) = N^3 (1/2)(1/4 - 1) < 0 has no root.
         with pytest.raises(
             InconsistentKernel, match=r"^recovered abscissa 3 is not a curve point of N=6$"
         ):
-            inverse._recover(
-                golden_npc, Fraction(1, 2), Fraction(2), "first", inverse.DEFAULT_RHO_BUDGET
-            )
+            inverse._recover(golden_npc, (1, 2), (2, 1), "first", inverse.DEFAULT_RHO_BUDGET)
 
     @pytest.mark.parametrize(
         "parametrization, recover",
@@ -188,6 +193,7 @@ class TestInconsistentKernel:
         self, seeds, monkeypatch, parametrization, recover
     ):
         # So they meet the curve inequality, which _recover leaves unchecked.
+        # Each arrives as a reduced pair (p, q), q > 0.
         ratios = []
         original = inverse._recover
 
@@ -198,7 +204,7 @@ class TestInconsistentKernel:
         monkeypatch.setattr(inverse, "_recover", recording)
         for pair in generated_pairs(seeds, max_multiple=4):
             recover(build_npc(pair, parametrization))
-        assert ratios and min(ratios) > 1
+        assert ratios and all(p > q > 0 and gcd(p, q) == 1 for p, q in ratios)
 
 
 class TestRecoverFamilies:
@@ -315,6 +321,23 @@ RECOVER = {
 }
 
 
+def as_fractions(args):
+    """Arguments of inverse._recover with the ratios (p, q) as Fractions, as
+    reference_recover takes them."""
+    cuboid, x_ratio, z_ratio, *rest = args
+    return (cuboid, Fraction(*x_ratio), Fraction(*z_ratio), *rest)
+
+
+def pieces(ratio):
+    """The factors p, q and p^2 - q^2 that the kernel of r (r^2 - 1) is taken
+    from, for the ratio r = p/q."""
+    p, q = ratio
+    return p, q, p * p - q * q
+
+
+RATIO_SEEDS = tuple(load_seeds()) + triangle_seeds(8)
+
+
 def rescaled(cuboid, factor):
     """The cuboid with each entry times factor: its ratios, so its inversion,
     stay the same."""
@@ -343,12 +366,63 @@ class TestAgainstFractionReference:
             for k in range(1, 9):
                 cuboid = build_npc(same_parity_pair(seed, k, k + 2), parametrization)
                 result = recover(cuboid)
-                expected = reference_recover(*ratios[-1])
+                expected = reference_recover(*as_fractions(ratios[-1]))
                 assert result == expected
                 assert recovery_to_json(result) == recovery_to_json(expected)
                 assert recover(rescaled(cuboid, Fraction(3, 7))) == expected
                 checked += 1
         assert checked == 8 * 12
+
+    @given(
+        st.integers(0, len(RATIO_SEEDS) - 1),
+        st.integers(1, 8),
+        st.sampled_from(sorted(RECOVER)),
+        st.sampled_from([1, Fraction(3, 7)]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_ratios_match_the_fraction_formulas(self, seed, k, parametrization, factor):
+        # The ratios of the integer entries, each reduced by one gcd, are the
+        # family's Fraction ratios, numerator and denominator alike.
+        cuboid = build_npc(same_parity_pair(RATIO_SEEDS[seed], k, k + 2), parametrization)
+        cuboid = rescaled(cuboid, factor)
+        ratios = []
+        original = inverse._recover
+
+        def recording(*args):
+            ratios.append(args[1:3])
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inverse, "_recover", recording)
+            RECOVER[parametrization](cuboid)
+        expected = reference_ratios(cuboid, parametrization.removesuffix("_reflected"))
+        assert ratios == [tuple((r.numerator, r.denominator) for r in expected)]
+
+    def test_inversion_constructs_no_fraction(self, seeds, monkeypatch):
+        # The three inversions and the JSON of their results, on cuboids built
+        # beforehand: every ratio, kernel piece, point and abscissa text is
+        # formed from integers.
+        cases = [
+            (RECOVER[parametrization], build_npc(pair, parametrization))
+            for pair in generated_pairs(list(seeds) + list(triangle_seeds(4)), max_multiple=5)
+            for parametrization in RECOVER
+        ]
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        payloads = [recovery_to_json(recover(cuboid)) for recover, cuboid in cases]
+        monkeypatch.undo()
+        assert len(payloads) == len(cases) == 5 * 32
+        assert made == []
+        # The count sees a Fraction that the package builds.
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        rationals.format_rational(2)
+        assert made == [(2,)]
 
     def test_inversion_takes_no_fraction_point_work(self, seeds, monkeypatch):
         cases = [
@@ -402,7 +476,7 @@ class TestLowerHeightRatio:
 
     @staticmethod
     def _lower(x_ratio, z_ratio):
-        height = [r.numerator.bit_length() + r.denominator.bit_length() for r in (x_ratio, z_ratio)]
+        height = [p.bit_length() + q.bit_length() for p, q in (x_ratio, z_ratio)]
         return z_ratio if height[1] < height[0] else x_ratio
 
     def test_one_kernel_of_the_lower_height_ratio(self, seeds, monkeypatch):
@@ -414,7 +488,7 @@ class TestLowerHeightRatio:
             assert len(kernels) == before + 1
             _, x_ratio, z_ratio, _, budget = ratios[-1]
             lower = self._lower(x_ratio, z_ratio)
-            assert kernels[-1] == ((lower, lower * lower - 1), budget)
+            assert kernels[-1] == (pieces(lower), budget)
             factored.add(lower is z_ratio)
         assert factored == {False, True}
 
@@ -425,7 +499,7 @@ class TestLowerHeightRatio:
             result = RECOVER[name](cuboid)
             _, x_ratio, z_ratio, _, _ = ratios[-1]
             if self._lower(x_ratio, z_ratio) is z_ratio:
-                expected = reference_recover(*ratios[-1])
+                expected = reference_recover(*as_fractions(ratios[-1]))
                 assert result == expected
                 assert recovery_to_json(result) == recovery_to_json(expected)
                 checked.add(name)
@@ -455,8 +529,8 @@ class TestLowerHeightRatio:
                 continue
             _, x_ratio, z_ratio, _, budget = ratios[-1]
             assert self._lower(x_ratio, z_ratio) is z_ratio
-            assert kernels[1:] == [((x_ratio, x_ratio * x_ratio - 1), budget)]
-            expected = reference_recover(*ratios[-1])
+            assert kernels[1:] == [(pieces(x_ratio), budget)]
+            expected = reference_recover(*as_fractions(ratios[-1]))
             assert result == expected
             assert recovery_to_json(result) == recovery_to_json(expected)
             fell_back += 1

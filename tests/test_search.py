@@ -309,7 +309,7 @@ class TestTranslateChains:
             translate = seed.curve.point(t * n, 0)
             for j in (1, 2, 5):
                 expected = seed.mul(j).add(translate).neg()
-                assert chain[j - 1][:3] == curve_module._integer_coordinates(expected), (seed, j)
+                assert chain[j - 1][:3] == expected.element, (seed, j)
                 assert chain[j - 1][4] == chain[(j - 1) % 2][0]
 
 
