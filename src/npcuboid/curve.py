@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from math import gcd, isqrt
 from pathlib import Path
@@ -90,9 +91,10 @@ class CurvePoint:
     b/d^3, or None at infinity: the one read off the reduced x and y, which
     for a curve point is its coprime element, and which an element given
     must be. So equality and hash, on the fields, compare the values x and
-    y; x and y are Fractions built only when read, and repr shows them.
-    Construction does not validate the curve equation; use on_curve() where
-    a contract requires it. The trivial points are the three with y = 0.
+    y. x and y are kept as given, or built from the element when first read,
+    and repr shows them. Construction does not validate the curve equation;
+    use on_curve() where a contract requires it. The trivial points are the
+    three with y = 0.
     """
 
     curve: CongruentCurve
@@ -108,13 +110,14 @@ class CurvePoint:
             if d * d != xd or d * xd != yd:
                 d = xd * yd
             element = x.numerator * (d * d // xd), d, y.numerator * (d * d * d // yd)
+            vars(self).update(x=x, y=y)
         vars(self).update(curve=curve, element=element)
 
-    @property
+    @cached_property
     def x(self) -> Fraction | None:
         return None if self.element is None else Fraction(self.element[0], self.element[1] ** 2)
 
-    @property
+    @cached_property
     def y(self) -> Fraction | None:
         return None if self.element is None else Fraction(self.element[2], self.element[1] ** 3)
 
@@ -134,10 +137,9 @@ class CurvePoint:
         return self.is_infinity or self.curve.contains(self.x, self.y)
 
     def neg(self) -> CurvePoint:
-        if self.element is None:
+        if self.is_infinity:
             return self
-        a, d, b = self.element
-        return CurvePoint(self.curve, element=(a, d, -b))
+        return CurvePoint(self.curve, self.x, -self.y)
 
     def add(self, other: CurvePoint) -> CurvePoint:
         """Group sum with the standard chord-and-tangent law.
@@ -151,9 +153,9 @@ class CurvePoint:
         """
         if self.curve != other.curve:
             raise CurveMismatch(f"cannot add points on {self.curve} and {other.curve}")
-        if self.element is None:
+        if self.is_infinity:
             return other
-        if other.element is None:
+        if other.is_infinity:
             return self
         x, y, z = _sum(self.curve.N, self.element, other.element)
         if not z and self.y == -other.y:
@@ -187,7 +189,7 @@ class CurvePoint:
         2-torsion point (e, 0), by the element map _secant. Fraction reduces
         the image, so a point off the curve, whose element need not be
         coprime, maps to the same value as well."""
-        if self.element is None or self.element[0] == e * self.element[1] ** 2:
+        if self.is_infinity or self.x == e:
             raise TrivialInput(pole)
         x, y, z, _ = _secant(self.curve.N, e, self.element)
         zz = z * z
@@ -269,12 +271,12 @@ _TRIVIAL_PAIR = "solution pair requires points with y != 0"
 
 def _check_pair(n: int, first: tuple, second: tuple) -> None:
     """The checks of a solution pair of the curve N, in order, on the
-    elements (a, d, b) of its points, x = a/d^2 and y = b/d^3, None at
-    infinity: both points nontrivial (b != 0), their abscissae distinct, both
-    on the curve (b^2 = a(a^2 - N^2 d^4)) and the x-product a square (a1 a2,
-    an integer, is one). Each failure raises DegeneratePair. The abscissae
-    are compared cross-multiplied, as the element of a point off the curve
-    need not be coprime."""
+    elements (a, d, b) of its points, x = a/d^2 and y = b/d^3: both points
+    nontrivial (not None, at infinity, nor b = 0), their abscissae distinct,
+    both on the curve (b^2 = a(a^2 - N^2 d^4)) and the x-product a square (a1
+    a2, an integer, is one). Each failure raises DegeneratePair. The abscissae
+    are compared cross-multiplied, as a point off the curve need not have a
+    coprime element."""
     if first is None or second is None or first[2] == 0 or second[2] == 0:
         raise DegeneratePair(_TRIVIAL_PAIR)
     (a1, d1, b1), (a2, d2, b2) = first, second

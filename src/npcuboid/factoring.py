@@ -128,8 +128,11 @@ def is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
     if n < _MR_DETERMINISTIC_LIMIT:
         return all(_is_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
     return _is_strong_probable_prime(n, 2, d, s) and _is_strong_lucas_probable_prime(n)

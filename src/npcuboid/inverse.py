@@ -13,9 +13,8 @@ The ratios are reduced integer pairs (p, q) of the cuboid's entries scaled
 to integers, and the points integer elements (a, d, b), x = a/d^2 and y =
 b/d^3 (see curve): pair I's from the ratios with one integer square root
 each, the others by the one secant map on elements, through (0, 0) and (N,
-0). Each pair is checked on its elements, pair I before any reflection, and
-each abscissa is written from its element: no Fraction is built between
-the cuboid and its JSON.
+0). Each pair is checked on its elements, pair I first, and the JSON is
+written from them: no Fraction is built between the cuboid and its JSON.
 """
 
 from __future__ import annotations
@@ -115,11 +114,11 @@ def _height(ratio: tuple[int, int]) -> int:
 
 def _first_pair(ratio: tuple, x_ratio: tuple, z_ratio: tuple, rho_budget: int) -> tuple:
     """N as the kernel of ratio (ratio^2 - 1), and pair I's elements on its curve."""
-    # With r = p/q reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3, of the kernel of
+    # With r = p/q reduced, r (r^2 - 1) = p (p^2 - q^2)/q^3 has the kernel of
     # p q (p^2 - q^2), whose pairwise coprime pieces squarefree_kernel strips
     # one by one; the 2-descent puts N's large primes in one of them. Split
-    # into p - q and p + q, p^2 - q^2 was measured slower: the kernels of one
-    # pass of the invert benchmark took 3.92 ms unsplit and 4.26 ms split.
+    # into p - q and p + q, p^2 - q^2 is slower: the 97 kernels of one invert
+    # benchmark pass took 2.79 ms, not 2.65 (Python 3.11.7, 2 shared vCPUs).
     p, q = ratio
     n = squarefree_kernel((p, q, p * p - q * q), rho_budget)
     return n, (_point_from_ratio(n, *x_ratio), _point_from_ratio(n, *z_ratio))
@@ -185,9 +184,8 @@ def recover_invariant(
     """
     a, _, c, d_bc, d_ac, d_s = _npc_integers(cuboid)
     ac_sum, bc_sum = d_ac + c, d_s + d_bc
-    return _recover(
-        cuboid, _ratio(ac_sum * bc_sum, a * a), _ratio(bc_sum, ac_sum), "invariant", rho_budget
-    )
+    x_ratio, z_ratio = _ratio(ac_sum * bc_sum, a * a), _ratio(bc_sum, ac_sum)
+    return _recover(cuboid, x_ratio, z_ratio, "invariant", rho_budget)
 
 
 def recover_first(
