@@ -537,7 +537,6 @@ class TestLowerHeightRatio:
         assert fell_back
 
 
-
 GOLDEN_FLAGS = ["--a", "672", "--b", "153", "--c", "104", "--dac", "680", "--dbc", "185",
                 "--ds", "697"]
 
